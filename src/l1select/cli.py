@@ -3,9 +3,7 @@ and instance generation.
 
 Exit codes are a stable contract: 0 success, 1 verification failure, 2 file
 parse error, 3 invalid parameters.  All commands are deterministic given
-``--seed``; the optional ``THREADS`` environment variable caps the worker
-threads used by ``verify`` (results are aggregated in instance order either
-way, so parallelism never changes the output bytes).
+``--seed``.
 """
 
 from __future__ import annotations
@@ -14,10 +12,8 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -75,26 +71,28 @@ _BOUNDS = {
 _NOISE_CYCLE = (0.0, 0.02, 0.1, 0.3)
 
 
-def _run_selector(algorithm: str, family, empirical, seed: int, *, draw_flip: bool = False):
+def _run_selector(algorithm: str, family, empirical, seed: int, *, prep=None, draw_flip: bool = False):
+    """Run one selector on a fresh ledger; the pairwise selectors use ``prep``
+    when given and preprocess ``family`` otherwise."""
     ledger = Ledger()
-    if algorithm == "tournament":
-        return scheffe_tournament(preprocess(family), empirical, ledger)
     if algorithm == "mindist":
         return min_distance(family, empirical, ledger)
     if algorithm == "modified":
         return modified_min_distance(family, empirical, ledger)
-    if algorithm == "minloss":
-        return min_loss_weight(preprocess(family), empirical, ledger)
-    if algorithm == "efficient":
-        return efficient_min_loss_weight(
-            preprocess(family), empirical, ledger, draw_removes_first=draw_flip
-        )
     if algorithm == "randomized":
         if family.size != 2:
             raise _ParameterError(
                 f"randomized selection needs exactly 2 candidates, family has {family.size}"
             )
         return randomized_two(family.candidates[0], family.candidates[1], empirical, seed)
+    if prep is None:
+        prep = preprocess(family)
+    if algorithm == "tournament":
+        return scheffe_tournament(prep, empirical, ledger)
+    if algorithm == "minloss":
+        return min_loss_weight(prep, empirical, ledger)
+    if algorithm == "efficient":
+        return efficient_min_loss_weight(prep, empirical, ledger, draw_removes_first=draw_flip)
     raise _ParameterError(f"unknown algorithm {algorithm!r}")
 
 
@@ -139,7 +137,7 @@ def _evaluate_instance(inst: Instance, delta_mode: str, draw_flip: bool) -> dict
             result["failure"] = {"kind": kind, **detail}
 
     for algorithm, (a, b, supports_restricted) in _BOUNDS.items():
-        report = _run_selector(algorithm, family, h, 0, draw_flip=draw_flip)
+        report = _run_selector(algorithm, family, h, 0, prep=prep, draw_flip=draw_flip)
         mode = "restricted" if (delta_mode == "restricted" and supports_restricted) else "full"
         bound = check_bound(report.selected_index, family, g, h, a, b, mode)
         result["bounds"][algorithm] = bound.margin
@@ -216,16 +214,9 @@ def _cmd_verify(args) -> int:
     ]
     instances.extend(_reference_instances())
 
-    workers = max(1, int(os.environ.get("THREADS", "1")))
-
-    def evaluate(inst: Instance) -> dict:
-        return _evaluate_instance(inst, args.delta_mode, args.flip_draw_removal)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(evaluate, instances))
-    else:
-        results = [evaluate(inst) for inst in instances]
+    results = [
+        _evaluate_instance(inst, args.delta_mode, args.flip_draw_removal) for inst in instances
+    ]
 
     bounds_summary = {}
     for algorithm, (a, b, supports_restricted) in _BOUNDS.items():

@@ -431,48 +431,47 @@ def empirical_deviation_restricted(g, h, family: Family, i: int) -> float:
 class PreprocessedFamily:
     """A family with all data-independent pair quantities precomputed.
 
-    For every unordered pair (i < j) this stores the test function, the L1
-    distance, the comparison threshold (fi . T + fj . T) / 2, and each
-    member's inner product with the pair's test function.  Pairs are listed
-    in strictly nonincreasing distance order, ties broken lexicographically
-    by (i, j).  None of this touches empirical data, so building it charges
-    nothing to any ledger.
+    For every unordered pair (i < j) this stores the endpoints, the test
+    function, the L1 distance and the comparison threshold
+    (fi . T + fj . T) / 2.  Pairs are listed in strictly nonincreasing
+    distance order, ties broken lexicographically by (i, j).  Building the
+    table takes O(m^2 k) time and memory and touches no empirical data, so it
+    charges nothing to any ledger.
     """
 
     __slots__ = (
         "family",
         "pairs",
         "pair_position",
+        "pair_i",
+        "pair_j",
         "test_signs",
         "distances",
         "thresholds",
-        "member_products",
     )
 
     def __init__(self, family: Family):
         if family.size == 0:
             raise EmptyFamilyError("cannot preprocess an empty family")
         matrix = family.matrix
-        m = matrix.shape[0]
-        idx_i, idx_j = np.triu_indices(m, k=1)
-        diffs = matrix[idx_i] - matrix[idx_j]
-        signs = np.sign(diffs)
-        dists = np.abs(diffs).sum(axis=1)
-        # products[c, p] = f_c . T_p for every member c and pair p
-        products = (matrix[:, None, :] * signs[None, :, :]).sum(axis=2)
-        npairs = idx_i.shape[0]
-        cols = np.arange(npairs)
-        thresholds = 0.5 * (products[idx_i, cols] + products[idx_j, cols]) if npairs else np.empty(0)
-        order = np.lexsort((idx_j, idx_i, -dists)) if npairs else np.empty(0, dtype=np.intp)
+        idx_i, idx_j, signs = _pair_test_signs(matrix)
+        dists = np.abs(matrix[idx_i] - matrix[idx_j]).sum(axis=1)
+        order = np.lexsort((idx_j, idx_i, -dists))
+        pair_i, pair_j, signs = idx_i[order], idx_j[order], signs[order]
+        # Row-wise products with the same elementwise terms and last-axis
+        # reduction as inner_product, so each threshold is bit-identical to
+        # 0.5 * (inner_product(fi, T) + inner_product(fj, T)).
+        thresholds = 0.5 * ((matrix[pair_i] * signs).sum(axis=1) + (matrix[pair_j] * signs).sum(axis=1))
 
         self.family = family
-        self.pairs = tuple((int(idx_i[p]), int(idx_j[p])) for p in order)
+        self.pairs = tuple(zip(pair_i.tolist(), pair_j.tolist()))
         self.pair_position = {pair: pos for pos, pair in enumerate(self.pairs)}
-        self.test_signs = signs[order]
+        self.pair_i = pair_i
+        self.pair_j = pair_j
+        self.test_signs = signs
         self.distances = dists[order]
-        self.thresholds = thresholds[order]
-        self.member_products = products[:, order]
-        for arr in (self.test_signs, self.distances, self.thresholds, self.member_products):
+        self.thresholds = thresholds
+        for arr in (self.pair_i, self.pair_j, self.test_signs, self.distances, self.thresholds):
             arr.flags.writeable = False
 
     @property
@@ -493,5 +492,6 @@ class PreprocessedFamily:
 
 
 def preprocess(family: Family) -> PreprocessedFamily:
-    """Precompute all pair test functions, distances and thresholds for a family."""
+    """Precompute all pair test functions, distances and thresholds for a
+    family, in O(m^2 k) time and memory."""
     return PreprocessedFamily(family)

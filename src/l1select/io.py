@@ -98,8 +98,9 @@ def write_family(path, family: Family) -> None:
 def read_empirical(path, support: Support) -> EmpiricalDistribution:
     """Load an empirical file: either ``{"mass": [...]}`` or ``{"samples": [...]}``.
 
-    Sample labels must belong to ``support``; they are aggregated to
-    frequencies and the sample count is retained.
+    A mass vector must have one entry per atom of ``support``.  Sample labels
+    must belong to ``support``; they are aggregated to frequencies and the
+    sample count is retained.
     """
     data = _load_json(path)
     has_mass, has_samples = "mass" in data, "samples" in data
@@ -108,6 +109,10 @@ def read_empirical(path, support: Support) -> EmpiricalDistribution:
     try:
         if has_mass:
             mass = _as_float_list(data["mass"], "mass", path)
+            if len(mass) != support.size:
+                raise FileFormatError(
+                    f"{path}: mass has {len(mass)} entries on a support of size {support.size}"
+                )
             return EmpiricalDistribution(mass)
         samples = data["samples"]
         if not isinstance(samples, list) or not samples or not all(isinstance(s, str) for s in samples):

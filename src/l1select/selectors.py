@@ -35,6 +35,7 @@ from .core import (
     PreprocessedFamily,
     SupportMismatchError,
     _as_vector,
+    _pair_test_signs,
     compare,
     l1_distance,
     test_function,
@@ -148,6 +149,52 @@ def _report(prep_or_family, algorithm: str, selected: int, ledger: Ledger,
     )
 
 
+def _validated_h(h, k: int) -> np.ndarray:
+    """The empirical mass as a vector, rejected unless it is finite,
+    nonnegative and on a support of size ``k``."""
+    hv = _as_vector(h)
+    if hv.shape[0] != k:
+        raise SupportMismatchError(f"empirical mass of size {hv.shape[0]} on a support of size {k}")
+    if not np.all(np.isfinite(hv)):
+        raise ValueError("empirical mass has non-finite entries")
+    if np.any(hv < 0.0):
+        raise ValueError("empirical mass has negative entries")
+    return hv
+
+
+def _pair_outcomes(prep: PreprocessedFamily, h, ledger: Ledger) -> tuple[np.ndarray, np.ndarray]:
+    """Outcomes of every pair in ``prep``'s order, in one vectorised pass.
+
+    Returns boolean masks (first_wins, second_wins) over the pairs; a pair in
+    neither is a draw.  The products are row-wise sums of the same elementwise
+    terms :func:`~l1select.core.compare` sums, so every outcome is
+    bit-identical to it (a matrix product would reduce in another order and
+    could flip a one-ulp draw).  Charges one data product per pair.
+    """
+    hv = _validated_h(h, prep.family.support.size)
+    prods = (prep.test_signs * hv).sum(axis=1)
+    ledger.add_h_products(prods.shape[0])
+    return prods > prep.thresholds, prods < prep.thresholds
+
+
+def _win_counts(prep: PreprocessedFamily, h, ledger: Ledger) -> np.ndarray:
+    """Pairwise wins of every candidate; a draw awards no win."""
+    first, second = _pair_outcomes(prep, h, ledger)
+    return np.bincount(prep.pair_i[first], minlength=prep.size) + np.bincount(
+        prep.pair_j[second], minlength=prep.size
+    )
+
+
+def _loss_weights(prep: PreprocessedFamily, h, ledger: Ledger) -> np.ndarray:
+    """Loss-weight of every candidate (see :func:`loss_weight`), with each
+    pair's outcome counted in both directions."""
+    first, second = _pair_outcomes(prep, h, ledger)
+    values = np.full(prep.size, -np.inf)
+    np.maximum.at(values, prep.pair_i[~first], prep.distances[~first])
+    np.maximum.at(values, prep.pair_j[~second], prep.distances[~second])
+    return values
+
+
 def scheffe_tournament(prep: PreprocessedFamily, h, ledger: Ledger | None = None) -> SelectionReport:
     """Select the candidate winning the most pairwise comparisons.
 
@@ -158,27 +205,8 @@ def scheffe_tournament(prep: PreprocessedFamily, h, ledger: Ledger | None = None
     """
     ledger = _ensure_ledger(ledger)
     h0, t0 = ledger.h_products, ledger.term_evaluations
-    m = prep.size
-    wins = [0] * m
-    for i in range(m):
-        for j in range(i + 1, m):
-            outcome = compare(prep, i, j, h, ledger)
-            if outcome is Outcome.FIRST_WINS:
-                wins[i] += 1
-            elif outcome is Outcome.SECOND_WINS:
-                wins[j] += 1
-    selected = max(range(m), key=lambda c: (wins[c], -c))
+    selected = int(np.argmax(_win_counts(prep, h, ledger)))
     return _report(prep, "tournament", selected, ledger, h0, t0)
-
-
-def _pair_signs(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    idx_i, idx_j = np.triu_indices(matrix.shape[0], k=1)
-    return idx_i, idx_j, np.sign(matrix[idx_i] - matrix[idx_j])
-
-
-def _check_h(hv: np.ndarray, k: int) -> None:
-    if hv.shape[0] != k:
-        raise SupportMismatchError(f"empirical mass of size {hv.shape[0]} on a support of size {k}")
 
 
 def min_distance(family: Family, h, ledger: Ledger | None = None) -> SelectionReport:
@@ -194,9 +222,8 @@ def min_distance(family: Family, h, ledger: Ledger | None = None) -> SelectionRe
         raise EmptyFamilyError("cannot select from an empty family")
     ledger = _ensure_ledger(ledger)
     h0, t0 = ledger.h_products, ledger.term_evaluations
-    hv = _as_vector(h)
-    _check_h(hv, family.support.size)
-    _, _, signs = _pair_signs(family.matrix)
+    hv = _validated_h(h, family.support.size)
+    _, _, signs = _pair_test_signs(family.matrix)
     scores = np.zeros(family.size)
     for c in range(family.size):
         if signs.shape[0]:
@@ -218,8 +245,7 @@ def modified_min_distance(family: Family, h, ledger: Ledger | None = None) -> Se
         raise EmptyFamilyError("cannot select from an empty family")
     ledger = _ensure_ledger(ledger)
     h0, t0 = ledger.h_products, ledger.term_evaluations
-    hv = _as_vector(h)
-    _check_h(hv, family.support.size)
+    hv = _validated_h(h, family.support.size)
     m = family.size
     scores = np.zeros(m)
     for i in range(m):
@@ -256,18 +282,6 @@ def loss_weight(prep: PreprocessedFamily, h, i: int, ledger: Ledger | None = Non
     return LossWeightValue(best, witness)
 
 
-def _loss_weights_from_outcomes(prep: PreprocessedFamily, outcomes: dict) -> list[float]:
-    """Per-candidate loss-weights given one outcome per unordered pair."""
-    values = [-math.inf] * prep.size
-    for (i, j), outcome in outcomes.items():
-        d = prep.distance(i, j)
-        if outcome is not Outcome.FIRST_WINS and d > values[i]:
-            values[i] = d
-        if outcome is not Outcome.SECOND_WINS and d > values[j]:
-            values[j] = d
-    return values
-
-
 def min_loss_weight(prep: PreprocessedFamily, h, ledger: Ledger | None = None) -> SelectionReport:
     """Select the candidate with the smallest loss-weight.
 
@@ -279,13 +293,7 @@ def min_loss_weight(prep: PreprocessedFamily, h, ledger: Ledger | None = None) -
     """
     ledger = _ensure_ledger(ledger)
     h0, t0 = ledger.h_products, ledger.term_evaluations
-    outcomes = {
-        (i, j): compare(prep, i, j, h, ledger)
-        for i in range(prep.size)
-        for j in range(i + 1, prep.size)
-    }
-    values = _loss_weights_from_outcomes(prep, outcomes)
-    selected = min(range(prep.size), key=lambda c: (values[c], c))
+    selected = int(np.argmin(_loss_weights(prep, h, ledger)))
     return _report(prep, "minloss", selected, ledger, h0, t0)
 
 
@@ -311,6 +319,7 @@ def efficient_min_loss_weight(
     holds either way, and the knob exists so verification can demonstrate
     that.
     """
+    hv = _validated_h(h, prep.family.support.size)
     ledger = _ensure_ledger(ledger)
     h0, t0 = ledger.h_products, ledger.term_evaluations
     alive = [True] * prep.size
@@ -321,7 +330,7 @@ def efficient_min_loss_weight(
             break
         if not (alive[i] and alive[j]):
             continue
-        outcome = compare(prep, i, j, h, ledger)
+        outcome = compare(prep, i, j, hv, ledger)
         if outcome is Outcome.SECOND_WINS:
             removed = i
         elif outcome is Outcome.DRAW and draw_removes_first:
@@ -349,9 +358,8 @@ def randomized_two(f1, f2, h, rng_seed: int = 0) -> SelectionReport:
     v1, v2 = _as_vector(f1), _as_vector(f2)
     if l1_distance(v1, v2) == 0.0:
         raise DegeneratePairError("randomized selection needs two candidates at positive L1 distance")
-    hv = _as_vector(h)
     signs = test_function(v1, v2).signs
-    _check_h(hv, signs.shape[0])
+    hv = _validated_h(h, signs.shape[0])
     ledger = Ledger()
     n1 = abs(float(((v1 - hv) * signs).sum()))
     n2 = abs(float(((v2 - hv) * signs).sum()))

@@ -7,6 +7,8 @@ independent of the generator module) and from the four-candidate instance.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -332,15 +334,37 @@ class TestPreprocess:
             if d0 == d1:
                 assert prep.pairs[p] < prep.pairs[p + 1]
 
-    @given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.integers(2, 5))
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.integers(2, 20))
     def test_thresholds_match_member_products(self, seed, m, k):
-        """The cached threshold of each pair is the average of the two
-        members' products with the pair's test function."""
-        family = make_family(random_mass_vectors(k, m, seed))
-        prep = preprocess(family)
+        """The cached threshold of each pair is, bit for bit, the average of
+        the two members' products with the pair's test function, computed
+        from the raw vectors."""
+        rows = random_mass_vectors(k, m, seed)
+        prep = preprocess(make_family(rows))
         for pos, (i, j) in enumerate(prep.pairs):
-            expected = 0.5 * (prep.member_products[i, pos] + prep.member_products[j, pos])
+            t = make_test_function(rows[i], rows[j])
+            expected = 0.5 * (inner_product(rows[i], t) + inner_product(rows[j], t))
             assert prep.thresholds[pos] == expected
+
+    def test_pair_endpoints_follow_pair_order(self, tournament_instance):
+        prep = preprocess(tournament_instance.family)
+        assert list(zip(prep.pair_i.tolist(), prep.pair_j.tolist())) == list(prep.pairs)
+        assert all(prep.pair_position[pair] == pos for pos, pair in enumerate(prep.pairs))
+        for arr in (prep.pair_i, prep.pair_j, prep.test_signs, prep.distances, prep.thresholds):
+            assert not arr.flags.writeable
+
+    def test_large_family_peak_memory_is_quadratic(self):
+        """At m=96, k=64 the pair table itself is P*k*8 = 2.3 MB (P = 4560
+        pairs); building it must not allocate an m x P x k intermediate
+        (224 MB)."""
+        family = make_family(random_mass_vectors(64, 96, 0))
+        tracemalloc.start()
+        try:
+            preprocess(family)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16_000_000
 
 
 class TestQuadrupleProperty:

@@ -207,6 +207,14 @@ class TestSelectCommand:
         bad.write_text("{", encoding="utf-8")
         assert main(["select", "--family", fam, "--empirical", str(bad), "--algorithm", "mindist"]) == 2
 
+    def test_empirical_on_another_support_exits_two(self, tmp_path, pair_files, capsys):
+        fam, _ = pair_files
+        short = tmp_path / "short.json"
+        short.write_text(json.dumps({"mass": [0.5, 0.5]}), encoding="utf-8")
+        code = main(["select", "--family", fam, "--empirical", str(short), "--algorithm", "efficient"])
+        assert code == 2
+        assert "2 entries on a support of size 4" in capsys.readouterr().err
+
 
 class TestVerifyCommand:
     def _run(self, capsys, *extra):

@@ -20,11 +20,13 @@ from l1select import (
     Support,
     best_in_family,
     check_bound,
+    compare,
     efficient_min_loss_weight,
     empirical_deviation,
     l1_distance,
     loss_weight,
     lower_bound_pair,
+    lower_bound_tournament,
     min_distance,
     min_loss_weight,
     modified_min_distance,
@@ -32,9 +34,11 @@ from l1select import (
     random_instance,
     randomized_two,
     relaxed_selection_check,
+    sample_empirical,
     scheffe_tournament,
     swap_pair,
 )
+from l1select.selectors import _loss_weights, _pair_outcomes, _win_counts
 from conftest import make_family
 
 ALG_RUNNERS = {
@@ -379,8 +383,6 @@ class TestDeterminismAndEquivariance:
     def _generic(fam, h) -> bool:
         """No pair draws, no distance ties, and distinct per-candidate scores
         for every score-based rule."""
-        from l1select import compare
-
         prep = preprocess(fam)
         dists = sorted(prep.distances)
         if any(a == b for a, b in zip(dists, dists[1:])):
@@ -412,3 +414,116 @@ class TestDeterminismAndEquivariance:
                 return False
         lws = [loss_weight(prep, h, c, Ledger()).value for c in range(fam.size)]
         return len(set(lws)) == len(lws)
+
+
+def assert_matches_compare_path(prep, h) -> int:
+    """Check the vectorised pair outcomes, wins, loss-weights and selections
+    against per-pair :func:`compare` calls; return the number of draws."""
+    m = prep.size
+    wins = [0] * m
+    draws = 0
+    first, second = _pair_outcomes(prep, h, Ledger())
+    for pos, (i, j) in enumerate(prep.pairs):
+        outcome = compare(prep, i, j, h, Ledger())
+        assert (bool(first[pos]), bool(second[pos])) == (
+            outcome is Outcome.FIRST_WINS,
+            outcome is Outcome.SECOND_WINS,
+        ), f"pair {(i, j)}: {outcome}"
+        if outcome is Outcome.FIRST_WINS:
+            wins[i] += 1
+        elif outcome is Outcome.SECOND_WINS:
+            wins[j] += 1
+        else:
+            draws += 1
+    lws = [loss_weight(prep, h, c, Ledger()).value for c in range(m)]
+    assert _win_counts(prep, h, Ledger()).tolist() == wins
+    assert _loss_weights(prep, h, Ledger()).tolist() == lws
+
+    ledger = Ledger()
+    tournament = scheffe_tournament(prep, h, ledger)
+    assert tournament.selected_index == max(range(m), key=lambda c: (wins[c], -c))
+    minloss = min_loss_weight(prep, h, ledger)
+    assert minloss.selected_index == min(range(m), key=lambda c: (lws[c], c))
+    assert ledger.h_products == m * (m - 1)
+    return draws
+
+
+class TestVectorisedPairOutcomes:
+    """The one-pass tournament and min-loss-weight agree with compare bit for
+    bit, draws included."""
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 9),
+        st.integers(1, 7),
+        st.sampled_from([None, 1, 2, 3, 4, 10]),
+        st.booleans(),
+    )
+    def test_random_families(self, seed, m, k, n, duplicate_last):
+        inst = random_instance(seed, k, m, noise=0.1)
+        rows = inst.family.matrix.copy()
+        if duplicate_last and m > 1:
+            rows[-1] = rows[0]
+        h = inst.empirical if n is None else sample_empirical(inst.truth, n, seed)
+        assert_matches_compare_path(preprocess(make_family(rows)), h)
+
+    @pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4, 1.5e-2])
+    @pytest.mark.parametrize(
+        "build", [lower_bound_pair, lambda e: swap_pair(lower_bound_pair(e)), lower_bound_tournament],
+        ids=["pair", "swap_pair", "tournament"],
+    )
+    def test_draw_constructions(self, build, eps):
+        inst = build(eps)
+        prep = preprocess(inst.family)
+        draws = sum(assert_matches_compare_path(prep, h) for h in (inst.empirical, inst.truth))
+        assert draws > 0
+
+    def test_one_ulp_draws_on_a_large_support(self):
+        """Nudge one atom of h an ulp at a time until compare calls the pair
+        an exact draw, on k=64 where the reduction order matters: a matrix
+        product sums in another order and misses most of these draws."""
+        draws = 0
+        for seed in range(20):
+            inst = random_instance(seed, 64, 2, noise=0.1)
+            prep = preprocess(inst.family)
+            h = inst.family.matrix.mean(axis=0)
+            x = int(np.flatnonzero(prep.test_signs[0] > 0)[0])
+            for _ in range(200):
+                outcome = compare(prep, 0, 1, h, Ledger())
+                if outcome is Outcome.DRAW:
+                    draws += assert_matches_compare_path(prep, h)
+                    break
+                h[x] = np.nextafter(h[x], -np.inf if outcome is Outcome.FIRST_WINS else np.inf)
+        assert draws >= 10
+
+
+BAD_EMPIRICALS = {
+    "nan": [float("nan"), 0.5, 0.25, 0.25],
+    "inf": [float("inf"), 0.0, 0.0, 0.0],
+    "negative": [-0.25, 0.75, 0.25, 0.25],
+}
+
+
+class TestEmpiricalValidation:
+    """Non-finite or negative empirical mass is rejected by every selector
+    instead of yielding a selection."""
+
+    @pytest.mark.parametrize("bad", sorted(BAD_EMPIRICALS))
+    @pytest.mark.parametrize("algorithm", sorted(ALG_RUNNERS))
+    def test_deterministic_selectors_reject(self, simple_family, algorithm, bad):
+        with pytest.raises(ValueError, match="non-finite|negative"):
+            ALG_RUNNERS[algorithm](simple_family, np.array(BAD_EMPIRICALS[bad]))
+
+    @pytest.mark.parametrize("bad", sorted(BAD_EMPIRICALS))
+    def test_randomized_rejects(self, simple_family, bad):
+        with pytest.raises(ValueError, match="non-finite|negative"):
+            randomized_two(simple_family[0], simple_family[1], np.array(BAD_EMPIRICALS[bad]))
+
+    def test_efficient_nan_no_longer_selects_by_draws(self, pair_instance):
+        """A NaN makes every comparison a draw, so without the check the
+        elimination selector would silently return index 0."""
+        h = np.array([float("nan"), 0.5, 0.25, 0.25])
+        ledger = Ledger()
+        with pytest.raises(ValueError, match="non-finite"):
+            efficient_min_loss_weight(preprocess(pair_instance.family), h, ledger)
+        assert ledger.h_products == 0
