@@ -35,6 +35,7 @@ from .core import (
     PreprocessedFamily,
     SupportMismatchError,
     _as_vector,
+    _pair_blocks,
     _pair_test_signs,
     compare,
     l1_distance,
@@ -209,6 +210,31 @@ def scheffe_tournament(prep: PreprocessedFamily, h, ledger: Ledger | None = None
     return _report(prep, "tournament", selected, ledger, h0, t0)
 
 
+def _min_distance_shortlist(diffs: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """Candidates whose exact min-distance score may be the smallest.
+
+    Every candidate is screened at once with matrix products over blocks of
+    pairs: approx[c] = max over pairs of |diffs[c] . T|.  Each term of such a
+    product is an exact product (+-d or 0), so any two summation orders, the
+    BLAS one included, differ by at most 2 gamma_k ||d_c||_1 <= k eps
+    ||d_c||_1; ``slack`` is four times that.  A candidate with approx - slack above the smallest
+    approx + slack therefore scores strictly above the winner exactly, and is
+    dropped.  When some ||d_c||_1 exceeds half the float maximum, a partial
+    sum may overflow, the bound fails, and every candidate is kept.
+    """
+    m, k = diffs.shape
+    with np.errstate(over="ignore"):
+        norms = np.abs(diffs).sum(axis=1)
+    if not np.all(norms <= np.finfo(np.float64).max / 2):
+        return np.arange(m)
+    approx = np.zeros(m)
+    for block in _pair_blocks(signs.shape[0]):
+        products = diffs @ signs[block].T
+        np.maximum(approx, np.abs(products, out=products).max(axis=1), out=approx)
+    slack = (4.0 * k * np.finfo(np.float64).eps) * norms
+    return np.flatnonzero(approx - slack <= (approx + slack).min())
+
+
 def min_distance(family: Family, h, ledger: Ledger | None = None) -> SelectionReport:
     """Select the candidate whose worst term over every ordered pair's test
     function is smallest.
@@ -217,6 +243,15 @@ def min_distance(family: Family, h, ledger: Ledger | None = None) -> SelectionRe
     |(f - h) . T_ij|.  The cost model charges every ordered term with no
     caching credit -- m . m(m-1) = m^2(m-1) term evaluations -- even though
     T_ji = -T_ij makes the two orientations' absolute terms equal.
+
+    The scores are computed in two steps.  Matrix products over blocks of
+    pairs screen every candidate within a rigorous bound on their rounding
+    error and keep only those that may attain the minimum.  Those are scored
+    exactly, by row-wise sums over the whole pair table, and the lowest-index
+    minimum wins.  A dropped candidate provably scores strictly above the
+    winner, so the selection is the one exact scoring of every candidate
+    gives, whatever order the matrix product sums in.  The ledger still
+    charges the full m^2(m-1).
     """
     if family.size == 0:
         raise EmptyFamilyError("cannot select from an empty family")
@@ -224,13 +259,13 @@ def min_distance(family: Family, h, ledger: Ledger | None = None) -> SelectionRe
     h0, t0 = ledger.h_products, ledger.term_evaluations
     hv = _validated_h(h, family.support.size)
     _, _, signs = _pair_test_signs(family.matrix)
-    scores = np.zeros(family.size)
-    for c in range(family.size):
-        if signs.shape[0]:
-            terms = np.abs((signs * (family.matrix[c] - hv)).sum(axis=1))
-            ledger.add_term_evaluations(2 * terms.shape[0])
-            scores[c] = terms.max()
-    selected = int(np.argmin(scores))
+    ledger.add_term_evaluations(2 * family.size * signs.shape[0])
+    selected = 0
+    if signs.shape[0]:
+        diffs = family.matrix - hv
+        shortlist = _min_distance_shortlist(diffs, signs)
+        scores = [np.abs((signs * diffs[c]).sum(axis=1)).max() for c in shortlist]
+        selected = int(shortlist[np.argmin(scores)])
     return _report(family, "mindist", selected, ledger, h0, t0)
 
 
@@ -239,22 +274,22 @@ def modified_min_distance(family: Family, h, ledger: Ledger | None = None) -> Se
 
     Candidate i is scored by max over j != i of |(f_i - h) . T_ij| only, so
     the scan costs m(m-1) term evaluations instead of m^2(m-1), with the same
-    error guarantee.
+    error guarantee.  Both endpoints of every unordered pair are scored from
+    one pass over the pair table; T_ji = -T_ij only negates the row sum, so
+    the scores are those of scanning each candidate's own pairs.
     """
     if family.size == 0:
         raise EmptyFamilyError("cannot select from an empty family")
     ledger = _ensure_ledger(ledger)
     h0, t0 = ledger.h_products, ledger.term_evaluations
     hv = _validated_h(h, family.support.size)
-    m = family.size
-    scores = np.zeros(m)
-    for i in range(m):
-        if m > 1:
-            others = np.delete(family.matrix, i, axis=0)
-            signs = np.sign(family.matrix[i] - others)
-            terms = np.abs((signs * (family.matrix[i] - hv)).sum(axis=1))
-            ledger.add_term_evaluations(terms.shape[0])
-            scores[i] = terms.max()
+    idx_i, idx_j, signs = _pair_test_signs(family.matrix)
+    diffs = family.matrix - hv
+    scores = np.zeros(family.size)
+    for block in _pair_blocks(signs.shape[0]):
+        for endpoint in (idx_i[block], idx_j[block]):
+            np.maximum.at(scores, endpoint, np.abs((diffs[endpoint] * signs[block]).sum(axis=1)))
+    ledger.add_term_evaluations(2 * signs.shape[0])
     selected = int(np.argmin(scores))
     return _report(family, "modified", selected, ledger, h0, t0)
 
@@ -364,6 +399,10 @@ def randomized_two(f1, f2, h, rng_seed: int = 0) -> SelectionReport:
     n1 = abs(float(((v1 - hv) * signs).sum()))
     n2 = abs(float(((v2 - hv) * signs).sum()))
     ledger.add_term_evaluations(2)
+    if not (math.isfinite(n1) and math.isfinite(n2)):
+        raise ValueError("randomized selection term overflowed: candidate masses too large")
+    if not math.isfinite(n1 + n2):
+        n1, n2 = n1 / 2, n2 / 2
     weight_first = n2 / (n1 + n2)
     mixture = (weight_first, n1 / (n1 + n2))
     draw = float(np.random.default_rng(rng_seed).random())

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 from l1select import (
+    CapacityError,
     Candidate,
     EmpiricalDistribution,
     EmptyFamilyError,
@@ -31,6 +32,8 @@ from l1select import (
     empirical_deviation_restricted,
     inner_product,
     l1_distance,
+    min_distance,
+    modified_min_distance,
     preprocess,
     scheffe_set,
     scheffe_win,
@@ -365,6 +368,27 @@ class TestPreprocess:
         finally:
             tracemalloc.stop()
         assert peak < 16_000_000
+
+    def test_oversized_pair_table_fails_before_allocating(self):
+        """m=20000 on 6 atoms needs a 12.8 GB pair table: every builder of
+        the table raises CapacityError instead of allocating it."""
+        family = make_family(np.full((20000, 6), 1 / 6))
+        h = np.full(6, 1 / 6)
+        builders = [
+            preprocess,
+            lambda fam: min_distance(fam, h),
+            lambda fam: modified_min_distance(fam, h),
+            lambda fam: empirical_deviation(h, h, fam),
+        ]
+        tracemalloc.start()
+        try:
+            for build in builders:
+                with pytest.raises(CapacityError, match="pair table"):
+                    build(family)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestQuadrupleProperty:

@@ -327,6 +327,10 @@ class TestBenchCommand:
         assert main(["bench", "--sizes", sizes]) == 3
         capsys.readouterr()
 
+    def test_family_too_large_for_the_pair_table_exits_three(self, capsys):
+        assert main(["bench", "--sizes", "20000"]) == 3
+        assert "pair table" in capsys.readouterr().err
+
 
 class TestGenCommand:
     def test_pair_example_round_trips(self, tmp_path, capsys):

@@ -38,7 +38,8 @@ from l1select import (
     scheffe_tournament,
     swap_pair,
 )
-from l1select.selectors import _loss_weights, _pair_outcomes, _win_counts
+from l1select.core import _pair_test_signs
+from l1select.selectors import _loss_weights, _min_distance_shortlist, _pair_outcomes, _win_counts
 from conftest import make_family
 
 ALG_RUNNERS = {
@@ -276,6 +277,21 @@ class TestRandomizedTwo:
         b = randomized_two(f1, f2, pair_instance.empirical, rng_seed=123)
         assert a == b
 
+    def test_term_sum_overflow_still_mixes_evenly(self):
+        """Each term is 1e308, so n1 + n2 overflows; the weights are still
+        the exact ratio of the two terms."""
+        f1 = Candidate("f1", [1e308, 0.0])
+        f2 = Candidate("f2", [0.0, 1e308])
+        with np.errstate(over="ignore"):
+            report = randomized_two(f1, f2, np.array([0.5, 0.5]), rng_seed=0)
+        assert report.mixture == (0.5, 0.5)
+
+    def test_overflowing_term_rejected(self):
+        f1 = Candidate("f1", [1.7e308, 1.7e308, 0.0])
+        f2 = Candidate("f2", [0.0, 0.0, 1.0])
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflow"):
+            randomized_two(f1, f2, np.array([0.5, 0.25, 0.25]), rng_seed=0)
+
     @given(st.integers(0, 2**32 - 1), st.integers(2, 6))
     def test_mixture_weights_are_a_distribution(self, seed, k):
         rng = np.random.default_rng(seed)
@@ -495,6 +511,131 @@ class TestVectorisedPairOutcomes:
                     break
                 h[x] = np.nextafter(h[x], -np.inf if outcome is Outcome.FIRST_WINS else np.inf)
         assert draws >= 10
+
+
+def reference_min_distance_scores(rows: np.ndarray, h) -> np.ndarray:
+    """Every candidate's min-distance score, one exact row-wise pass over the
+    whole pair table per candidate."""
+    hv = np.asarray(getattr(h, "mass", h), dtype=np.float64)
+    m = rows.shape[0]
+    if m < 2:
+        return np.zeros(m)
+    idx_i, idx_j = np.triu_indices(m, k=1)
+    signs = np.sign(rows[idx_i] - rows[idx_j])
+    return np.array([np.abs((signs * (rows[c] - hv)).sum(axis=1)).max() for c in range(m)])
+
+
+def reference_modified_scores(rows: np.ndarray, h) -> np.ndarray:
+    """Every candidate's modified min-distance score, scanning its own m-1
+    test functions."""
+    hv = np.asarray(getattr(h, "mass", h), dtype=np.float64)
+    m = rows.shape[0]
+    scores = np.zeros(m)
+    for i in range(m):
+        if m > 1:
+            signs = np.sign(rows[i] - np.delete(rows, i, axis=0))
+            scores[i] = np.abs((signs * (rows[i] - hv)).sum(axis=1)).max()
+    return scores
+
+
+def assert_min_distance_selectors_match_reference(rows: np.ndarray, h) -> None:
+    family = make_family(rows)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = int(np.argmin(reference_min_distance_scores(rows, h)))
+        want_modified = int(np.argmin(reference_modified_scores(rows, h)))
+        assert min_distance(family, h, Ledger()).selected_index == want
+        assert modified_min_distance(family, h, Ledger()).selected_index == want_modified
+
+
+class TestMinDistanceScreen:
+    """The matrix-product screen plus exact recheck selects what scoring every
+    candidate exactly row by row selects, ties and one-ulp gaps included."""
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 12),
+        st.integers(1, 200),
+        st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=4),
+        st.sampled_from(["empirical", "truth", "member", "sample"]),
+    )
+    def test_random_families_with_duplicates(self, seed, m, k, copies, data):
+        """Copied rows score exactly alike, so the lowest index must win; k
+        ranges past numpy's 128-term pairwise summation block."""
+        inst = random_instance(seed, k, m, noise=0.1)
+        rows = inst.family.matrix.copy()
+        for src, dst in copies:
+            rows[dst % m] = rows[src % m]
+        h = {
+            "empirical": inst.empirical,
+            "truth": inst.truth,
+            "member": rows[seed % m],
+            "sample": sample_empirical(inst.truth, 100, seed),
+        }[data]
+        assert_min_distance_selectors_match_reference(rows, h)
+
+    def test_screen_leaves_one_candidate_on_generic_instances(self):
+        """The rounding slack is tiny next to the gaps between generic
+        scores, so only the winner needs the exact rescoring."""
+        for seed in range(8):
+            inst = random_instance(seed, 64, 32, noise=(0.0, 0.02, 0.1, 0.3)[seed % 4])
+            rows = inst.family.matrix
+            _, _, signs = _pair_test_signs(rows)
+            shortlist = _min_distance_shortlist(rows - inst.empirical.mass, signs)
+            assert shortlist.tolist() == [int(np.argmin(reference_min_distance_scores(rows, inst.empirical)))]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_masses_near_the_float_max_recheck_everyone(self, seed):
+        """Above half the float maximum the rounding bound can overflow, so
+        the screen keeps every candidate and the exact scores decide."""
+        rng = np.random.default_rng(seed)
+        rows = rng.uniform(0.0, 1.0, size=(5, 8)) * 1e308
+        rows[3] = rows[1]
+        h = rng.dirichlet(np.ones(8))
+        with np.errstate(over="ignore"):
+            diffs = rows - h
+            _, _, signs = _pair_test_signs(rows)
+            assert _min_distance_shortlist(diffs, signs).tolist() == list(range(5))
+        assert_min_distance_selectors_match_reference(rows, h)
+
+    @pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4, 1.5e-2])
+    @pytest.mark.parametrize(
+        "build", [lower_bound_pair, lambda e: swap_pair(lower_bound_pair(e)), lower_bound_tournament],
+        ids=["pair", "swap_pair", "tournament"],
+    )
+    def test_draw_constructions(self, build, eps):
+        inst = build(eps)
+        for h in (inst.empirical, inst.truth):
+            assert_min_distance_selectors_match_reference(inst.family.matrix, h)
+
+    def test_one_ulp_near_ties(self):
+        """With two candidates both scores come from the one test function T,
+        and they tie where h . T meets the pair's threshold.  Walk one atom of
+        h an ulp at a time across that point on k=64, where the summation
+        order matters: both selectors must follow the reference at every
+        step, exact ties and one-ulp crossings included."""
+        crossings = ties = 0
+        for seed in range(20):
+            inst = random_instance(seed, 64, 2, noise=0.1)
+            rows = inst.family.matrix
+            h = rows.mean(axis=0)
+            x = int(np.flatnonzero(rows[0] > rows[1])[0])
+            for _ in range(400):
+                scores = reference_min_distance_scores(rows, h)
+                if scores[0] <= scores[1]:
+                    break
+                h[x] = np.nextafter(h[x], np.inf)
+            for _ in range(6):
+                h[x] = np.nextafter(h[x], -np.inf)
+            winners = set()
+            for _ in range(13):
+                scores = reference_min_distance_scores(rows, h)
+                winners.add(int(np.argmin(scores)))
+                ties += scores[0] == scores[1]
+                assert_min_distance_selectors_match_reference(rows, h)
+                h[x] = np.nextafter(h[x], np.inf)
+            crossings += winners == {0, 1}
+        assert crossings >= 5
+        assert ties >= 20
 
 
 BAD_EMPIRICALS = {
