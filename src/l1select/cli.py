@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Ledger, empirical_deviation, preprocess
+from .core import Family, Ledger, empirical_deviation, preprocess
 from .generators import (
     Instance,
     lower_bound_pair,
@@ -73,7 +73,8 @@ _NOISE_CYCLE = (0.0, 0.02, 0.1, 0.3)
 
 def _run_selector(algorithm: str, family, empirical, seed: int, *, prep=None, draw_flip: bool = False):
     """Run one selector on a fresh ledger; the pairwise selectors use ``prep``
-    when given and preprocess ``family`` otherwise."""
+    when given and preprocess ``family`` otherwise.  The distance selectors
+    read the family's pair table, which ``prep`` shares when it exists."""
     ledger = Ledger()
     if algorithm == "mindist":
         return min_distance(family, empirical, ledger)
@@ -198,25 +199,33 @@ def _reference_checks() -> list[tuple[str, bool]]:
     return checks
 
 
+def _verify_instances(args):
+    """The sweep's random instances, one per trial, then the references."""
+    master = np.random.default_rng(args.seed)
+    ks = master.integers(1, args.max_omega + 1, size=args.trials)
+    ms = master.integers(1, args.max_family + 1, size=args.trials)
+    inst_seeds = master.integers(0, 2**62, size=args.trials)
+    for t in range(args.trials):
+        yield random_instance(int(inst_seeds[t]), int(ks[t]), int(ms[t]), _NOISE_CYCLE[t % 4])
+    yield from _reference_instances()
+
+
 def _cmd_verify(args) -> int:
     if args.trials < 1:
         raise _ParameterError(f"--trials must be >= 1, got {args.trials}")
     if args.max_omega < 1 or args.max_family < 1:
         raise _ParameterError("--max-omega and --max-family must be >= 1")
 
-    master = np.random.default_rng(args.seed)
-    ks = master.integers(1, args.max_omega + 1, size=args.trials)
-    ms = master.integers(1, args.max_family + 1, size=args.trials)
-    inst_seeds = master.integers(0, 2**62, size=args.trials)
-    instances = [
-        random_instance(int(inst_seeds[t]), int(ks[t]), int(ms[t]), _NOISE_CYCLE[t % 4])
-        for t in range(args.trials)
-    ]
-    instances.extend(_reference_instances())
-
-    results = [
-        _evaluate_instance(inst, args.delta_mode, args.flip_draw_removal) for inst in instances
-    ]
+    # Each instance is generated, evaluated and dropped before the next, so
+    # the sweep holds one family (and its pair table) at a time; only the
+    # first failing instance is kept, for counterexample.json.
+    results = []
+    first_failure = None
+    for inst in _verify_instances(args):
+        result = _evaluate_instance(inst, args.delta_mode, args.flip_draw_removal)
+        results.append(result)
+        if first_failure is None and result["failure"]:
+            first_failure = (inst, result["failure"])
 
     bounds_summary = {}
     for algorithm, (a, b, supports_restricted) in _BOUNDS.items():
@@ -234,9 +243,6 @@ def _cmd_verify(args) -> int:
     draw_disagreements = int(sum(bool(r["invariant_draw_disagrees"]) for r in results))
 
     counterexample_path = None
-    first_failure = next(
-        ((inst, r["failure"]) for inst, r in zip(instances, results) if r["failure"]), None
-    )
 
     # Win-rule equivalence on random normalized triples.
     eq_rng = np.random.default_rng(args.seed + 1)
@@ -354,8 +360,11 @@ def _cmd_bench(args) -> int:
         inst = random_instance(args.seed + m, args.omega, m, noise=0.1)
         algorithms = list(_BOUNDS) + (["randomized"] if m == 2 else [])
         for algorithm in algorithms:
+            # A family of its own per row, so no row reuses a pair table an
+            # earlier row built and every wall time includes the build.
+            family = Family(inst.family.support, inst.family.candidates)
             start = time.perf_counter_ns()
-            report = _run_selector(algorithm, inst.family, inst.empirical, args.seed)
+            report = _run_selector(algorithm, family, inst.empirical, args.seed)
             elapsed = time.perf_counter_ns() - start
             rows.append(
                 {

@@ -206,9 +206,12 @@ class Family:
 
     Candidate names must be distinct so selection reports are unambiguous.
     The stacked mass matrix (one row per candidate) is precomputed and frozen.
+    The pair table (endpoints and test functions of every unordered pair) is
+    built on first use and kept, read-only, for :func:`preprocess` and the
+    distance selectors to share.
     """
 
-    __slots__ = ("support", "candidates", "matrix")
+    __slots__ = ("support", "candidates", "matrix", "_pair_table")
 
     def __init__(self, support: Support, candidates: Iterable[Candidate]):
         cands = tuple(candidates)
@@ -229,6 +232,7 @@ class Family:
         self.support = support
         self.candidates = cands
         self.matrix = matrix
+        self._pair_table = None
 
     @property
     def size(self) -> int:
@@ -416,6 +420,22 @@ def _pair_test_signs(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     return idx_i, idx_j, signs
 
 
+def _pair_table(family: Family) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The family's read-only pair table (endpoints i < j and sign vectors),
+    built by :func:`_pair_test_signs` on first use and then kept.
+
+    Pairs come in lexicographic order until :func:`preprocess` replaces the
+    table with its distance-sorted one; callers must not depend on the order.
+    A build that raises :class:`CapacityError` caches nothing.
+    """
+    if family._pair_table is None:
+        table = _pair_test_signs(family.matrix)
+        for arr in table:
+            arr.flags.writeable = False
+        family._pair_table = table
+    return family._pair_table
+
+
 def _pair_blocks(pairs: int) -> list[slice]:
     """Consecutive slices of at most ``_PAIR_BLOCK`` pairs covering ``pairs``."""
     return [slice(start, start + _PAIR_BLOCK) for start in range(0, pairs, _PAIR_BLOCK)]
@@ -464,7 +484,9 @@ class PreprocessedFamily:
     (fi . T + fj . T) / 2.  Pairs are listed in strictly nonincreasing
     distance order, ties broken lexicographically by (i, j).  Building the
     table takes O(m^2 k) time and memory and touches no empirical data, so it
-    charges nothing to any ledger.
+    charges nothing to any ledger.  The sorted endpoints and test functions
+    replace the family's pair table, so the distance selectors read the same
+    arrays.
     """
 
     __slots__ = (
@@ -482,11 +504,14 @@ class PreprocessedFamily:
         if family.size == 0:
             raise EmptyFamilyError("cannot preprocess an empty family")
         matrix = family.matrix
-        idx_i, idx_j, signs = _pair_test_signs(matrix)
+        idx_i, idx_j, signs = _pair_table(family)
         dists = np.empty(idx_i.shape[0])
         for block in _pair_blocks(idx_i.shape[0]):
             dists[block] = np.abs(matrix[idx_i[block]] - matrix[idx_j[block]]).sum(axis=1)
         order = np.lexsort((idx_j, idx_i, -dists))
+        # Unlink the unsorted table, so it is freed when ``signs`` is rebound
+        # instead of living on through the thresholds below.
+        family._pair_table = None
         pair_i, pair_j, signs = idx_i[order], idx_j[order], signs[order]
         # Row-wise products with the same elementwise terms and last-axis
         # reduction as inner_product, so each threshold is bit-identical to
@@ -503,6 +528,7 @@ class PreprocessedFamily:
         self.thresholds = thresholds
         for arr in (self.pair_i, self.pair_j, self.test_signs, self.distances, self.thresholds):
             arr.flags.writeable = False
+        family._pair_table = (pair_i, pair_j, signs)
 
     @property
     def size(self) -> int:

@@ -36,9 +36,8 @@ from .core import (
     SupportMismatchError,
     _as_vector,
     _pair_blocks,
-    _pair_test_signs,
+    _pair_table,
     compare,
-    l1_distance,
     test_function,
 )
 
@@ -252,13 +251,17 @@ def min_distance(family: Family, h, ledger: Ledger | None = None) -> SelectionRe
     winner, so the selection is the one exact scoring of every candidate
     gives, whatever order the matrix product sums in.  The ledger still
     charges the full m^2(m-1).
+
+    The pair table is the family's own, built on first use and shared with
+    :func:`~l1select.core.preprocess`; scores are maxima over its rows, so
+    its pair order cannot change them.
     """
     if family.size == 0:
         raise EmptyFamilyError("cannot select from an empty family")
     ledger = _ensure_ledger(ledger)
     h0, t0 = ledger.h_products, ledger.term_evaluations
     hv = _validated_h(h, family.support.size)
-    _, _, signs = _pair_test_signs(family.matrix)
+    _, _, signs = _pair_table(family)
     ledger.add_term_evaluations(2 * family.size * signs.shape[0])
     selected = 0
     if signs.shape[0]:
@@ -275,15 +278,16 @@ def modified_min_distance(family: Family, h, ledger: Ledger | None = None) -> Se
     Candidate i is scored by max over j != i of |(f_i - h) . T_ij| only, so
     the scan costs m(m-1) term evaluations instead of m^2(m-1), with the same
     error guarantee.  Both endpoints of every unordered pair are scored from
-    one pass over the pair table; T_ji = -T_ij only negates the row sum, so
-    the scores are those of scanning each candidate's own pairs.
+    one pass over the family's shared pair table, in whatever order it holds
+    the pairs; T_ji = -T_ij only negates the row sum, so the scores are those
+    of scanning each candidate's own pairs.
     """
     if family.size == 0:
         raise EmptyFamilyError("cannot select from an empty family")
     ledger = _ensure_ledger(ledger)
     h0, t0 = ledger.h_products, ledger.term_evaluations
     hv = _validated_h(h, family.support.size)
-    idx_i, idx_j, signs = _pair_test_signs(family.matrix)
+    idx_i, idx_j, signs = _pair_table(family)
     diffs = family.matrix - hv
     scores = np.zeros(family.size)
     for block in _pair_blocks(signs.shape[0]):
@@ -386,12 +390,14 @@ def randomized_two(f1, f2, h, rng_seed: int = 0) -> SelectionReport:
     With T the pair's test function and n_i = |(f_i - h) . T|, the first
     candidate is chosen with probability n2 / (n1 + n2) -- the exact value of
     1 / (r + 1) for the term ratio r = n1 / n2, with r = infinity (n2 = 0)
-    selecting the second candidate outright.  The two terms are charged as
-    term evaluations.  The draw comes from a seeded PCG64 generator, and the
-    report carries the seed plus both mixture weights exactly.
+    selecting the second candidate outright.  When both terms are zero
+    neither candidate is favoured and the mixture is even.  The two terms are
+    charged as term evaluations.  The draw comes from a seeded PCG64
+    generator, and the report carries the seed plus both mixture weights
+    exactly.
     """
     v1, v2 = _as_vector(f1), _as_vector(f2)
-    if l1_distance(v1, v2) == 0.0:
+    if np.array_equal(v1, v2):
         raise DegeneratePairError("randomized selection needs two candidates at positive L1 distance")
     signs = test_function(v1, v2).signs
     hv = _validated_h(h, signs.shape[0])
@@ -403,10 +409,9 @@ def randomized_two(f1, f2, h, rng_seed: int = 0) -> SelectionReport:
         raise ValueError("randomized selection term overflowed: candidate masses too large")
     if not math.isfinite(n1 + n2):
         n1, n2 = n1 / 2, n2 / 2
-    weight_first = n2 / (n1 + n2)
-    mixture = (weight_first, n1 / (n1 + n2))
+    mixture = (0.5, 0.5) if n1 + n2 == 0.0 else (n2 / (n1 + n2), n1 / (n1 + n2))
     draw = float(np.random.default_rng(rng_seed).random())
-    selected = 0 if draw < weight_first else 1
+    selected = 0 if draw < mixture[0] else 1
     names = (getattr(f1, "name", "f1"), getattr(f2, "name", "f2"))
     return SelectionReport(
         algorithm="randomized",

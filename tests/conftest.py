@@ -11,6 +11,7 @@ from l1select import (
     EmpiricalDistribution,
     Family,
     Support,
+    core,
     lower_bound_pair,
     lower_bound_tournament,
 )
@@ -64,3 +65,17 @@ def simple_family():
 @pytest.fixture
 def uniform_empirical():
     return EmpiricalDistribution([0.25, 0.25, 0.25, 0.25])
+
+
+@pytest.fixture
+def pair_table_builds(monkeypatch):
+    """A list that grows by the matrix shape of every pair-table build."""
+    builds = []
+    build = core._pair_test_signs
+
+    def counting(matrix):
+        builds.append(matrix.shape)
+        return build(matrix)
+
+    monkeypatch.setattr(core, "_pair_test_signs", counting)
+    return builds

@@ -390,6 +390,23 @@ class TestPreprocess:
             tracemalloc.stop()
         assert peak < 1_000_000
 
+    def test_oversized_pair_table_is_never_cached(self, pair_table_builds):
+        """A refused build caches nothing: every later call reaches the
+        guard again and raises again."""
+        family = make_family(np.full((20000, 6), 1 / 6))
+        h = np.full(6, 1 / 6)
+        builders = [
+            preprocess,
+            lambda fam: min_distance(fam, h),
+            lambda fam: modified_min_distance(fam, h),
+        ]
+        for _ in range(2):
+            for build in builders:
+                with pytest.raises(CapacityError, match="pair table"):
+                    build(family)
+        assert len(pair_table_builds) == 2 * len(builders)
+        assert family._pair_table is None
+
 
 class TestQuadrupleProperty:
     @given(st.integers(0, 2**32 - 1), st.integers(1, 8))

@@ -22,6 +22,7 @@ from l1select import (
     write_family,
     write_mass_vector,
 )
+from l1select import cli
 from l1select.cli import main
 
 
@@ -174,6 +175,30 @@ class TestSelectCommand:
         assert report["term_evaluations"] == 2
         assert report["h_products"] == 0
 
+    def test_randomized_with_both_terms_zero_mixes_evenly(self, tmp_path, capsys):
+        """Subnormal masses make both terms zero: an even mixture and exit 0,
+        not a ZeroDivisionError traceback."""
+        fam = tmp_path / "family.json"
+        emp = tmp_path / "empirical.json"
+        fam.write_text(
+            json.dumps(
+                {
+                    "support": ["A1", "A2"],
+                    "candidates": [
+                        {"name": "f1", "mass": [5e-324, 0.0]},
+                        {"name": "f2", "mass": [0.0, 5e-324]},
+                    ],
+                }
+            ),
+            encoding="utf-8",
+        )
+        emp.write_text(json.dumps({"mass": [0.5, 0.5]}), encoding="utf-8")
+        code = main(
+            ["select", "--family", str(fam), "--empirical", str(emp), "--algorithm", "randomized"]
+        )
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["mixture"] == [0.5, 0.5]
+
     def test_randomized_rejects_larger_families(self, tmp_path, tournament_instance, capsys):
         fam = tmp_path / "family.json"
         emp = tmp_path / "empirical.json"
@@ -287,6 +312,27 @@ class TestVerifyCommand:
             record = json.loads(dump.read_text(encoding="utf-8"))
             assert {"label", "candidates", "empirical_mass", "failure"} <= set(record)
 
+    def test_instances_are_evaluated_as_they_are_generated(self, capsys, tmp_path, monkeypatch):
+        """Each instance is evaluated before the next is generated, so the
+        sweep never holds every family (and its pair table) at once."""
+        monkeypatch.chdir(tmp_path)
+        events = []
+        generate, evaluate = cli.random_instance, cli._evaluate_instance
+
+        def generating(*args):
+            events.append("generate")
+            return generate(*args)
+
+        def evaluating(*args):
+            events.append("evaluate")
+            return evaluate(*args)
+
+        monkeypatch.setattr(cli, "random_instance", generating)
+        monkeypatch.setattr(cli, "_evaluate_instance", evaluating)
+        code, _ = self._run(capsys)
+        assert code == 0
+        assert events[:50] == ["generate", "evaluate"] * 25
+
     def test_invalid_parameters_exit_three(self, capsys):
         assert main(["verify", "--trials", "0"]) == 3
         assert main(["verify", "--trials", "5", "--max-omega", "0"]) == 3
@@ -326,6 +372,14 @@ class TestBenchCommand:
     def test_bad_sizes_exit_three(self, sizes, capsys):
         assert main(["bench", "--sizes", sizes]) == 3
         capsys.readouterr()
+
+    def test_every_row_builds_its_own_pair_table(self, capsys, pair_table_builds):
+        """No row reuses a table an earlier row built, so every row's wall
+        time includes its own build."""
+        assert main(["bench", "--sizes", "4", "--omega", "5"]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert len(rows) == 5
+        assert pair_table_builds == [(4, 5)] * len(rows)
 
     def test_family_too_large_for_the_pair_table_exits_three(self, capsys):
         assert main(["bench", "--sizes", "20000"]) == 3

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -38,7 +39,7 @@ from l1select import (
     scheffe_tournament,
     swap_pair,
 )
-from l1select.core import _pair_test_signs
+from l1select.core import _pair_table, _pair_test_signs
 from l1select.selectors import _loss_weights, _min_distance_shortlist, _pair_outcomes, _win_counts
 from conftest import make_family
 
@@ -285,6 +286,26 @@ class TestRandomizedTwo:
         with np.errstate(over="ignore"):
             report = randomized_two(f1, f2, np.array([0.5, 0.5]), rng_seed=0)
         assert report.mixture == (0.5, 0.5)
+
+    def test_term_sum_overflow_warns_nothing(self):
+        """The degenerate-pair check compares the masses exactly, so masses
+        near the float maximum raise no numpy overflow warning."""
+        f1 = Candidate("f1", [1e308, 0.0])
+        f2 = Candidate("f2", [0.0, 1e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = randomized_two(f1, f2, np.array([0.5, 0.5]), rng_seed=0)
+        assert report.mixture == (0.5, 0.5)
+
+    def test_both_terms_zero_give_even_mixture(self):
+        """Subnormal masses make both terms round to exactly zero; neither
+        candidate is favoured, so the mixture is even instead of 0 / 0."""
+        f1 = Candidate("f1", [5e-324, 0.0])
+        f2 = Candidate("f2", [0.0, 5e-324])
+        for seed in range(4):
+            report = randomized_two(f1, f2, np.array([0.5, 0.5]), rng_seed=seed)
+            assert report.mixture == (0.5, 0.5)
+            assert report.term_evaluations == 2
 
     def test_overflowing_term_rejected(self):
         f1 = Candidate("f1", [1.7e308, 1.7e308, 0.0])
@@ -636,6 +657,74 @@ class TestMinDistanceScreen:
             crossings += winners == {0, 1}
         assert crossings >= 5
         assert ties >= 20
+
+
+class TestSharedPairTable:
+    """A family builds its pair table once, on first use, and preprocess and
+    both distance selectors read that one table."""
+
+    @pytest.mark.parametrize("preprocess_first", [True, False])
+    def test_one_build_serves_preprocess_and_both_distance_selectors(
+        self, pair_table_builds, preprocess_first
+    ):
+        inst = random_instance(3, 16, 12, noise=0.1)
+        family = Family(inst.family.support, inst.family.candidates)
+        assert pair_table_builds == []
+        if preprocess_first:
+            preprocess(family)
+        min_distance(family, inst.empirical)
+        modified_min_distance(family, inst.empirical)
+        preprocess(family)
+        assert pair_table_builds == [(12, 16)]
+
+    def test_preprocessed_arrays_are_the_family_table(self):
+        family = random_instance(5, 10, 7).family
+        lexicographic = _pair_table(family)
+        prep = preprocess(family)
+        pair_i, pair_j, signs = _pair_table(family)
+        assert prep.pair_i is pair_i and prep.pair_j is pair_j and prep.test_signs is signs
+        assert signs is not lexicographic[2]
+        assert preprocess(family).test_signs is _pair_table(family)[2]
+        for arr in (*lexicographic, pair_i, pair_j, signs):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = arr[0]
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 12),
+        st.integers(1, 40),
+        st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=4),
+    )
+    def test_pair_order_does_not_change_a_selection(self, seed, m, k, copies):
+        """A fresh family holds its pairs in lexicographic order, a
+        preprocessed one in distance order; both distance selectors pick the
+        same candidate from either, the one the row-wise reference picks."""
+        inst = random_instance(seed, k, m, noise=0.1)
+        rows = inst.family.matrix.copy()
+        for src, dst in copies:
+            rows[dst % m] = rows[src % m]
+        h = inst.empirical
+        fresh, sorted_ = make_family(rows), make_family(rows)
+        prep = preprocess(sorted_)
+        assert _pair_table(fresh)[0].tolist() == np.triu_indices(m, k=1)[0].tolist()
+        assert _pair_table(sorted_)[2] is prep.test_signs
+        want = int(np.argmin(reference_min_distance_scores(rows, h)))
+        want_modified = int(np.argmin(reference_modified_scores(rows, h)))
+        for family in (fresh, sorted_):
+            assert min_distance(family, h).selected_index == want
+            assert modified_min_distance(family, h).selected_index == want_modified
+
+    def test_empirical_deviation_builds_its_own_signs(self, pair_table_builds):
+        """The oracle recomputes from raw vectors even when the family
+        already holds a table."""
+        inst = random_instance(6, 8, 6, noise=0.1)
+        prep = preprocess(inst.family)
+        builds = len(pair_table_builds)
+        deviation = empirical_deviation(inst.truth, inst.empirical, inst.family)
+        assert len(pair_table_builds) == builds + 1
+        terms = (prep.test_signs * (inst.truth - inst.empirical.mass)).sum(axis=1)
+        assert deviation == float(np.abs(terms).max())
 
 
 BAD_EMPIRICALS = {
