@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Family, Ledger, empirical_deviation, preprocess
+from .core import Family, Ledger, _check_pair_table_capacity, empirical_deviation, preprocess
 from .generators import (
     Instance,
     lower_bound_pair,
@@ -215,6 +216,9 @@ def _cmd_verify(args) -> int:
         raise _ParameterError(f"--trials must be >= 1, got {args.trials}")
     if args.max_omega < 1 or args.max_family < 1:
         raise _ParameterError("--max-omega and --max-family must be >= 1")
+    # Refuse, before any trial runs, a sweep whose largest family could not
+    # get a pair table.
+    _check_pair_table_capacity(args.max_family, args.max_omega)
 
     # Each instance is generated, evaluated and dropped before the next, so
     # the sweep holds one family (and its pair table) at a time; only the
@@ -440,7 +444,10 @@ def _write_instance(outdir: Path, inst: Instance) -> dict:
 # --------------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused: each build
+    leaves hundreds of objects in reference cycles."""
     parser = argparse.ArgumentParser(
         prog="l1select",
         description="Select finite-support densities by L1 error; verify the guarantees.",
@@ -491,7 +498,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except FileFormatError as exc:

@@ -17,8 +17,10 @@ selection procedure can be asserted, not estimated.
 from __future__ import annotations
 
 import enum
+import functools
+import types
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -52,10 +54,13 @@ __all__ = [
 # Mass vectors flagged as probability distributions must sum to 1 within this.
 NORMALIZATION_TOL = 1e-9
 
-# Largest pair table (P x k signs plus the two P-long endpoint arrays) that
+# Largest pair table (P x k signs plus its five P-long arrays) that
 # _pair_test_signs will build; larger families fail fast with CapacityError
 # instead of exhausting memory.
 _PAIR_TABLE_MAX_BYTES = 1 << 30
+# Families of up to this many candidates share cached read-only triu index
+# arrays, 16 bytes per pair: at most 2.7 MB over every m up to the bound.
+_TRIU_CACHE_MAX_M = 100
 # Pairs per block when a computation walks the pair table, so its temporaries
 # stay block-sized (and cache-resident) instead of growing with the table.
 # Larger blocks run slightly faster but make BLAS touch more packing memory in
@@ -170,6 +175,15 @@ class Candidate:
         self.name = name
         self.mass = arr
 
+    @classmethod
+    def _view(cls, name: str, mass: np.ndarray) -> "Candidate":
+        """A candidate over an already checked, read-only mass vector, kept
+        without a copy."""
+        candidate = cls.__new__(cls)
+        candidate.name = name
+        candidate.mass = mass
+        return candidate
+
     def is_distribution(self, tol: float = NORMALIZATION_TOL) -> bool:
         return bool(np.all(self.mass >= 0.0)) and abs(float(self.mass.sum()) - 1.0) <= tol
 
@@ -206,9 +220,9 @@ class Family:
 
     Candidate names must be distinct so selection reports are unambiguous.
     The stacked mass matrix (one row per candidate) is precomputed and frozen.
-    The pair table (endpoints and test functions of every unordered pair) is
-    built on first use and kept, read-only, for :func:`preprocess` and the
-    distance selectors to share.
+    The pair table (every unordered pair's endpoints, test function, distance
+    and threshold, in distance order) is built on first use and kept,
+    read-only, for :func:`preprocess` and the distance selectors to share.
     """
 
     __slots__ = ("support", "candidates", "matrix", "_pair_table")
@@ -233,6 +247,30 @@ class Family:
         self.candidates = cands
         self.matrix = matrix
         self._pair_table = None
+
+    @classmethod
+    def _from_matrix(cls, support: Support, names: Sequence[str], matrix: np.ndarray) -> "Family":
+        """The family whose candidates are the rows of a float64 ``matrix``,
+        checked in one pass over the whole matrix; the candidates are
+        read-only views of its rows.  Raises ValueError when building each
+        :class:`Candidate` and then the family would raise; the message does
+        not name the candidate at fault.
+        """
+        names = tuple(names)
+        if (
+            matrix.shape != (len(names), support.size)
+            or len(set(names)) != len(names)
+            or not np.isfinite(matrix).all()
+            or (matrix < 0.0).any()
+        ):
+            raise ValueError("mass matrix fails the candidate checks")
+        matrix.flags.writeable = False
+        family = cls.__new__(cls)
+        family.support = support
+        family.candidates = tuple(map(Candidate._view, names, matrix))
+        family.matrix = matrix
+        family._pair_table = None
+        return family
 
     @property
     def size(self) -> int:
@@ -350,15 +388,19 @@ def compare(prep: "PreprocessedFamily", i: int, j: int, h, ledger: Ledger) -> Ou
     """
     if i == j:
         raise InvalidPairError(f"cannot compare candidate {i} with itself")
-    a, b = (i, j) if i < j else (j, i)
-    pos = prep.pair_position[(a, b)]
+    pos = prep._position(i, j)
     hvec = _as_vector(h)
     _check_same_length(hvec, prep.test_signs[pos])
+    outcome = _outcome_at(prep, pos, hvec, ledger)
+    return outcome if i < j else outcome.flipped()
+
+
+def _outcome_at(prep: "PreprocessedFamily", pos: int, hvec: np.ndarray, ledger: Ledger) -> Outcome:
+    """Outcome of the pair at list position ``pos``, its lower index first,
+    for an ``hvec`` already checked to match the support."""
     h_dot_t = float((hvec * prep.test_signs[pos]).sum())
     ledger.add_h_products(1)
     thr = prep.thresholds[pos]
-    if i > j:
-        h_dot_t, thr = -h_dot_t, -thr
     if h_dot_t > thr:
         return Outcome.FIRST_WINS
     if h_dot_t < thr:
@@ -399,34 +441,93 @@ def scheffe_win(fi, fj, h) -> Outcome:
     return Outcome.DRAW
 
 
-def _pair_test_signs(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sign vectors for all unordered pairs (i<j), in lexicographic pair order.
+class _PairTable(NamedTuple):
+    """Every unordered pair (i < j) of a family's candidates, listed by
+    nonincreasing L1 distance, ties in lexicographic (i, j) order."""
 
-    Raises :class:`CapacityError`, before allocating anything, when the table
-    would exceed ``_PAIR_TABLE_MAX_BYTES``.
-    """
-    m, k = matrix.shape
+    pair_i: np.ndarray
+    pair_j: np.ndarray
+    signs: np.ndarray  # P x k test functions sign(f_i - f_j)
+    distances: np.ndarray
+    thresholds: np.ndarray  # (f_i . T + f_j . T) / 2
+    position: np.ndarray  # list position of each pair, by lexicographic index
+
+
+def _check_pair_table_capacity(m: int, k: int) -> None:
+    """Raise :class:`CapacityError` when the pair table of ``m`` candidates
+    on ``k`` atoms (P x k signs, two float and three index arrays of P
+    entries) would exceed ``_PAIR_TABLE_MAX_BYTES``."""
     pairs = m * (m - 1) // 2
-    table_bytes = pairs * (k * matrix.itemsize + 2 * np.dtype(np.intp).itemsize)
+    table_bytes = pairs * (k * 8 + 2 * 8 + 3 * np.dtype(np.intp).itemsize)
     if table_bytes > _PAIR_TABLE_MAX_BYTES:
         raise CapacityError(
             f"pair table of {pairs} pairs on {k} atoms needs {table_bytes} bytes, "
             f"over the guard of {_PAIR_TABLE_MAX_BYTES}"
         )
-    idx_i, idx_j = np.triu_indices(m, k=1)
+
+
+@functools.lru_cache(maxsize=_TRIU_CACHE_MAX_M)
+def _cached_triu_indices(m: int) -> tuple[np.ndarray, np.ndarray]:
+    idx = np.triu_indices(m, k=1)
+    for arr in idx:
+        arr.flags.writeable = False
+    return idx
+
+
+def _triu_indices(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoints (i, j), i < j, of every pair in lexicographic order; kept
+    for small ``m``, where building them costs more than using them."""
+    return _cached_triu_indices(m) if m <= _TRIU_CACHE_MAX_M else np.triu_indices(m, k=1)
+
+
+def _pair_test_signs(matrix: np.ndarray) -> _PairTable:
+    """The pair table of the rows of ``matrix``, built in one blocked pass.
+
+    The distances come first, from the raw rows in blocks of pairs, and a
+    stable sort of them orders the pairs.  The signs and thresholds are then
+    filled block by block, already in that order, from the rows each block
+    gathers.  Each threshold sums the same elementwise terms along the last
+    axis as :func:`inner_product`, so it is bit-identical to
+    0.5 * (inner_product(fi, T) + inner_product(fj, T)).  Masses so large
+    that a sum overflows give non-finite distances or thresholds, silently;
+    :func:`preprocess` refuses such a table.
+
+    Raises :class:`CapacityError`, before allocating anything, when the table
+    would exceed ``_PAIR_TABLE_MAX_BYTES``.
+    """
+    m, k = matrix.shape
+    _check_pair_table_capacity(m, k)
+    idx_i, idx_j = _triu_indices(m)
+    pairs = idx_i.shape[0]
+    distances = np.empty(pairs)
     signs = np.empty((pairs, k))
-    for block in _pair_blocks(pairs):
-        np.sign(matrix[idx_i[block]] - matrix[idx_j[block]], out=signs[block])
-    return idx_i, idx_j, signs
+    thresholds = np.empty(pairs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for block in _pair_blocks(pairs):
+            diffs = matrix.take(idx_i[block], axis=0)
+            diffs -= matrix.take(idx_j[block], axis=0)
+            distances[block] = np.abs(diffs, out=diffs).sum(axis=1)
+        # Stable, so equal distances keep the lexicographic order of idx_i, idx_j.
+        order = np.argsort(-distances, kind="stable")
+        pair_i, pair_j, distances = idx_i[order], idx_j[order], distances[order]
+        for block in _pair_blocks(pairs):
+            fi, fj = matrix.take(pair_i[block], axis=0), matrix.take(pair_j[block], axis=0)
+            # Into a fresh difference: np.sign with out= its own input runs
+            # about three times slower.
+            block_signs = np.sign(fi - fj, out=signs[block])
+            fi *= block_signs
+            fj *= block_signs
+            thresholds[block] = 0.5 * (fi.sum(axis=1) + fj.sum(axis=1))
+    position = np.empty(pairs, dtype=np.intp)
+    position[order] = np.arange(pairs)
+    return _PairTable(pair_i, pair_j, signs, distances, thresholds, position)
 
 
-def _pair_table(family: Family) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The family's read-only pair table (endpoints i < j and sign vectors),
-    built by :func:`_pair_test_signs` on first use and then kept.
-
-    Pairs come in lexicographic order until :func:`preprocess` replaces the
-    table with its distance-sorted one; callers must not depend on the order.
-    A build that raises :class:`CapacityError` caches nothing.
+def _pair_table(family: Family) -> _PairTable:
+    """The family's read-only pair table, built by :func:`_pair_test_signs`
+    on first use and then kept for :func:`preprocess` and the distance
+    selectors to share.  A build that raises :class:`CapacityError` caches
+    nothing.
     """
     if family._pair_table is None:
         table = _pair_test_signs(family.matrix)
@@ -455,7 +556,7 @@ def empirical_deviation(g, h, family: Family) -> float:
         )
     if family.size < 2:
         return 0.0
-    _, _, signs = _pair_test_signs(family.matrix)
+    signs = _pair_test_signs(family.matrix).signs
     return float(np.abs((signs * (gv - hv)).sum(axis=1)).max())
 
 
@@ -477,74 +578,80 @@ def empirical_deviation_restricted(g, h, family: Family, i: int) -> float:
 
 
 class PreprocessedFamily:
-    """A family with all data-independent pair quantities precomputed.
+    """A read-only view of a family's pair table: every data-independent
+    pair quantity, precomputed.
 
-    For every unordered pair (i < j) this stores the endpoints, the test
+    For every unordered pair (i < j) the table holds the endpoints, the test
     function, the L1 distance and the comparison threshold
     (fi . T + fj . T) / 2.  Pairs are listed in strictly nonincreasing
-    distance order, ties broken lexicographically by (i, j).  Building the
-    table takes O(m^2 k) time and memory and touches no empirical data, so it
-    charges nothing to any ledger.  The sorted endpoints and test functions
-    replace the family's pair table, so the distance selectors read the same
-    arrays.
+    distance order, ties broken lexicographically by (i, j); ``position``
+    maps a pair's lexicographic index to its place in that list.  Building
+    the table takes O(m^2 k) time and memory and touches no empirical data,
+    so it charges nothing to any ledger.  The arrays are the family's own
+    table, which the distance selectors read too.
     """
 
     __slots__ = (
         "family",
-        "pairs",
-        "pair_position",
         "pair_i",
         "pair_j",
         "test_signs",
         "distances",
         "thresholds",
+        "position",
+        "_pairs",
+        "_pair_position",
     )
 
     def __init__(self, family: Family):
         if family.size == 0:
             raise EmptyFamilyError("cannot preprocess an empty family")
-        matrix = family.matrix
-        idx_i, idx_j, signs = _pair_table(family)
-        dists = np.empty(idx_i.shape[0])
-        for block in _pair_blocks(idx_i.shape[0]):
-            dists[block] = np.abs(matrix[idx_i[block]] - matrix[idx_j[block]]).sum(axis=1)
-        order = np.lexsort((idx_j, idx_i, -dists))
-        # Unlink the unsorted table, so it is freed when ``signs`` is rebound
-        # instead of living on through the thresholds below.
-        family._pair_table = None
-        pair_i, pair_j, signs = idx_i[order], idx_j[order], signs[order]
-        # Row-wise products with the same elementwise terms and last-axis
-        # reduction as inner_product, so each threshold is bit-identical to
-        # 0.5 * (inner_product(fi, T) + inner_product(fj, T)).
-        thresholds = 0.5 * ((matrix[pair_i] * signs).sum(axis=1) + (matrix[pair_j] * signs).sum(axis=1))
-
+        table = _pair_table(family)
+        if not (np.isfinite(table.distances).all() and np.isfinite(table.thresholds).all()):
+            raise ValueError("pair distances or thresholds overflow: candidate masses too large")
         self.family = family
-        self.pairs = tuple(zip(pair_i.tolist(), pair_j.tolist()))
-        self.pair_position = {pair: pos for pos, pair in enumerate(self.pairs)}
-        self.pair_i = pair_i
-        self.pair_j = pair_j
-        self.test_signs = signs
-        self.distances = dists[order]
-        self.thresholds = thresholds
-        for arr in (self.pair_i, self.pair_j, self.test_signs, self.distances, self.thresholds):
-            arr.flags.writeable = False
-        family._pair_table = (pair_i, pair_j, signs)
+        self.pair_i, self.pair_j, self.test_signs, self.distances, self.thresholds, self.position = table
+        self._pairs = None
+        self._pair_position = None
 
     @property
     def size(self) -> int:
         return self.family.size
 
+    @property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """The pairs (i, j) in list order, built on first use."""
+        if self._pairs is None:
+            self._pairs = tuple(zip(self.pair_i.tolist(), self.pair_j.tolist()))
+        return self._pairs
+
+    @property
+    def pair_position(self) -> Mapping[tuple[int, int], int]:
+        """Read-only map from each pair (i, j), i < j, to its place in the
+        list, built on first use."""
+        if self._pair_position is None:
+            self._pair_position = types.MappingProxyType(
+                {pair: pos for pos, pair in enumerate(self.pairs)}
+            )
+        return self._pair_position
+
+    def _position(self, i: int, j: int) -> int:
+        """Place in the list of the pair of candidates ``i`` and ``j``."""
+        a, b = (i, j) if i < j else (j, i)
+        m = self.family.size
+        if a == b:
+            raise InvalidPairError(f"no pair ({i}, {j}): a candidate is not paired with itself")
+        if a < 0 or b >= m:
+            raise IndexError(f"pair ({i}, {j}) out of range for family of size {m}")
+        return int(self.position[a * (2 * m - a - 1) // 2 + (b - a - 1)])
+
     def test_function_for(self, i: int, j: int) -> TestFunction:
         """The pair's test function, oriented so positive entries favor ``i``."""
-        if i == j:
-            raise InvalidPairError(f"no test function for the pair ({i}, {i})")
-        a, b = (i, j) if i < j else (j, i)
-        signs = self.test_signs[self.pair_position[(a, b)]]
+        signs = self.test_signs[self._position(i, j)]
         return TestFunction(signs if i < j else -signs)
 
     def distance(self, i: int, j: int) -> float:
-        a, b = (i, j) if i < j else (j, i)
-        return float(self.distances[self.pair_position[(a, b)]])
+        return float(self.distances[self._position(i, j)])
 
 
 def preprocess(family: Family) -> PreprocessedFamily:

@@ -55,7 +55,10 @@ def _require(data: dict, key: str, path) -> object:
 def _as_float_list(values, what: str, path) -> list[float]:
     if not isinstance(values, list) or not all(isinstance(v, (int, float)) for v in values):
         raise FileFormatError(f"{path}: {what} must be a list of numbers")
-    return [float(v) for v in values]
+    try:
+        return [float(v) for v in values]
+    except OverflowError:
+        raise FileFormatError(f"{path}: {what} holds an integer too large for a float") from None
 
 
 def read_family(path) -> Family:
@@ -69,20 +72,47 @@ def read_family(path) -> Family:
         raise FileFormatError(f"{path}: candidates must be a list")
     try:
         support = Support(tuple(support_labels))
-        candidates = []
-        for entry in entries:
-            if not isinstance(entry, dict):
-                raise FileFormatError(f"{path}: each candidate must be an object")
-            name = _require(entry, "name", path)
-            if not isinstance(name, str):
-                raise FileFormatError(f"{path}: candidate names must be strings")
-            mass = _as_float_list(_require(entry, "mass", path), f"mass of {name!r}", path)
-            candidates.append(Candidate(name, mass))
-        return Family(support, candidates)
+        try:
+            return _stacked_family(support, entries)
+        except ValueError:
+            # Read candidate by candidate instead, so that the error names
+            # the first candidate at fault.
+            return Family(support, [_read_candidate(entry, path) for entry in entries])
     except FileFormatError:
         raise
     except ValueError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
+
+
+def _stacked_family(support: Support, entries: list) -> Family:
+    """The family of ``entries`` with all mass rows stacked into one array
+    and checked in one pass.  Raises ValueError, without saying which
+    candidate is at fault, on any entry :func:`_read_candidate` or
+    :class:`Family` would reject, and on integers of 2**64 or more, which
+    numpy keeps as Python objects."""
+    names, rows = [], []
+    for entry in entries:
+        if not (
+            isinstance(entry, dict)
+            and isinstance(entry.get("name"), str)
+            and isinstance(entry.get("mass"), list)
+        ):
+            raise ValueError("malformed candidate entry")
+        names.append(entry["name"])
+        rows.append(entry["mass"])
+    matrix = np.array(rows) if rows else np.empty((0, support.size))
+    if matrix.dtype.kind not in "biuf":
+        raise ValueError("mass entries are not all numbers")
+    return Family._from_matrix(support, names, matrix.astype(np.float64, copy=False))
+
+
+def _read_candidate(entry, path) -> Candidate:
+    if not isinstance(entry, dict):
+        raise FileFormatError(f"{path}: each candidate must be an object")
+    name = _require(entry, "name", path)
+    if not isinstance(name, str):
+        raise FileFormatError(f"{path}: candidate names must be strings")
+    return Candidate(name, _as_float_list(_require(entry, "mass", path), f"mass of {name!r}", path))
 
 
 def write_family(path, family: Family) -> None:

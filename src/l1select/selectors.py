@@ -35,6 +35,7 @@ from .core import (
     PreprocessedFamily,
     SupportMismatchError,
     _as_vector,
+    _outcome_at,
     _pair_blocks,
     _pair_table,
     compare,
@@ -253,15 +254,15 @@ def min_distance(family: Family, h, ledger: Ledger | None = None) -> SelectionRe
     charges the full m^2(m-1).
 
     The pair table is the family's own, built on first use and shared with
-    :func:`~l1select.core.preprocess`; scores are maxima over its rows, so
-    its pair order cannot change them.
+    :func:`~l1select.core.preprocess`.  Only its signs are read, so a table
+    whose distances or thresholds overflow still serves.
     """
     if family.size == 0:
         raise EmptyFamilyError("cannot select from an empty family")
     ledger = _ensure_ledger(ledger)
     h0, t0 = ledger.h_products, ledger.term_evaluations
     hv = _validated_h(h, family.support.size)
-    _, _, signs = _pair_table(family)
+    signs = _pair_table(family).signs
     ledger.add_term_evaluations(2 * family.size * signs.shape[0])
     selected = 0
     if signs.shape[0]:
@@ -278,16 +279,17 @@ def modified_min_distance(family: Family, h, ledger: Ledger | None = None) -> Se
     Candidate i is scored by max over j != i of |(f_i - h) . T_ij| only, so
     the scan costs m(m-1) term evaluations instead of m^2(m-1), with the same
     error guarantee.  Both endpoints of every unordered pair are scored from
-    one pass over the family's shared pair table, in whatever order it holds
-    the pairs; T_ji = -T_ij only negates the row sum, so the scores are those
-    of scanning each candidate's own pairs.
+    one pass over the family's shared pair table (its endpoints and signs
+    only); T_ji = -T_ij only negates the row sum, so the scores are those of
+    scanning each candidate's own pairs.
     """
     if family.size == 0:
         raise EmptyFamilyError("cannot select from an empty family")
     ledger = _ensure_ledger(ledger)
     h0, t0 = ledger.h_products, ledger.term_evaluations
     hv = _validated_h(h, family.support.size)
-    idx_i, idx_j, signs = _pair_table(family)
+    table = _pair_table(family)
+    idx_i, idx_j, signs = table.pair_i, table.pair_j, table.signs
     diffs = family.matrix - hv
     scores = np.zeros(family.size)
     for block in _pair_blocks(signs.shape[0]):
@@ -364,12 +366,12 @@ def efficient_min_loss_weight(
     alive = [True] * prep.size
     remaining = prep.size
     trace: list[TraceEvent] = []
-    for i, j in prep.pairs:
+    for pos, (i, j) in enumerate(zip(prep.pair_i.tolist(), prep.pair_j.tolist())):
         if remaining == 1:
             break
         if not (alive[i] and alive[j]):
             continue
-        outcome = compare(prep, i, j, hv, ledger)
+        outcome = _outcome_at(prep, pos, hv, ledger)
         if outcome is Outcome.SECOND_WINS:
             removed = i
         elif outcome is Outcome.DRAW and draw_removes_first:

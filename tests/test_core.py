@@ -28,6 +28,7 @@ from l1select import (
     Support,
     SupportMismatchError,
     compare,
+    efficient_min_loss_weight,
     empirical_deviation,
     empirical_deviation_restricted,
     inner_product,
@@ -35,10 +36,12 @@ from l1select import (
     min_distance,
     modified_min_distance,
     preprocess,
+    random_instance,
     scheffe_set,
     scheffe_win,
 )
 from l1select import test_function as make_test_function
+from l1select.core import _pair_test_signs
 from conftest import make_family
 
 # The two-candidate construction at eps = 0.01, as literal decimals.
@@ -406,6 +409,134 @@ class TestPreprocess:
                     build(family)
         assert len(pair_table_builds) == 2 * len(builders)
         assert family._pair_table is None
+
+
+def reference_pair_table(rows: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The pair table built the old way: lexicographic signs, a lexsort by
+    distance, a gather into that order, and thresholds from the raw vectors."""
+    idx_i, idx_j = np.triu_indices(rows.shape[0], k=1)
+    signs = np.sign(rows[idx_i] - rows[idx_j])
+    distances = np.abs(rows[idx_i] - rows[idx_j]).sum(axis=1)
+    order = np.lexsort((idx_j, idx_i, -distances))
+    pair_i, pair_j, signs = idx_i[order], idx_j[order], signs[order]
+    thresholds = np.array(
+        [
+            0.5 * (inner_product(rows[i], t) + inner_product(rows[j], t))
+            for i, j, t in zip(pair_i, pair_j, signs)
+        ]
+    )
+    return pair_i, pair_j, signs, distances[order], thresholds
+
+
+def assert_table_matches_reference(rows: np.ndarray) -> None:
+    table = _pair_test_signs(rows)
+    for built, want in zip(table, reference_pair_table(rows)):
+        assert np.array_equal(built, want)
+    m = rows.shape[0]
+    lexicographic = table.pair_i * (2 * m - table.pair_i - 1) // 2 + (table.pair_j - table.pair_i - 1)
+    assert np.array_equal(table.position[lexicographic], np.arange(len(table.pair_i)))
+
+
+class TestPairTable:
+    """The table born in distance order, with its signs and thresholds filled
+    block by block, equals the one the old lexicographic build sorted."""
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 40),
+        st.integers(1, 200),
+        st.lists(st.tuples(st.integers(0, 39), st.integers(0, 39)), max_size=6),
+    )
+    def test_equals_the_sorted_lexicographic_table(self, seed, m, k, copies):
+        """Copied rows make zero and tied distances; m up to 40 spans
+        several pair blocks and k passes numpy's 128-term summation block."""
+        rows = random_instance(seed, k, m, noise=0.1).family.matrix.copy()
+        for src, dst in copies:
+            rows[dst % m] = rows[src % m]
+        assert_table_matches_reference(rows)
+
+    def test_one_ulp_distance_ties(self):
+        """Rows 1 and 2 start as copies, so their distances to row 0 tie; one
+        atom of row 2 then walks an ulp at a time through the tie on k=64."""
+        for seed in range(10):
+            rows = random_instance(seed, 64, 4, noise=0.1).family.matrix.copy()
+            rows[2] = rows[1]
+            x = seed % 64
+            for _ in range(6):
+                rows[2, x] = np.nextafter(rows[2, x], -np.inf)
+            for _ in range(13):
+                assert_table_matches_reference(rows)
+                rows[2, x] = np.nextafter(rows[2, x], np.inf)
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 9),
+        st.integers(1, 20),
+        st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=3),
+    )
+    def test_compare_through_position_agrees_with_pair_position(self, seed, m, k, copies):
+        inst = random_instance(seed, k, m, noise=0.1)
+        rows = inst.family.matrix.copy()
+        for src, dst in copies:
+            rows[dst % m] = rows[src % m]
+        prep = preprocess(make_family(rows))
+        h = inst.empirical.mass
+        for i in range(m):
+            for j in range(m):
+                if i == j:
+                    continue
+                pos = prep.pair_position[(min(i, j), max(i, j))]
+                product = float((h * prep.test_signs[pos]).sum())
+                threshold = prep.thresholds[pos]
+                if i > j:
+                    product, threshold = -product, -threshold
+                want = (
+                    Outcome.FIRST_WINS if product > threshold
+                    else Outcome.SECOND_WINS if product < threshold
+                    else Outcome.DRAW
+                )
+                assert compare(prep, i, j, h, Ledger()) is want
+                assert prep.distance(i, j) == prep.distances[pos]
+
+    def test_pairs_and_pair_position_are_lazy_read_only_views(self):
+        inst = random_instance(2, 8, 9, noise=0.1)
+        prep = preprocess(inst.family)
+        efficient_min_loss_weight(prep, inst.empirical)
+        compare(prep, 3, 1, inst.empirical, Ledger())
+        assert prep._pairs is None and prep._pair_position is None
+        pairs, position = prep.pairs, prep.pair_position
+        assert prep.pairs is pairs and prep.pair_position is position
+        assert pairs == tuple(zip(prep.pair_i.tolist(), prep.pair_j.tolist()))
+        assert dict(position) == {pair: pos for pos, pair in enumerate(pairs)}
+        with pytest.raises(TypeError):
+            position[(0, 1)] = 0
+        with pytest.raises(AttributeError):
+            prep.pairs = ()
+        assert preprocess(inst.family)._pairs is None
+
+    @pytest.mark.parametrize("i, j", [(-1, 2), (2, 9), (9, 10)])
+    def test_pair_out_of_range_rejected(self, i, j):
+        prep = preprocess(random_instance(0, 4, 9).family)
+        with pytest.raises(IndexError):
+            compare(prep, i, j, np.full(4, 0.25), Ledger())
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_overflowing_thresholds_rejected(self, seed):
+        """Masses near the float maximum overflow the distances and
+        thresholds (some thresholds are NaN, so every compare on them would
+        be a silent draw): the build warns nothing, and preprocess refuses
+        the table while the distance selectors, which read only its signs,
+        still select."""
+        rows = np.random.default_rng(seed).uniform(size=(5, 8)) * 1e308
+        table = _pair_test_signs(rows)
+        assert not (np.isfinite(table.distances).all() and np.isfinite(table.thresholds).all())
+        family = make_family(rows)
+        with pytest.raises(ValueError, match="overflow"):
+            preprocess(family)
+        h = np.full(8, 1 / 8)
+        with np.errstate(over="ignore"):
+            assert 0 <= min_distance(family, h).selected_index < 5
+            assert 0 <= modified_min_distance(family, h).selected_index < 5
 
 
 class TestQuadrupleProperty:

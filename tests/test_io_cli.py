@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +26,68 @@ from l1select import (
 )
 from l1select import cli
 from l1select.cli import main
+from conftest import make_family
+
+
+GOOD_ENTRY = {"name": "f", "mass": [0.5, 0.5]}
+# One fault per family file, on the second candidate where it can be, with
+# the message read_family gives for it.
+FAMILY_FAULTS = {
+    "bad_support": (
+        {"support": ["a", 1], "candidates": [GOOD_ENTRY]},
+        "support must be a list of atom labels",
+    ),
+    "candidates_not_a_list": (
+        {"support": ["a", "b"], "candidates": {"f": [0.5, 0.5]}},
+        "candidates must be a list",
+    ),
+    "entry_not_an_object": (
+        {"support": ["a", "b"], "candidates": [GOOD_ENTRY, ["g", [0.5, 0.5]]]},
+        "each candidate must be an object",
+    ),
+    "missing_name": (
+        {"support": ["a", "b"], "candidates": [GOOD_ENTRY, {"mass": [0.5, 0.5]}]},
+        "missing required key 'name'",
+    ),
+    "name_not_a_string": (
+        {"support": ["a", "b"], "candidates": [GOOD_ENTRY, {"name": 7, "mass": [0.5, 0.5]}]},
+        "candidate names must be strings",
+    ),
+    "missing_mass": (
+        {"support": ["a", "b"], "candidates": [GOOD_ENTRY, {"name": "g"}]},
+        "missing required key 'mass'",
+    ),
+    "mass_not_a_list": (
+        {"support": ["a", "b"], "candidates": [GOOD_ENTRY, {"name": "g", "mass": 0.5}]},
+        "mass of 'g' must be a list of numbers",
+    ),
+    "non_numeric_mass": (
+        {"support": ["a", "b"], "candidates": [GOOD_ENTRY, {"name": "g", "mass": [0.5, "x"]}]},
+        "mass of 'g' must be a list of numbers",
+    ),
+    "nan_mass": (
+        {"support": ["a", "b"], "candidates": [GOOD_ENTRY, {"name": "g", "mass": [float("nan"), 0.5]}]},
+        "candidate 'g' has non-finite mass entries",
+    ),
+    "negative_mass": (
+        {"support": ["a", "b"], "candidates": [GOOD_ENTRY, {"name": "g", "mass": [-0.5, 1.5]}]},
+        "candidate 'g' has negative mass entries",
+    ),
+    "row_of_the_wrong_length": (
+        {"support": ["a", "b"], "candidates": [GOOD_ENTRY, {"name": "g", "mass": [1.0]}]},
+        "candidate 'g' has 1 entries on a support of size 2",
+    ),
+    "duplicate_names": (
+        {"support": ["a", "b"], "candidates": [GOOD_ENTRY, GOOD_ENTRY]},
+        "candidate names must be distinct within a family",
+    ),
+    "duplicate_atoms": (
+        {"support": ["a", "a"], "candidates": [GOOD_ENTRY]},
+        "support atoms must be distinct",
+    ),
+}
+# An integer literal too large for a float.
+HUGE_INT = "1" * 400
 
 
 class TestFamilyFiles:
@@ -90,6 +154,38 @@ class TestFamilyFiles:
         with pytest.raises(FileFormatError):
             read_family(path)
 
+    @pytest.mark.parametrize("fault", sorted(FAMILY_FAULTS))
+    def test_single_fault_message_and_exit_two(self, tmp_path, pair_files, capsys, fault):
+        payload, message = FAMILY_FAULTS[fault]
+        path = tmp_path / "bad-family.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(FileFormatError) as info:
+            read_family(path)
+        assert str(info.value) == f"{path}: {message}"
+        _, emp = pair_files
+        code = main(["select", "--family", str(path), "--empirical", emp, "--algorithm", "mindist"])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+    def test_candidates_are_read_only_views_of_the_matrix(self, tmp_path):
+        family = random_instance(4, 5, 6, noise=0.1).family
+        path = tmp_path / "family.json"
+        write_family(path, family)
+        loaded = read_family(path)
+        assert not loaded.matrix.flags.writeable
+        for row, candidate in zip(loaded.matrix, loaded.candidates):
+            assert candidate.mass.base is loaded.matrix
+            assert_array_equal(candidate.mass, row)
+            assert not candidate.mass.flags.writeable
+
+    def test_integers_past_int64_are_read_as_floats(self, tmp_path):
+        path = tmp_path / "family.json"
+        path.write_text(
+            '{"support": ["a", "b"], "candidates": [{"name": "f", "mass": [100000000000000000000000000000, 1]}]}',
+            encoding="utf-8",
+        )
+        assert read_family(path).matrix.tolist() == [[1e29, 1.0]]
+
 
 class TestEmpiricalFiles:
     def test_mass_round_trip(self, tmp_path, pair_instance):
@@ -125,6 +221,12 @@ class TestEmpiricalFiles:
         path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(FileFormatError, match=message):
             read_empirical(path, pair_instance.family.support)
+
+    def test_oversized_integer_in_a_mass_vector(self, tmp_path):
+        path = tmp_path / "truth.json"
+        path.write_text('{"mass": [%s, 0]}' % HUGE_INT, encoding="utf-8")
+        with pytest.raises(FileFormatError, match="too large for a float"):
+            read_mass_vector(path)
 
     def test_mass_vector_round_trip(self, tmp_path):
         truth = lower_bound_pair(1e-3).truth
@@ -240,6 +342,41 @@ class TestSelectCommand:
         assert code == 2
         assert "2 entries on a support of size 4" in capsys.readouterr().err
 
+    def test_oversized_integer_in_the_family_exits_two(self, tmp_path, capsys):
+        fam = tmp_path / "family.json"
+        emp = tmp_path / "empirical.json"
+        fam.write_text(
+            '{"support": ["a", "b"], "candidates": [{"name": "f", "mass": [%s, 0]},'
+            ' {"name": "g", "mass": [0, 1]}]}' % HUGE_INT,
+            encoding="utf-8",
+        )
+        emp.write_text('{"mass": [0.5, 0.5]}', encoding="utf-8")
+        code = main(["select", "--family", str(fam), "--empirical", str(emp), "--algorithm", "tournament"])
+        assert code == 2
+        assert "mass of 'f' holds an integer too large for a float" in capsys.readouterr().err
+
+    def test_oversized_integer_in_the_empirical_exits_two(self, tmp_path, pair_files, capsys):
+        fam, _ = pair_files
+        emp = tmp_path / "empirical.json"
+        emp.write_text('{"mass": [%s, 0, 0, 0]}' % HUGE_INT, encoding="utf-8")
+        code = main(["select", "--family", fam, "--empirical", str(emp), "--algorithm", "tournament"])
+        assert code == 2
+        assert "too large for a float" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("algorithm", ["tournament", "minloss", "efficient"])
+    def test_overflowing_thresholds_exit_three(self, tmp_path, capsys, algorithm):
+        """Masses near the float maximum leave NaN thresholds, on which every
+        compare would be a silent draw; preprocessing refuses them instead."""
+        rows = np.random.default_rng(0).uniform(size=(5, 8)) * 1e308
+        family = make_family(rows)
+        fam = tmp_path / "family.json"
+        emp = tmp_path / "empirical.json"
+        write_family(fam, family)
+        emp.write_text(json.dumps({"mass": [1 / 8] * 8}), encoding="utf-8")
+        code = main(["select", "--family", str(fam), "--empirical", str(emp), "--algorithm", algorithm])
+        assert code == 3
+        assert "overflow" in capsys.readouterr().err
+
 
 class TestVerifyCommand:
     def _run(self, capsys, *extra):
@@ -264,6 +401,49 @@ class TestVerifyCommand:
         _, first = self._run(capsys)
         _, second = self._run(capsys)
         assert first == second
+
+    def test_family_cap_is_checked_before_any_trial(self, capsys):
+        """--max-family 6000 on 6 atoms allows a pair table past the guard:
+        exit 3 at once, without building any family."""
+        tracemalloc.start()
+        try:
+            code = main(["verify", "--max-family", "6000", "--max-omega", "6", "--trials", "1"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert "pair table" in capsys.readouterr().err
+        assert peak < 1_000_000
+
+    def test_a_call_leaves_little_cyclic_garbage(self, capsys, tmp_path, monkeypatch):
+        """The argument parser is built once, not per call: a parser leaves
+        about 270 objects in reference cycles."""
+        monkeypatch.chdir(tmp_path)
+        argv = ["verify", "--trials", "5"]
+        assert main(argv) == 0
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            assert main(argv) == 0
+            gc.collect()
+            garbage = len(gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        capsys.readouterr()
+        assert garbage < 50
+
+    def test_reused_parser_keeps_no_state_between_calls(self, capsys, pair_files):
+        fam, emp = pair_files
+        select = ["select", "--family", fam, "--empirical", emp, "--algorithm", "randomized"]
+        assert main([*select, "--seed", "5"]) == 0
+        seeded = capsys.readouterr().out
+        assert main(select) == 0
+        first = capsys.readouterr().out
+        assert main(select) == 0
+        assert capsys.readouterr().out == first
+        assert json.loads(first)["seed"] == 0
+        assert json.loads(seeded)["seed"] == 5
 
     def test_threads_do_not_change_the_output(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

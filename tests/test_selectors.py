@@ -600,7 +600,7 @@ class TestMinDistanceScreen:
         for seed in range(8):
             inst = random_instance(seed, 64, 32, noise=(0.0, 0.02, 0.1, 0.3)[seed % 4])
             rows = inst.family.matrix
-            _, _, signs = _pair_test_signs(rows)
+            signs = _pair_test_signs(rows).signs
             shortlist = _min_distance_shortlist(rows - inst.empirical.mass, signs)
             assert shortlist.tolist() == [int(np.argmin(reference_min_distance_scores(rows, inst.empirical)))]
 
@@ -614,7 +614,7 @@ class TestMinDistanceScreen:
         h = rng.dirichlet(np.ones(8))
         with np.errstate(over="ignore"):
             diffs = rows - h
-            _, _, signs = _pair_test_signs(rows)
+            signs = _pair_test_signs(rows).signs
             assert _min_distance_shortlist(diffs, signs).tolist() == list(range(5))
         assert_min_distance_selectors_match_reference(rows, h)
 
@@ -679,13 +679,14 @@ class TestSharedPairTable:
 
     def test_preprocessed_arrays_are_the_family_table(self):
         family = random_instance(5, 10, 7).family
-        lexicographic = _pair_table(family)
+        table = _pair_table(family)
         prep = preprocess(family)
-        pair_i, pair_j, signs = _pair_table(family)
-        assert prep.pair_i is pair_i and prep.pair_j is pair_j and prep.test_signs is signs
-        assert signs is not lexicographic[2]
-        assert preprocess(family).test_signs is _pair_table(family)[2]
-        for arr in (*lexicographic, pair_i, pair_j, signs):
+        assert _pair_table(family) is table
+        assert prep.pair_i is table.pair_i and prep.pair_j is table.pair_j
+        assert prep.test_signs is table.signs and prep.distances is table.distances
+        assert prep.thresholds is table.thresholds and prep.position is table.position
+        assert preprocess(family).test_signs is table.signs
+        for arr in table:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = arr[0]
@@ -697,23 +698,24 @@ class TestSharedPairTable:
         st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=4),
     )
     def test_pair_order_does_not_change_a_selection(self, seed, m, k, copies):
-        """A fresh family holds its pairs in lexicographic order, a
-        preprocessed one in distance order; both distance selectors pick the
-        same candidate from either, the one the row-wise reference picks."""
+        """Whether a distance selector or preprocess builds the table, it is
+        the same distance-ordered table, and both distance selectors pick
+        from it the candidate the row-wise reference picks."""
         inst = random_instance(seed, k, m, noise=0.1)
         rows = inst.family.matrix.copy()
         for src, dst in copies:
             rows[dst % m] = rows[src % m]
         h = inst.empirical
-        fresh, sorted_ = make_family(rows), make_family(rows)
-        prep = preprocess(sorted_)
-        assert _pair_table(fresh)[0].tolist() == np.triu_indices(m, k=1)[0].tolist()
-        assert _pair_table(sorted_)[2] is prep.test_signs
+        fresh, preprocessed = make_family(rows), make_family(rows)
+        prep = preprocess(preprocessed)
         want = int(np.argmin(reference_min_distance_scores(rows, h)))
         want_modified = int(np.argmin(reference_modified_scores(rows, h)))
-        for family in (fresh, sorted_):
+        for family in (fresh, preprocessed):
             assert min_distance(family, h).selected_index == want
             assert modified_min_distance(family, h).selected_index == want_modified
+        assert _pair_table(preprocessed).signs is prep.test_signs
+        for built, kept in zip(_pair_table(fresh), _pair_table(preprocessed)):
+            assert np.array_equal(built, kept)
 
     def test_empirical_deviation_builds_its_own_signs(self, pair_table_builds):
         """The oracle recomputes from raw vectors even when the family
