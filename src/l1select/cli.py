@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Family, Ledger, _check_pair_table_capacity, empirical_deviation, preprocess
+from .core import Family, Ledger, _check_pair_table_capacity, preprocess
 from .generators import (
     Instance,
     lower_bound_pair,
@@ -38,6 +38,7 @@ from .io import (
 )
 from .oracle import (
     GUARANTEE_TOL,
+    InstanceReference,
     best_in_family,
     check_bound,
     check_elimination_invariant,
@@ -129,9 +130,11 @@ def _instance_record(inst: Instance, failure: dict) -> dict:
 
 def _evaluate_instance(inst: Instance, delta_mode: str, draw_flip: bool) -> dict:
     """Run every selector and oracle check on one instance; return margins and
-    the first failure (if any)."""
+    the first failure (if any).  The bound checks share one reference, so
+    ``d1`` and each deviation are computed once per instance."""
     family, g, h = inst.family, inst.truth, inst.empirical
     prep = preprocess(family)
+    reference = InstanceReference(family, g, h)
     result = {"bounds": {}, "failure": None}
 
     def fail(kind: str, detail: dict):
@@ -141,7 +144,7 @@ def _evaluate_instance(inst: Instance, delta_mode: str, draw_flip: bool) -> dict
     for algorithm, (a, b, supports_restricted) in _BOUNDS.items():
         report = _run_selector(algorithm, family, h, 0, prep=prep, draw_flip=draw_flip)
         mode = "restricted" if (delta_mode == "restricted" and supports_restricted) else "full"
-        bound = check_bound(report.selected_index, family, g, h, a, b, mode)
+        bound = check_bound(report.selected_index, family, g, h, a, b, mode, reference=reference)
         result["bounds"][algorithm] = bound.margin
         if not bound.passed:
             fail("bound", {"algorithm": algorithm, "margin": bound.margin, "delta_mode": mode})
@@ -160,8 +163,7 @@ def _evaluate_instance(inst: Instance, delta_mode: str, draw_flip: bool) -> dict
         report = randomized_two(family.candidates[0], family.candidates[1], h, 0)
         errors = np.abs(family.matrix - g).sum(axis=1)
         expected = report.mixture[0] * errors[0] + report.mixture[1] * errors[1]
-        _, d1 = best_in_family(family, g)
-        margin = (2.0 * d1 + empirical_deviation(g, h, family)) - expected
+        margin = (2.0 * reference.d1 + reference.deviation) - expected
         result["expected_two_margin"] = margin
         if margin < -GUARANTEE_TOL:
             fail("expected_error_two", {"margin": margin})

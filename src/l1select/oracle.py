@@ -18,10 +18,23 @@ and on its own terms, by :func:`check_win_equivalence`.
 
 Verification functions take the true density ``g`` as an argument.  That is
 a simulation privilege: selection itself never sees ``g``.
+
+:func:`check_bound` called alone re-derives the best member, ``d1`` and the
+deviation from raw vectors on every call.  A sweep that checks several
+selections of one instance builds one :class:`InstanceReference` instead and
+passes it to each check: the reference computes the same quantities with the
+same functions, from ``family.matrix``, ``g`` and ``h`` only, once per
+instance, so every check reads the values a from-scratch call would compute,
+bit for bit.
+
+The region systems of :func:`yatracos_class` and :func:`yatracos_restricted`
+come from one vectorised comparison of the candidates' rows, deduplicated in
+first-appearance order of the ordered pairs (i, j).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -47,6 +60,7 @@ __all__ = [
     "GUARANTEE_TOL",
     "QUADRUPLE_TOL",
     "BoundCheck",
+    "InstanceReference",
     "SetSystem",
     "best_in_family",
     "check_bound",
@@ -106,6 +120,37 @@ def best_in_family(family: Family, g) -> tuple[int, float]:
     return idx, float(dists[idx])
 
 
+class InstanceReference:
+    """The oracle quantities of one instance (``family``, ``g``, ``h``), each
+    computed once and shared by every :func:`check_bound` on that instance.
+
+    ``best_index`` and ``d1`` come from one :func:`best_in_family` call at
+    construction.  The full deviation and the deviation restricted to the
+    best member are computed on first use, by
+    :func:`~l1select.core.empirical_deviation` and
+    :func:`~l1select.core.empirical_deviation_restricted`.  Everything is
+    derived from ``family.matrix``, ``g`` and ``h``: never from a family's
+    cached pair table or a :class:`~l1select.core.PreprocessedFamily`.  A
+    reference describes one instance only and is dropped with it.
+    """
+
+    def __init__(self, family: Family, g, h):
+        self.family = family
+        self.g = _as_vector(g)
+        self.h = h
+        self.best_index, self.d1 = best_in_family(family, self.g)
+
+    @functools.cached_property
+    def deviation(self) -> float:
+        """Largest |(g - h) . T| over every pair's test function."""
+        return empirical_deviation(self.g, self.h, self.family)
+
+    @functools.cached_property
+    def restricted_deviation(self) -> float:
+        """Largest |(g - h) . T| over the best member's own test functions."""
+        return empirical_deviation_restricted(self.g, self.h, self.family, self.best_index)
+
+
 def check_bound(
     selected: int,
     family: Family,
@@ -114,6 +159,8 @@ def check_bound(
     a: float,
     b: float,
     delta_mode: str = "full",
+    *,
+    reference: InstanceReference | None = None,
 ) -> BoundCheck:
     """Test the inequality ``l1(f_selected, g) <= a * d1 + b * deviation``.
 
@@ -122,17 +169,20 @@ def check_bound(
     ranges only over the pairs of the best member, which is the sharper form
     the scan- and loss-weight-based selectors also satisfy.  The check passes
     when the margin ``rhs - lhs`` is at least ``-GUARANTEE_TOL``.
+
+    ``reference``, when given, supplies ``d1`` and the deviation; it must
+    have been built from this ``family``, ``g`` and ``h``.  Without it the
+    check builds its own, so the result is the same either way.
     """
     if delta_mode not in ("full", "restricted"):
         raise ValueError(f"delta_mode must be 'full' or 'restricted', got {delta_mode!r}")
-    gv = _as_vector(g)
-    best_idx, d1 = best_in_family(family, gv)
-    if delta_mode == "full":
-        dev = empirical_deviation(gv, h, family)
-    else:
-        dev = empirical_deviation_restricted(gv, h, family, best_idx)
-    lhs = l1_distance(family.matrix[selected], gv)
-    rhs = a * d1 + b * dev
+    if reference is None:
+        reference = InstanceReference(family, g, h)
+    elif reference.family is not family:
+        raise ValueError("reference was built for another family")
+    dev = reference.deviation if delta_mode == "full" else reference.restricted_deviation
+    lhs = l1_distance(family.matrix[selected], g)
+    rhs = a * reference.d1 + b * dev
     margin = rhs - lhs
     return BoundCheck(a, b, lhs, rhs, margin, margin >= -GUARANTEE_TOL)
 
@@ -245,39 +295,48 @@ def check_quadruple(fi, fj, fk, fl) -> float:
     return value
 
 
+def _distinct_regions(greater: np.ndarray) -> tuple[frozenset[int], ...]:
+    """The distinct rows of a boolean region matrix as atom-index sets, in
+    order of first appearance.  Rows are told apart by their packed bytes, so
+    a set is built only for each distinct region."""
+    packed = np.packbits(greater, axis=1)
+    width = packed.shape[1]
+    buffer = packed.tobytes()
+    seen: dict[bytes, frozenset[int]] = {}
+    for r in range(greater.shape[0]):
+        key = buffer[r * width : (r + 1) * width]
+        if key not in seen:
+            seen[key] = frozenset(np.flatnonzero(greater[r]).tolist())
+    return tuple(seen.values())
+
+
 def yatracos_class(family: Family) -> SetSystem:
     """All regions where one candidate strictly exceeds another, deduplicated.
 
     The system collects A_ij = {x : f_i(x) > f_j(x)} over ordered pairs
-    i != j, preserving first-appearance order.  Guarded at
-    ``_VC_MAX_FAMILY`` members since the downstream VC computation is
+    i != j, preserving first-appearance order in (i, j) order.  All m(m-1)
+    regions come from one comparison of every row with every other.  Guarded
+    at ``_VC_MAX_FAMILY`` members since the downstream VC computation is
     exponential by design.
     """
     if family.size > _VC_MAX_FAMILY:
         raise CapacityError(
             f"family of {family.size} members exceeds the brute-force guard of {_VC_MAX_FAMILY}"
         )
-    seen: dict[frozenset[int], None] = {}
     matrix = family.matrix
-    for i in range(family.size):
-        for j in range(family.size):
-            if i != j:
-                region = frozenset(int(x) for x in np.flatnonzero(matrix[i] > matrix[j]))
-                seen.setdefault(region, None)
-    return SetSystem(family.support.size, tuple(seen))
+    greater = matrix[:, None, :] > matrix[None, :, :]
+    off_diagonal = ~np.eye(family.size, dtype=bool)
+    return SetSystem(family.support.size, _distinct_regions(greater[off_diagonal]))
 
 
 def yatracos_restricted(family: Family, i: int) -> SetSystem:
-    """The regions of candidate ``i`` only: {A_ij : j != i}, deduplicated."""
+    """The regions of candidate ``i`` only: {A_ij : j != i}, deduplicated in
+    order of j."""
     if not 0 <= i < family.size:
         raise IndexError(f"candidate index {i} out of range for family of size {family.size}")
-    seen: dict[frozenset[int], None] = {}
     matrix = family.matrix
-    for j in range(family.size):
-        if j != i:
-            region = frozenset(int(x) for x in np.flatnonzero(matrix[i] > matrix[j]))
-            seen.setdefault(region, None)
-    return SetSystem(family.support.size, tuple(seen))
+    greater = np.delete(matrix[i] > matrix, i, axis=0)
+    return SetSystem(family.support.size, _distinct_regions(greater))
 
 
 def _check_vc_domain(system: SetSystem) -> None:

@@ -17,6 +17,12 @@ empirical mass vector:
 Every data-dependent inner product is charged to a :class:`~l1select.core.Ledger`;
 the counts above are exact, not asymptotic.  Deterministic procedures break
 ties by lowest candidate index.
+
+The empirical mass ``h`` is checked only for finite entries, no negative
+entry and a support of the family's size.  Library callers may pass an
+unnormalized ``h``; no selector spends time checking its sum.  The paper's
+guarantees assume a normalized ``h``, which the command line enforces by
+reading it into an :class:`~l1select.core.EmpiricalDistribution`.
 """
 
 from __future__ import annotations
@@ -210,6 +216,14 @@ def scheffe_tournament(prep: PreprocessedFamily, h, ledger: Ledger | None = None
     return _report(prep, "tournament", selected, ledger, h0, t0)
 
 
+def _check_scores_finite(scores: np.ndarray) -> None:
+    """Refuse a selection among scores that overflowed: masses near the float
+    maximum make a term sum inf (or inf - inf), and an argmin over such
+    scores would pick an arbitrary index."""
+    if not np.all(np.isfinite(scores)):
+        raise ValueError("distance scores overflow: candidate masses too large")
+
+
 def _min_distance_shortlist(diffs: np.ndarray, signs: np.ndarray) -> np.ndarray:
     """Candidates whose exact min-distance score may be the smallest.
 
@@ -255,7 +269,8 @@ def min_distance(family: Family, h, ledger: Ledger | None = None) -> SelectionRe
 
     The pair table is the family's own, built on first use and shared with
     :func:`~l1select.core.preprocess`.  Only its signs are read, so a table
-    whose distances or thresholds overflow still serves.
+    whose distances or thresholds overflow still serves.  A shortlisted
+    score that overflows raises ``ValueError``.
     """
     if family.size == 0:
         raise EmptyFamilyError("cannot select from an empty family")
@@ -268,7 +283,9 @@ def min_distance(family: Family, h, ledger: Ledger | None = None) -> SelectionRe
     if signs.shape[0]:
         diffs = family.matrix - hv
         shortlist = _min_distance_shortlist(diffs, signs)
-        scores = [np.abs((signs * diffs[c]).sum(axis=1)).max() for c in shortlist]
+        with np.errstate(over="ignore", invalid="ignore"):
+            scores = np.array([np.abs((signs * diffs[c]).sum(axis=1)).max() for c in shortlist])
+        _check_scores_finite(scores)
         selected = int(shortlist[np.argmin(scores)])
     return _report(family, "mindist", selected, ledger, h0, t0)
 
@@ -281,7 +298,8 @@ def modified_min_distance(family: Family, h, ledger: Ledger | None = None) -> Se
     error guarantee.  Both endpoints of every unordered pair are scored from
     one pass over the family's shared pair table (its endpoints and signs
     only); T_ji = -T_ij only negates the row sum, so the scores are those of
-    scanning each candidate's own pairs.
+    scanning each candidate's own pairs.  A score that overflows raises
+    ``ValueError``.
     """
     if family.size == 0:
         raise EmptyFamilyError("cannot select from an empty family")
@@ -292,9 +310,11 @@ def modified_min_distance(family: Family, h, ledger: Ledger | None = None) -> Se
     idx_i, idx_j, signs = table.pair_i, table.pair_j, table.signs
     diffs = family.matrix - hv
     scores = np.zeros(family.size)
-    for block in _pair_blocks(signs.shape[0]):
-        for endpoint in (idx_i[block], idx_j[block]):
-            np.maximum.at(scores, endpoint, np.abs((diffs[endpoint] * signs[block]).sum(axis=1)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for block in _pair_blocks(signs.shape[0]):
+            for endpoint in (idx_i[block], idx_j[block]):
+                np.maximum.at(scores, endpoint, np.abs((diffs[endpoint] * signs[block]).sum(axis=1)))
+    _check_scores_finite(scores)
     ledger.add_term_evaluations(2 * signs.shape[0])
     selected = int(np.argmin(scores))
     return _report(family, "modified", selected, ledger, h0, t0)

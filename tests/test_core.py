@@ -525,8 +525,9 @@ class TestPairTable:
         """Masses near the float maximum overflow the distances and
         thresholds (some thresholds are NaN, so every compare on them would
         be a silent draw): the build warns nothing, and preprocess refuses
-        the table while the distance selectors, which read only its signs,
-        still select."""
+        the table.  The distance selectors read only its signs, but their
+        scores overflow too, so they refuse the family as well, without a
+        warning."""
         rows = np.random.default_rng(seed).uniform(size=(5, 8)) * 1e308
         table = _pair_test_signs(rows)
         assert not (np.isfinite(table.distances).all() and np.isfinite(table.thresholds).all())
@@ -534,9 +535,9 @@ class TestPairTable:
         with pytest.raises(ValueError, match="overflow"):
             preprocess(family)
         h = np.full(8, 1 / 8)
-        with np.errstate(over="ignore"):
-            assert 0 <= min_distance(family, h).selected_index < 5
-            assert 0 <= modified_min_distance(family, h).selected_index < 5
+        for select in (min_distance, modified_min_distance):
+            with pytest.raises(ValueError, match="overflow"):
+                select(family, h)
 
 
 class TestQuadrupleProperty:

@@ -24,7 +24,7 @@ from l1select import (
     write_family,
     write_mass_vector,
 )
-from l1select import cli
+from l1select import cli, oracle
 from l1select.cli import main
 from conftest import make_family
 
@@ -377,6 +377,23 @@ class TestSelectCommand:
         assert code == 3
         assert "overflow" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("algorithm", ["mindist", "modified"])
+    def test_overflowing_scores_exit_three(self, tmp_path, capsys, algorithm):
+        """The distance selectors read only the signs of such a family, but
+        their scores overflow: exit 3 with a message, not a pick among
+        infinite scores."""
+        rows = np.random.default_rng(0).uniform(size=(5, 8)) * 1e308
+        fam = tmp_path / "family.json"
+        emp = tmp_path / "empirical.json"
+        write_family(fam, make_family(rows))
+        emp.write_text(json.dumps({"mass": [1 / 8] * 8}), encoding="utf-8")
+        code = main(["select", "--family", str(fam), "--empirical", str(emp), "--algorithm", algorithm])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "overflow" in captured.err
+        assert "Traceback" not in captured.err
+
 
 class TestVerifyCommand:
     def _run(self, capsys, *extra):
@@ -512,6 +529,68 @@ class TestVerifyCommand:
         code, _ = self._run(capsys)
         assert code == 0
         assert events[:50] == ["generate", "evaluate"] * 25
+
+    @pytest.mark.parametrize("delta_mode", ["full", "restricted"])
+    def test_oracle_work_is_done_once_per_instance(self, capsys, tmp_path, monkeypatch, delta_mode):
+        """Each instance gets one best member and one of each deviation it
+        needs, however many bound checks read them."""
+        monkeypatch.chdir(tmp_path)
+        counts: dict[str, int] = {}
+        for name in ("best_in_family", "empirical_deviation", "empirical_deviation_restricted"):
+            original = getattr(oracle, name)
+
+            def counting(*args, _f=original, _name=name):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _f(*args)
+
+            monkeypatch.setattr(oracle, name, counting)
+            if hasattr(cli, name):
+                monkeypatch.setattr(cli, name, counting)
+        per_instance = []
+        evaluate = cli._evaluate_instance
+
+        def evaluating(inst, *args):
+            counts.clear()
+            result = evaluate(inst, *args)
+            per_instance.append((inst.family.size, dict(counts)))
+            return result
+
+        monkeypatch.setattr(cli, "_evaluate_instance", evaluating)
+        code = main(["verify", "--trials", "20", "--seed", "3", "--delta-mode", delta_mode])
+        capsys.readouterr()
+        assert code == 0
+        assert len(per_instance) == 28
+        assert sum(m >= 2 for m, _ in per_instance) >= 20
+        restricted = 1 if delta_mode == "restricted" else 0
+        for _, called in per_instance:
+            assert called.get("best_in_family") == 1
+            assert called.get("empirical_deviation") == 1
+            assert called.get("empirical_deviation_restricted", 0) == restricted
+
+    @pytest.mark.parametrize("delta_mode", ["full", "restricted"])
+    def test_shared_reference_gives_the_from_scratch_checks(self, capsys, tmp_path, monkeypatch, delta_mode):
+        """Every bound check of the sweep, run again without the shared
+        reference, gives the same check bit for bit."""
+        monkeypatch.chdir(tmp_path)
+        check = cli.check_bound
+        checked = []
+
+        def checking(selected, family, g, h, a, b, mode, *, reference):
+            shared = check(selected, family, g, h, a, b, mode, reference=reference)
+            alone = check(selected, family, g, h, a, b, mode)
+            assert [float(x).hex() for x in (shared.lhs, shared.rhs, shared.margin)] == [
+                float(x).hex() for x in (alone.lhs, alone.rhs, alone.margin)
+            ]
+            assert shared == alone
+            checked.append(mode)
+            return shared
+
+        monkeypatch.setattr(cli, "check_bound", checking)
+        code = main(["verify", "--trials", "20", "--seed", "3", "--delta-mode", delta_mode])
+        capsys.readouterr()
+        assert code == 0
+        assert len(checked) == 5 * 28
+        assert ("restricted" in checked) == (delta_mode == "restricted")
 
     def test_invalid_parameters_exit_three(self, capsys):
         assert main(["verify", "--trials", "0"]) == 3

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from l1select import (
@@ -16,6 +16,7 @@ from l1select import (
     EmpiricalDistribution,
     EmptyFamilyError,
     Family,
+    InstanceReference,
     Ledger,
     Outcome,
     SetSystem,
@@ -27,6 +28,8 @@ from l1select import (
     check_win_equivalence,
     compare,
     efficient_min_loss_weight,
+    empirical_deviation,
+    empirical_deviation_restricted,
     l1_distance,
     lower_bound_pair,
     lower_bound_tournament,
@@ -36,11 +39,14 @@ from l1select import (
     preprocess,
     random_instance,
     scheffe_tournament,
+    swap_pair,
     vc_dimension,
     vc_dimension_by_traces,
+    vc_gap_family,
     yatracos_class,
     yatracos_restricted,
 )
+from l1select import oracle
 from l1select.oracle import _brute_loss_weight, _direct_outcome
 from conftest import make_family
 
@@ -337,3 +343,215 @@ class TestVcDimension:
             full = vc_dimension(yatracos_class(family))
             for i in range(family.size):
                 assert vc_dimension(yatracos_restricted(family, i)) <= full
+
+
+# Each deterministic selector with the (a, b) of the bound it guarantees.
+SELECTIONS = {
+    "tournament": (lambda fam, h: scheffe_tournament(preprocess(fam), h, Ledger()), 9.0, 8.0),
+    "mindist": (lambda fam, h: min_distance(fam, h, Ledger()), 3.0, 2.0),
+    "modified": (lambda fam, h: modified_min_distance(fam, h, Ledger()), 3.0, 2.0),
+    "minloss": (lambda fam, h: min_loss_weight(preprocess(fam), h, Ledger()), 3.0, 2.0),
+    "efficient": (lambda fam, h: efficient_min_loss_weight(preprocess(fam), h, Ledger()), 3.0, 2.0),
+}
+
+
+def bound_bits(check) -> tuple:
+    """Every field of a BoundCheck, floats by their exact bits."""
+    floats = (check.coefficient_best, check.coefficient_deviation, check.lhs, check.rhs, check.margin)
+    return (*(float(x).hex() for x in floats), check.passed)
+
+
+def rows_with_copies(seed: int, m: int, k: int, coarse: bool, copies) -> np.ndarray:
+    """Random mass rows; ``coarse`` rows take three values only, so atoms tie
+    and regions repeat, and ``copies`` overwrite rows with earlier ones."""
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, 3, size=(m, k)).astype(float) if coarse else rng.dirichlet(np.ones(k), size=m)
+    for src, dst in copies:
+        rows[dst % m] = rows[src % m]
+    return rows
+
+
+class TestInstanceReference:
+    """One shared reference gives every bound check the bits a from-scratch
+    check computes."""
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 9),
+        st.integers(1, 12),
+        st.sampled_from([0.0, 0.02, 0.1, 0.3]),
+        st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=3),
+    )
+    def test_shared_reference_matches_from_scratch(self, seed, m, k, noise, copies):
+        inst = random_instance(seed, k, m, noise)
+        rows = inst.family.matrix.copy()
+        for src, dst in copies:
+            rows[dst % m] = rows[src % m]
+        family = make_family(rows)
+        g, h = inst.truth, inst.empirical
+        reference = InstanceReference(family, g, h)
+        for name, (select, a, b) in SELECTIONS.items():
+            selected = select(family, h).selected_index
+            for mode in ("full", "restricted"):
+                shared = check_bound(selected, family, g, h, a, b, mode, reference=reference)
+                alone = check_bound(selected, family, g, h, a, b, mode)
+                assert bound_bits(shared) == bound_bits(alone), (name, mode)
+
+    def test_values_are_the_oracle_functions(self):
+        for seed in range(10):
+            inst = random_instance(seed, 5, 6, noise=0.1)
+            family, g, h = inst.family, inst.truth, inst.empirical
+            reference = InstanceReference(family, g, h)
+            best, d1 = best_in_family(family, g)
+            assert (reference.best_index, reference.d1) == (best, d1)
+            assert reference.deviation == empirical_deviation(g, h, family)
+            assert reference.restricted_deviation == empirical_deviation_restricted(g, h, family, best)
+
+    def test_each_quantity_is_computed_once_and_only_on_demand(self, monkeypatch):
+        calls = []
+        for name in ("best_in_family", "empirical_deviation", "empirical_deviation_restricted"):
+            original = getattr(oracle, name)
+            monkeypatch.setattr(
+                oracle, name, lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args)
+            )
+        inst = random_instance(0, 5, 6, noise=0.1)
+        reference = InstanceReference(inst.family, inst.truth, inst.empirical)
+        assert calls == ["best_in_family"]
+        for mode in ("full", "restricted", "full", "restricted"):
+            check_bound(0, inst.family, inst.truth, inst.empirical, 3.0, 2.0, mode, reference=reference)
+        assert calls == ["best_in_family", "empirical_deviation", "empirical_deviation_restricted"]
+
+    def test_standalone_checks_compute_from_scratch(self, monkeypatch):
+        calls = []
+        original = oracle.best_in_family
+        monkeypatch.setattr(oracle, "best_in_family", lambda *args: calls.append(1) or original(*args))
+        inst = random_instance(1, 4, 5, noise=0.1)
+        for _ in range(3):
+            check_bound(0, inst.family, inst.truth, inst.empirical, 3.0, 2.0)
+        assert len(calls) == 3
+
+    def test_reference_of_another_family_rejected(self):
+        first, second = random_instance(0, 4, 5, noise=0.1), random_instance(1, 4, 5, noise=0.1)
+        reference = InstanceReference(first.family, first.truth, first.empirical)
+        with pytest.raises(ValueError, match="another family"):
+            check_bound(0, second.family, second.truth, second.empirical, 3.0, 2.0, reference=reference)
+
+    def test_empty_family_rejected(self):
+        family = Family(Support.default(2), [])
+        with pytest.raises(EmptyFamilyError):
+            InstanceReference(family, [0.5, 0.5], [0.5, 0.5])
+
+
+def brute_force_invariant(matrix: np.ndarray, hv: np.ndarray, selected: int, c: float, include_draws: bool) -> bool:
+    """The elimination invariant with every rival's loss-weight recomputed
+    from raw rows each time it is needed."""
+    m = matrix.shape[0]
+
+    def distance(i, j):
+        return float(np.abs(matrix[i] - matrix[j]).sum())
+
+    for j in range(m):
+        if j == selected:
+            continue
+        outcome = _direct_outcome(matrix[selected], matrix[j], hv)
+        if outcome is Outcome.SECOND_WINS or (include_draws and outcome is Outcome.DRAW):
+            weight = max(
+                (distance(j, r) for r in range(m)
+                 if r != j and _direct_outcome(matrix[j], matrix[r], hv) is not Outcome.FIRST_WINS),
+                default=-math.inf,
+            )
+            if distance(selected, j) > c * weight:
+                return False
+    return True
+
+
+class TestEliminationInvariantAgainstBruteForce:
+    """Every candidate as the selection, both relaxations, both draw
+    readings: the invariant agrees with the brute force above and computes
+    each rival's loss-weight at most once per call."""
+
+    def _assert_agrees(self, family, h, monkeypatch):
+        hv = np.asarray(getattr(h, "mass", h), dtype=np.float64)
+        weighed = []
+        original = oracle._brute_loss_weight
+        monkeypatch.setattr(
+            oracle, "_brute_loss_weight",
+            lambda matrix, hvec, i: weighed.append(i) or original(matrix, hvec, i),
+        )
+        verdicts = []
+        for selected in range(family.size):
+            for c in (1.0, 3.0):
+                for include_draws in (False, True):
+                    weighed.clear()
+                    got = check_elimination_invariant(family, h, selected, c, include_draws=include_draws)
+                    assert got == brute_force_invariant(family.matrix, hv, selected, c, include_draws)
+                    assert len(weighed) == len(set(weighed))
+                    verdicts.append(got)
+        return verdicts
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 8),
+        st.integers(1, 6),
+        st.sampled_from([0.0, 0.1, 0.3]),
+        st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=3),
+    )
+    def test_random_families(self, seed, m, k, noise, copies):
+        inst = random_instance(seed, k, m, noise)
+        rows = inst.family.matrix.copy()
+        for src, dst in copies:
+            rows[dst % m] = rows[src % m]
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            self._assert_agrees(make_family(rows), inst.empirical, monkeypatch)
+
+    @pytest.mark.parametrize("eps", [1e-2, 1e-3, 1.5e-2])
+    @pytest.mark.parametrize(
+        "build", [lower_bound_pair, lambda e: swap_pair(lower_bound_pair(e)), lower_bound_tournament],
+        ids=["pair", "swap_pair", "tournament"],
+    )
+    def test_draw_constructions(self, build, eps, monkeypatch):
+        inst = build(eps)
+        verdicts = []
+        for h in (inst.empirical, inst.truth):
+            verdicts += self._assert_agrees(inst.family, h, monkeypatch)
+        assert True in verdicts
+
+
+def nested_loop_regions(matrix: np.ndarray, pairs) -> tuple[frozenset[int], ...]:
+    """A region system built pair by pair, one region at a time, in the
+    order of ``pairs``: the construction the vectorised comparison replaces."""
+    seen: dict[frozenset[int], None] = {}
+    for i, j in pairs:
+        seen.setdefault(frozenset(int(x) for x in np.flatnonzero(matrix[i] > matrix[j])), None)
+    return tuple(seen)
+
+
+def assert_yatracos_match_nested_loops(family: Family) -> None:
+    m, matrix = family.size, family.matrix
+    ordered = [(i, j) for i in range(m) for j in range(m) if i != j]
+    assert yatracos_class(family).sets == nested_loop_regions(matrix, ordered)
+    for i in range(m):
+        own = [(i, j) for j in range(m) if j != i]
+        assert yatracos_restricted(family, i).sets == nested_loop_regions(matrix, own)
+
+
+class TestYatracosAgainstNestedLoops:
+    """The vectorised region systems hold the same sets, in the same
+    first-appearance order, as the pair-by-pair construction."""
+
+    # Up to 64 x 63 regions per family, each rebuilt by the reference: fewer
+    # examples keep the test near a second.
+    @settings(max_examples=40)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 64),
+        st.integers(1, 20),
+        st.booleans(),
+        st.lists(st.tuples(st.integers(0, 63), st.integers(0, 63)), max_size=4),
+    )
+    def test_random_families(self, seed, m, k, coarse, copies):
+        assert_yatracos_match_nested_loops(make_family(rows_with_copies(seed, m, k, coarse, copies)))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_vc_gap_families(self, n):
+        assert_yatracos_match_nested_loops(vc_gap_family(n))

@@ -607,7 +607,9 @@ class TestMinDistanceScreen:
     @pytest.mark.parametrize("seed", range(6))
     def test_masses_near_the_float_max_recheck_everyone(self, seed):
         """Above half the float maximum the rounding bound can overflow, so
-        the screen keeps every candidate and the exact scores decide."""
+        the screen keeps every candidate.  Where an exact score overflows as
+        well, both selectors refuse the family instead of choosing among
+        infinite scores."""
         rng = np.random.default_rng(seed)
         rows = rng.uniform(0.0, 1.0, size=(5, 8)) * 1e308
         rows[3] = rows[1]
@@ -616,6 +618,34 @@ class TestMinDistanceScreen:
             diffs = rows - h
             signs = _pair_test_signs(rows).signs
             assert _min_distance_shortlist(diffs, signs).tolist() == list(range(5))
+        family = make_family(rows)
+        with np.errstate(over="ignore", invalid="ignore"):
+            references = (
+                (min_distance, reference_min_distance_scores(rows, h)),
+                (modified_min_distance, reference_modified_scores(rows, h)),
+            )
+        for select, scores in references:
+            if np.all(np.isfinite(scores)):
+                assert select(family, h, Ledger()).selected_index == int(np.argmin(scores))
+            else:
+                with pytest.raises(ValueError, match="overflow"):
+                    select(family, h, Ledger())
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_norms_past_half_the_float_max_with_finite_scores(self, seed):
+        """Rows between 0.6 and 1 times 2e307 on eight atoms: every
+        ||f - h||_1 exceeds half the float maximum, so the screen keeps
+        everyone, but no partial sum can pass 8 * 2e307 and no score
+        overflows.  Both selectors must pick what the reference picks."""
+        rng = np.random.default_rng(seed)
+        rows = rng.uniform(0.6, 1.0, size=(5, 8)) * 2e307
+        rows[3] = rows[1]
+        h = rng.dirichlet(np.ones(8))
+        diffs = rows - h
+        assert np.abs(diffs).sum(axis=1).min() > np.finfo(np.float64).max / 2
+        assert _min_distance_shortlist(diffs, _pair_test_signs(rows).signs).tolist() == list(range(5))
+        assert np.all(np.isfinite(reference_min_distance_scores(rows, h)))
+        assert np.all(np.isfinite(reference_modified_scores(rows, h)))
         assert_min_distance_selectors_match_reference(rows, h)
 
     @pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4, 1.5e-2])
