@@ -74,28 +74,29 @@ _NOISE_CYCLE = (0.0, 0.02, 0.1, 0.3)
 
 
 def _run_selector(algorithm: str, family, empirical, seed: int, *, prep=None, draw_flip: bool = False):
-    """Run one selector on a fresh ledger; the pairwise selectors use ``prep``
-    when given and preprocess ``family`` otherwise.  The distance selectors
-    read the family's pair table, which ``prep`` shares when it exists."""
+    """Run one selector on a fresh ledger.  Only the elimination selector
+    reads the distance order: it uses ``prep`` when given and preprocesses
+    ``family`` otherwise.  The others build on the family the pair layer
+    they read, or read the sorted table ``prep`` keeps there."""
     ledger = Ledger()
+    if algorithm == "tournament":
+        return scheffe_tournament(family, empirical, ledger)
     if algorithm == "mindist":
         return min_distance(family, empirical, ledger)
     if algorithm == "modified":
         return modified_min_distance(family, empirical, ledger)
+    if algorithm == "minloss":
+        return min_loss_weight(family, empirical, ledger)
+    if algorithm == "efficient":
+        if prep is None:
+            prep = preprocess(family)
+        return efficient_min_loss_weight(prep, empirical, ledger, draw_removes_first=draw_flip)
     if algorithm == "randomized":
         if family.size != 2:
             raise _ParameterError(
                 f"randomized selection needs exactly 2 candidates, family has {family.size}"
             )
         return randomized_two(family.candidates[0], family.candidates[1], empirical, seed)
-    if prep is None:
-        prep = preprocess(family)
-    if algorithm == "tournament":
-        return scheffe_tournament(prep, empirical, ledger)
-    if algorithm == "minloss":
-        return min_loss_weight(prep, empirical, ledger)
-    if algorithm == "efficient":
-        return efficient_min_loss_weight(prep, empirical, ledger, draw_removes_first=draw_flip)
     raise _ParameterError(f"unknown algorithm {algorithm!r}")
 
 
@@ -130,8 +131,11 @@ def _instance_record(inst: Instance, failure: dict) -> dict:
 
 def _evaluate_instance(inst: Instance, delta_mode: str, draw_flip: bool) -> dict:
     """Run every selector and oracle check on one instance; return margins and
-    the first failure (if any).  The bound checks share one reference, so
-    ``d1`` and each deviation are computed once per instance."""
+    the first failure (if any).  The bound checks and both readings of the
+    elimination invariant share one reference, so ``d1``, each deviation and
+    the invariant's outcomes and loss-weights are computed once per
+    instance.  The family is preprocessed first, so every selector reads its
+    distance-sorted table."""
     family, g, h = inst.family, inst.truth, inst.empirical
     prep = preprocess(family)
     reference = InstanceReference(family, g, h)
@@ -149,9 +153,12 @@ def _evaluate_instance(inst: Instance, delta_mode: str, draw_flip: bool) -> dict
         if not bound.passed:
             fail("bound", {"algorithm": algorithm, "margin": bound.margin, "delta_mode": mode})
         if algorithm == "efficient":
-            strict_ok = check_elimination_invariant(prep, h, report.selected_index, 1.0)
+            # Both readings come from one pass, which the reference keeps.
+            strict_ok = check_elimination_invariant(
+                prep, h, report.selected_index, 1.0, reference=reference
+            )
             draws_ok = check_elimination_invariant(
-                prep, h, report.selected_index, 1.0, include_draws=True
+                prep, h, report.selected_index, 1.0, include_draws=True, reference=reference
             )
             result["invariant_ok"] = strict_ok
             result["invariant_draw_disagrees"] = strict_ok != draws_ok
@@ -193,7 +200,7 @@ def _reference_checks() -> list[tuple[str, bool]]:
     best_idx, _ = best_in_family(inst.family, g)
     checks.append(("pair_best_is_second", best_idx == 1))
     nine = lower_bound_tournament(1e-3)
-    report = scheffe_tournament(preprocess(nine.family), nine.empirical, Ledger())
+    report = scheffe_tournament(nine.family, nine.empirical, Ledger())
     checks.append(("tournament_selects_first", report.selected_name == "f1"))
     err1 = float(np.abs(nine.family.matrix[0] - nine.truth).sum())
     err2 = float(np.abs(nine.family.matrix[1] - nine.truth).sum())
@@ -219,8 +226,8 @@ def _cmd_verify(args) -> int:
     if args.max_omega < 1 or args.max_family < 1:
         raise _ParameterError("--max-omega and --max-family must be >= 1")
     # Refuse, before any trial runs, a sweep whose largest family could not
-    # get a pair table.
-    _check_pair_table_capacity(args.max_family, args.max_omega)
+    # get the sorted pair table every instance is preprocessed into.
+    _check_pair_table_capacity(args.max_family, args.max_omega, "sorted")
 
     # Each instance is generated, evaluated and dropped before the next, so
     # the sweep holds one family (and its pair table) at a time; only the

@@ -12,6 +12,26 @@ whose inner product against the empirical mass decides which of the two
 candidates is the better fit.  Comparisons are charged to a :class:`Ledger`
 so that the exact number of data-dependent inner products used by each
 selection procedure can be asserted, not estimated.
+
+The pair table of a family (every unordered pair's endpoints, test function,
+L1 distance and comparison threshold) comes in layers, each built on first
+need and kept read-only on the :class:`Family`:
+
+* the sign layer: the P x k test functions in lexicographic pair order, all
+  that the distance selectors read;
+* the outcome layer: the signs with the distances and thresholds, in the
+  same order, from one fused pass, all that the tournament and
+  min-loss-weight selectors read;
+* the distance-sorted table that :func:`preprocess` builds: the pairs by
+  nonincreasing distance, with the inverse order, which only the
+  elimination selector and :func:`compare` need.
+
+A family keeps one P x k sign array at most: the outcome layer replaces the
+sign layer, and the sorted table drops both.  Every selector reads the
+sorted table when the family keeps one.  Each layer has its own byte
+budget, counted from the arrays it holds, and a layer over
+``_PAIR_TABLE_MAX_BYTES`` is refused with :class:`CapacityError` before
+anything is allocated.
 """
 
 from __future__ import annotations
@@ -54,10 +74,17 @@ __all__ = [
 # Mass vectors flagged as probability distributions must sum to 1 within this.
 NORMALIZATION_TOL = 1e-9
 
-# Largest pair table (P x k signs plus its five P-long arrays) that
-# _pair_test_signs will build; larger families fail fast with CapacityError
-# instead of exhausting memory.
+# Largest layer of a pair table that a family builds; larger families fail
+# fast with CapacityError instead of exhausting memory.
 _PAIR_TABLE_MAX_BYTES = 1 << 30
+# Bytes per pair that each layer holds besides its k signs: two endpoints,
+# then a distance and a threshold, then the sorted table's position.
+_INDEX_BYTES = np.dtype(np.intp).itemsize
+_LAYER_PAIR_BYTES = {
+    "signs": 2 * _INDEX_BYTES,
+    "outcomes": 2 * _INDEX_BYTES + 2 * 8,
+    "sorted": 3 * _INDEX_BYTES + 2 * 8,
+}
 # Families of up to this many candidates share cached read-only triu index
 # arrays, 16 bytes per pair: at most 2.7 MB over every m up to the bound.
 _TRIU_CACHE_MAX_M = 100
@@ -220,12 +247,13 @@ class Family:
 
     Candidate names must be distinct so selection reports are unambiguous.
     The stacked mass matrix (one row per candidate) is precomputed and frozen.
-    The pair table (every unordered pair's endpoints, test function, distance
-    and threshold, in distance order) is built on first use and kept,
-    read-only, for :func:`preprocess` and the distance selectors to share.
+    The layers of the pair table (see the module docstring) are built on
+    first need and kept read-only: the lexicographic sign or outcome layer
+    for the selectors that read it, the distance-sorted table for
+    :func:`preprocess`.
     """
 
-    __slots__ = ("support", "candidates", "matrix", "_pair_table")
+    __slots__ = ("support", "candidates", "matrix", "_pair_table", "_lex_pairs")
 
     def __init__(self, support: Support, candidates: Iterable[Candidate]):
         cands = tuple(candidates)
@@ -247,6 +275,7 @@ class Family:
         self.candidates = cands
         self.matrix = matrix
         self._pair_table = None
+        self._lex_pairs = None
 
     @classmethod
     def _from_matrix(cls, support: Support, names: Sequence[str], matrix: np.ndarray) -> "Family":
@@ -270,6 +299,7 @@ class Family:
         family.candidates = tuple(map(Candidate._view, names, matrix))
         family.matrix = matrix
         family._pair_table = None
+        family._lex_pairs = None
         return family
 
     @property
@@ -384,15 +414,32 @@ def compare(prep: "PreprocessedFamily", i: int, j: int, h, ledger: Ledger) -> Ou
         h . T == t   ->  DRAW
 
     Exactly one ``h_products`` ledger increment per call.  The outcome is
-    antisymmetric: swapping i and j flips FIRST_WINS and SECOND_WINS.
+    antisymmetric: swapping i and j flips FIRST_WINS and SECOND_WINS.  ``h``
+    is rejected unless it is finite, nonnegative and on the family's support.
     """
+    return _compare_valid(prep, i, j, _validated_h(h, prep.family.support.size), ledger)
+
+
+def _compare_valid(prep: "PreprocessedFamily", i: int, j: int, hvec: np.ndarray, ledger: Ledger) -> Outcome:
+    """:func:`compare` for an ``hvec`` already passed through :func:`_validated_h`."""
     if i == j:
         raise InvalidPairError(f"cannot compare candidate {i} with itself")
-    pos = prep._position(i, j)
-    hvec = _as_vector(h)
-    _check_same_length(hvec, prep.test_signs[pos])
-    outcome = _outcome_at(prep, pos, hvec, ledger)
+    outcome = _outcome_at(prep, prep._position(i, j), hvec, ledger)
     return outcome if i < j else outcome.flipped()
+
+
+def _validated_h(h, k: int) -> np.ndarray:
+    """The empirical mass as a vector, rejected unless it is finite,
+    nonnegative and on a support of size ``k``.  Every selector, and every
+    public comparison, runs it once per call, not once per inner compare."""
+    hv = _as_vector(h)
+    if hv.shape[0] != k:
+        raise SupportMismatchError(f"empirical mass of size {hv.shape[0]} on a support of size {k}")
+    if not np.all(np.isfinite(hv)):
+        raise ValueError("empirical mass has non-finite entries")
+    if np.any(hv < 0.0):
+        raise ValueError("empirical mass has negative entries")
+    return hv
 
 
 def _outcome_at(prep: "PreprocessedFamily", pos: int, hvec: np.ndarray, ledger: Ledger) -> Outcome:
@@ -442,26 +489,34 @@ def scheffe_win(fi, fj, h) -> Outcome:
 
 
 class _PairTable(NamedTuple):
-    """Every unordered pair (i < j) of a family's candidates, listed by
-    nonincreasing L1 distance, ties in lexicographic (i, j) order."""
+    """One layer of a family's pair table, over every unordered pair (i < j)
+    of its candidates.
+
+    The distance-sorted table lists the pairs by nonincreasing L1 distance,
+    ties in lexicographic (i, j) order, and carries ``position``.  A
+    lexicographic layer lists them in lexicographic order, its endpoints are
+    the triu indices, and it has no ``position``; the sign layer has no
+    distances or thresholds either.
+    """
 
     pair_i: np.ndarray
     pair_j: np.ndarray
     signs: np.ndarray  # P x k test functions sign(f_i - f_j)
-    distances: np.ndarray
-    thresholds: np.ndarray  # (f_i . T + f_j . T) / 2
-    position: np.ndarray  # list position of each pair, by lexicographic index
+    distances: np.ndarray | None
+    thresholds: np.ndarray | None  # (f_i . T + f_j . T) / 2
+    position: np.ndarray | None  # list position of each pair, by lexicographic index
 
 
-def _check_pair_table_capacity(m: int, k: int) -> None:
-    """Raise :class:`CapacityError` when the pair table of ``m`` candidates
-    on ``k`` atoms (P x k signs, two float and three index arrays of P
-    entries) would exceed ``_PAIR_TABLE_MAX_BYTES``."""
+def _check_pair_table_capacity(m: int, k: int, layer: str) -> None:
+    """Raise :class:`CapacityError` when ``layer`` ("signs", "outcomes" or
+    "sorted") of the pair table of ``m`` candidates on ``k`` atoms would hold
+    more than ``_PAIR_TABLE_MAX_BYTES``: P x k signs plus the P-long arrays
+    of that layer."""
     pairs = m * (m - 1) // 2
-    table_bytes = pairs * (k * 8 + 2 * 8 + 3 * np.dtype(np.intp).itemsize)
-    if table_bytes > _PAIR_TABLE_MAX_BYTES:
+    layer_bytes = pairs * (k * 8 + _LAYER_PAIR_BYTES[layer])
+    if layer_bytes > _PAIR_TABLE_MAX_BYTES:
         raise CapacityError(
-            f"pair table of {pairs} pairs on {k} atoms needs {table_bytes} bytes, "
+            f"pair table ({layer} layer) of {pairs} pairs on {k} atoms needs {layer_bytes} bytes, "
             f"over the guard of {_PAIR_TABLE_MAX_BYTES}"
         )
 
@@ -480,8 +535,60 @@ def _triu_indices(m: int) -> tuple[np.ndarray, np.ndarray]:
     return _cached_triu_indices(m) if m <= _TRIU_CACHE_MAX_M else np.triu_indices(m, k=1)
 
 
+def _pair_signs(matrix: np.ndarray) -> _PairTable:
+    """The sign layer of the rows of ``matrix``: every pair's test function,
+    in lexicographic order, built in blocks of pairs from the raw rows.
+
+    Raises :class:`CapacityError`, before allocating anything, when the
+    layer would exceed ``_PAIR_TABLE_MAX_BYTES``.
+    """
+    m, k = matrix.shape
+    _check_pair_table_capacity(m, k, "signs")
+    idx_i, idx_j = _triu_indices(m)
+    signs = np.empty((idx_i.shape[0], k))
+    for block in _pair_blocks(idx_i.shape[0]):
+        diffs = matrix.take(idx_i[block], axis=0)
+        diffs -= matrix.take(idx_j[block], axis=0)
+        np.sign(diffs, out=signs[block])
+    return _PairTable(idx_i, idx_j, signs, None, None, None)
+
+
+def _pair_outcome_arrays(matrix: np.ndarray) -> _PairTable:
+    """The outcome layer of the rows of ``matrix``: every pair's test
+    function, distance and threshold, in lexicographic order, in one fused
+    blocked pass.
+
+    Each block gathers its rows once; the distances and thresholds sum the
+    same elementwise terms along the last axis as :func:`_pair_test_signs`,
+    so every array equals the sorted table's, indexed through its
+    ``position``, bit for bit.  Sums that overflow give non-finite
+    distances or thresholds, silently; :func:`_pair_layer` refuses them.
+
+    Raises :class:`CapacityError`, before allocating anything, when the
+    layer would exceed ``_PAIR_TABLE_MAX_BYTES``.
+    """
+    m, k = matrix.shape
+    _check_pair_table_capacity(m, k, "outcomes")
+    idx_i, idx_j = _triu_indices(m)
+    pairs = idx_i.shape[0]
+    signs = np.empty((pairs, k))
+    distances = np.empty(pairs)
+    thresholds = np.empty(pairs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for block in _pair_blocks(pairs):
+            fi, fj = matrix.take(idx_i[block], axis=0), matrix.take(idx_j[block], axis=0)
+            diffs = fi - fj
+            block_signs = np.sign(diffs, out=signs[block])
+            distances[block] = np.abs(diffs, out=diffs).sum(axis=1)
+            fi *= block_signs
+            fj *= block_signs
+            thresholds[block] = 0.5 * (fi.sum(axis=1) + fj.sum(axis=1))
+    return _PairTable(idx_i, idx_j, signs, distances, thresholds, None)
+
+
 def _pair_test_signs(matrix: np.ndarray) -> _PairTable:
-    """The pair table of the rows of ``matrix``, built in one blocked pass.
+    """The distance-sorted pair table of the rows of ``matrix``, built in one
+    blocked pass.
 
     The distances come first, from the raw rows in blocks of pairs, and a
     stable sort of them orders the pairs.  The signs and thresholds are then
@@ -496,7 +603,7 @@ def _pair_test_signs(matrix: np.ndarray) -> _PairTable:
     would exceed ``_PAIR_TABLE_MAX_BYTES``.
     """
     m, k = matrix.shape
-    _check_pair_table_capacity(m, k)
+    _check_pair_table_capacity(m, k, "sorted")
     idx_i, idx_j = _triu_indices(m)
     pairs = idx_i.shape[0]
     distances = np.empty(pairs)
@@ -523,18 +630,53 @@ def _pair_test_signs(matrix: np.ndarray) -> _PairTable:
     return _PairTable(pair_i, pair_j, signs, distances, thresholds, position)
 
 
+def _kept(table: _PairTable) -> _PairTable:
+    """``table`` with every array made read-only, refused with ValueError
+    when it has distances or thresholds that overflowed."""
+    if table.distances is not None and not (
+        np.isfinite(table.distances).all() and np.isfinite(table.thresholds).all()
+    ):
+        raise ValueError("pair distances or thresholds overflow: candidate masses too large")
+    for arr in table:
+        if arr is not None:
+            arr.flags.writeable = False
+    return table
+
+
 def _pair_table(family: Family) -> _PairTable:
-    """The family's read-only pair table, built by :func:`_pair_test_signs`
-    on first use and then kept for :func:`preprocess` and the distance
-    selectors to share.  A build that raises :class:`CapacityError` caches
-    nothing.
+    """The family's read-only distance-sorted pair table, built by
+    :func:`_pair_test_signs` on first use and then kept; keeping it drops the
+    family's lexicographic layer.  A build that raises (too large, or with
+    distances or thresholds that overflow) keeps nothing.
     """
     if family._pair_table is None:
-        table = _pair_test_signs(family.matrix)
-        for arr in table:
-            arr.flags.writeable = False
-        family._pair_table = table
+        family._pair_table = _kept(_pair_test_signs(family.matrix))
+        family._lex_pairs = None
     return family._pair_table
+
+
+def _pair_layer(family: Family, *, outcomes: bool) -> _PairTable:
+    """The pair arrays a selection reads.
+
+    That is the family's distance-sorted table when it keeps one.  Otherwise
+    it is the lexicographic layer, built on first need and kept: the sign
+    layer, or with ``outcomes`` the outcome layer, whose signs, distances and
+    thresholds come from one fused pass and replace a kept sign layer.  An
+    outcome layer whose distances or thresholds overflow is refused with the
+    ValueError of :func:`preprocess`, and a refused build keeps nothing.
+    """
+    if family._pair_table is not None:
+        return family._pair_table
+    layer = family._lex_pairs
+    if layer is None or (outcomes and layer.thresholds is None):
+        build = _pair_outcome_arrays if outcomes else _pair_signs
+        layer = family._lex_pairs = _kept(build(family.matrix))
+    return layer
+
+
+def _family_of(target: "Family | PreprocessedFamily") -> Family:
+    """The family of a selection target, which may be either."""
+    return target.family if isinstance(target, PreprocessedFamily) else target
 
 
 def _pair_blocks(pairs: int) -> list[slice]:
@@ -547,6 +689,8 @@ def empirical_deviation(g, h, family: Family) -> float:
 
     Equals max over unordered candidate pairs of |(g - h) . T_ij|; zero for
     families with fewer than two members (their only test function is 0).
+    The test functions come from a sign layer built from ``family.matrix``
+    on every call, never from a layer the family keeps.
     """
     gv, hv = _as_vector(g), _as_vector(h)
     _check_same_length(gv, hv)
@@ -556,7 +700,7 @@ def empirical_deviation(g, h, family: Family) -> float:
         )
     if family.size < 2:
         return 0.0
-    signs = _pair_test_signs(family.matrix).signs
+    signs = _pair_signs(family.matrix).signs
     return float(np.abs((signs * (gv - hv)).sum(axis=1)).max())
 
 
@@ -578,8 +722,8 @@ def empirical_deviation_restricted(g, h, family: Family, i: int) -> float:
 
 
 class PreprocessedFamily:
-    """A read-only view of a family's pair table: every data-independent
-    pair quantity, precomputed.
+    """A read-only view of a family's distance-sorted pair table: every
+    data-independent pair quantity, precomputed.
 
     For every unordered pair (i < j) the table holds the endpoints, the test
     function, the L1 distance and the comparison threshold
@@ -588,7 +732,7 @@ class PreprocessedFamily:
     maps a pair's lexicographic index to its place in that list.  Building
     the table takes O(m^2 k) time and memory and touches no empirical data,
     so it charges nothing to any ledger.  The arrays are the family's own
-    table, which the distance selectors read too.
+    table, which every selector on the family reads once it is kept.
     """
 
     __slots__ = (
@@ -606,11 +750,10 @@ class PreprocessedFamily:
     def __init__(self, family: Family):
         if family.size == 0:
             raise EmptyFamilyError("cannot preprocess an empty family")
-        table = _pair_table(family)
-        if not (np.isfinite(table.distances).all() and np.isfinite(table.thresholds).all()):
-            raise ValueError("pair distances or thresholds overflow: candidate masses too large")
         self.family = family
-        self.pair_i, self.pair_j, self.test_signs, self.distances, self.thresholds, self.position = table
+        (
+            self.pair_i, self.pair_j, self.test_signs, self.distances, self.thresholds, self.position
+        ) = _pair_table(family)
         self._pairs = None
         self._pair_position = None
 
@@ -656,5 +799,13 @@ class PreprocessedFamily:
 
 def preprocess(family: Family) -> PreprocessedFamily:
     """Precompute all pair test functions, distances and thresholds for a
-    family, in O(m^2 k) time and memory."""
+    family, in distance order, in O(m^2 k) time and memory.
+
+    Only :func:`~l1select.selectors.efficient_min_loss_weight` and
+    :func:`compare` need the distance order; the other selectors take the
+    family itself and build the smaller layer they read.  The table holds
+    P * (8k + 40) bytes and is refused over ``_PAIR_TABLE_MAX_BYTES``
+    (:class:`CapacityError`), as are distances or thresholds that overflow
+    (ValueError).
+    """
     return PreprocessedFamily(family)

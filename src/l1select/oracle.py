@@ -25,7 +25,9 @@ selections of one instance builds one :class:`InstanceReference` instead and
 passes it to each check: the reference computes the same quantities with the
 same functions, from ``family.matrix``, ``g`` and ``h`` only, once per
 instance, so every check reads the values a from-scratch call would compute,
-bit for bit.
+bit for bit.  The same reference, passed to
+:func:`check_elimination_invariant`, answers the strict and the draw
+readings of the invariant from one pass.
 
 The region systems of :func:`yatracos_class` and :func:`yatracos_restricted`
 come from one vectorised comparison of the candidates' rows, deduplicated in
@@ -47,6 +49,7 @@ from .core import (
     Outcome,
     PreprocessedFamily,
     _as_vector,
+    _family_of,
     compare,
     Ledger,
     empirical_deviation,
@@ -139,6 +142,16 @@ class InstanceReference:
         self.g = _as_vector(g)
         self.h = h
         self.best_index, self.d1 = best_in_family(family, self.g)
+        self._elimination_verdicts: dict[tuple[int, float], tuple[bool, bool]] = {}
+
+    def elimination_verdicts(self, selected: int, c: float) -> tuple[bool, bool]:
+        """The strict and the draw reading of the elimination invariant for
+        ``selected`` at relaxation ``c``, from one :func:`_elimination_verdicts`
+        pass kept per (selected, c)."""
+        key = (selected, c)
+        if key not in self._elimination_verdicts:
+            self._elimination_verdicts[key] = _elimination_verdicts(self.family, self.h, selected, c)
+        return self._elimination_verdicts[key]
 
     @functools.cached_property
     def deviation(self) -> float:
@@ -219,13 +232,48 @@ def _brute_loss_weight(matrix: np.ndarray, hv: np.ndarray, i: int) -> float:
     return worst
 
 
+def _elimination_verdicts(
+    prep_or_family: PreprocessedFamily | Family, h, selected: int, c: float = 1.0
+) -> tuple[bool, bool]:
+    """Both readings of :func:`check_elimination_invariant` from one pass:
+    (strict, with draws).
+
+    The selected candidate's outcome against each rival and each needed
+    rival's brute-force loss-weight are computed once, from raw mass
+    vectors.  A strict loss bears on both readings and a draw on the second
+    only, so a violated strict reading also violates the draw reading.
+    """
+    if c < 1.0:
+        raise ValueError(f"relaxation factor must be >= 1, got {c}")
+    family = _family_of(prep_or_family)
+    if not 0 <= selected < family.size:
+        raise IndexError(f"candidate index {selected} out of range for family of size {family.size}")
+    matrix = family.matrix
+    hv = _as_vector(h)
+    strict = with_draws = True
+    for j in range(family.size):
+        if j == selected:
+            continue
+        outcome = _direct_outcome(matrix[selected], matrix[j], hv)
+        if outcome is Outcome.FIRST_WINS or (outcome is Outcome.DRAW and not with_draws):
+            continue
+        dist = float(np.abs(matrix[selected] - matrix[j]).sum())
+        if dist > c * _brute_loss_weight(matrix, hv, j):
+            with_draws = False
+            if outcome is Outcome.SECOND_WINS:
+                strict = False
+                break
+    return strict, with_draws
+
+
 def check_elimination_invariant(
-    prep: PreprocessedFamily | Family,
+    prep_or_family: PreprocessedFamily | Family,
     h,
     selected: int,
     c: float = 1.0,
     *,
     include_draws: bool = False,
+    reference: InstanceReference | None = None,
 ) -> bool:
     """Verify the elimination selector's output condition against brute-force
     loss-weights.
@@ -235,25 +283,18 @@ def check_elimination_invariant(
     be at most ``c`` times the rival's loss-weight.  All outcomes, distances
     and loss-weights are recomputed from raw mass vectors.  Vacuously true
     for a singleton family.
+
+    ``reference``, when given, must have been built from this family and
+    ``h``; it keeps both readings of each (selected, c) it is asked for, so
+    checking the strict and the draw reading costs one pass.
     """
-    if c < 1.0:
-        raise ValueError(f"relaxation factor must be >= 1, got {c}")
-    family = prep.family if isinstance(prep, PreprocessedFamily) else prep
-    if not 0 <= selected < family.size:
-        raise IndexError(f"candidate index {selected} out of range for family of size {family.size}")
-    matrix = family.matrix
-    hv = _as_vector(h)
-    for j in range(family.size):
-        if j == selected:
-            continue
-        outcome = _direct_outcome(matrix[selected], matrix[j], hv)
-        applies = outcome is Outcome.SECOND_WINS or (include_draws and outcome is Outcome.DRAW)
-        if not applies:
-            continue
-        dist = float(np.abs(matrix[selected] - matrix[j]).sum())
-        if dist > c * _brute_loss_weight(matrix, hv, j):
-            return False
-    return True
+    if reference is None:
+        verdicts = _elimination_verdicts(prep_or_family, h, selected, c)
+    elif reference.family is not _family_of(prep_or_family):
+        raise ValueError("reference was built for another family")
+    else:
+        verdicts = reference.elimination_verdicts(selected, c)
+    return verdicts[include_draws]
 
 
 def check_win_equivalence(fi, fj, h) -> bool:

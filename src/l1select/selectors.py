@@ -1,4 +1,4 @@
-"""Selection procedures over a preprocessed family of candidate densities.
+"""Selection procedures over a family of candidate densities.
 
 Six ways to pick a candidate close in L1 to the unknown truth using only the
 empirical mass vector:
@@ -17,6 +17,14 @@ empirical mass vector:
 Every data-dependent inner product is charged to a :class:`~l1select.core.Ledger`;
 the counts above are exact, not asymptotic.  Deterministic procedures break
 ties by lowest candidate index.
+
+The four quadratic selectors take a :class:`~l1select.core.Family` or a
+:class:`~l1select.core.PreprocessedFamily` and read the pair table's layer
+they need (see :mod:`l1select.core`): the distance selectors its signs, the
+tournament and the min-loss-weight selector its signs, distances and
+thresholds.  On a family that keeps a distance-sorted table they read that.
+Only ``efficient_min_loss_weight`` reads the distance order, so it alone
+needs :func:`~l1select.core.preprocess`.
 
 The empirical mass ``h`` is checked only for finite entries, no negative
 entry and a support of the family's size.  Library callers may pass an
@@ -39,12 +47,14 @@ from .core import (
     Ledger,
     Outcome,
     PreprocessedFamily,
-    SupportMismatchError,
     _as_vector,
+    _compare_valid,
+    _family_of,
     _outcome_at,
     _pair_blocks,
-    _pair_table,
-    compare,
+    _pair_layer,
+    _validated_h,
+    compare,  # re-exported: callers reach the pairwise compare as selectors.compare too
     test_function,
 )
 
@@ -143,34 +153,39 @@ def _ensure_ledger(ledger: Ledger | None) -> Ledger:
     return ledger if ledger is not None else Ledger()
 
 
-def _report(prep_or_family, algorithm: str, selected: int, ledger: Ledger,
+def _report(target, algorithm: str, selected: int, ledger: Ledger,
             h0: int, t0: int, **extra) -> SelectionReport:
-    family = prep_or_family.family if isinstance(prep_or_family, PreprocessedFamily) else prep_or_family
     return SelectionReport(
         algorithm=algorithm,
         selected_index=selected,
-        selected_name=family.candidates[selected].name,
+        selected_name=_family_of(target).candidates[selected].name,
         h_products=ledger.h_products - h0,
         term_evaluations=ledger.term_evaluations - t0,
         **extra,
     )
 
 
-def _validated_h(h, k: int) -> np.ndarray:
-    """The empirical mass as a vector, rejected unless it is finite,
-    nonnegative and on a support of size ``k``."""
-    hv = _as_vector(h)
-    if hv.shape[0] != k:
-        raise SupportMismatchError(f"empirical mass of size {hv.shape[0]} on a support of size {k}")
-    if not np.all(np.isfinite(hv)):
-        raise ValueError("empirical mass has non-finite entries")
-    if np.any(hv < 0.0):
-        raise ValueError("empirical mass has negative entries")
-    return hv
+def _row_products(signs: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """v . T for every row T of ``signs``: row-wise sums of the elementwise
+    products, the reduction :func:`~l1select.core.compare` uses, taken over
+    blocks of pairs so that no temporary grows with the table."""
+    products = np.empty(signs.shape[0])
+    for block in _pair_blocks(signs.shape[0]):
+        products[block] = (signs[block] * v).sum(axis=1)
+    return products
 
 
-def _pair_outcomes(prep: PreprocessedFamily, h, ledger: Ledger) -> tuple[np.ndarray, np.ndarray]:
-    """Outcomes of every pair in ``prep``'s order, in one vectorised pass.
+def _outcome_layer(target: Family | PreprocessedFamily):
+    """The pairs, signs, distances and thresholds the outcome selectors read."""
+    family = _family_of(target)
+    if family.size == 0:
+        raise EmptyFamilyError("cannot preprocess an empty family")
+    return _pair_layer(family, outcomes=True)
+
+
+def _pair_outcomes(target: Family | PreprocessedFamily, h, ledger: Ledger) -> tuple[np.ndarray, np.ndarray]:
+    """Outcomes of every pair in the order of the layer :func:`_outcome_layer`
+    returns, in one vectorised pass.
 
     Returns boolean masks (first_wins, second_wins) over the pairs; a pair in
     neither is a draw.  The products are row-wise sums of the same elementwise
@@ -178,42 +193,46 @@ def _pair_outcomes(prep: PreprocessedFamily, h, ledger: Ledger) -> tuple[np.ndar
     bit-identical to it (a matrix product would reduce in another order and
     could flip a one-ulp draw).  Charges one data product per pair.
     """
-    hv = _validated_h(h, prep.family.support.size)
-    prods = (prep.test_signs * hv).sum(axis=1)
+    pairs = _outcome_layer(target)
+    hv = _validated_h(h, _family_of(target).support.size)
+    prods = _row_products(pairs.signs, hv)
     ledger.add_h_products(prods.shape[0])
-    return prods > prep.thresholds, prods < prep.thresholds
+    return prods > pairs.thresholds, prods < pairs.thresholds
 
 
-def _win_counts(prep: PreprocessedFamily, h, ledger: Ledger) -> np.ndarray:
+def _win_counts(target: Family | PreprocessedFamily, h, ledger: Ledger) -> np.ndarray:
     """Pairwise wins of every candidate; a draw awards no win."""
-    first, second = _pair_outcomes(prep, h, ledger)
-    return np.bincount(prep.pair_i[first], minlength=prep.size) + np.bincount(
-        prep.pair_j[second], minlength=prep.size
-    )
+    first, second = _pair_outcomes(target, h, ledger)
+    pairs, m = _outcome_layer(target), target.size
+    return np.bincount(pairs.pair_i[first], minlength=m) + np.bincount(pairs.pair_j[second], minlength=m)
 
 
-def _loss_weights(prep: PreprocessedFamily, h, ledger: Ledger) -> np.ndarray:
+def _loss_weights(target: Family | PreprocessedFamily, h, ledger: Ledger) -> np.ndarray:
     """Loss-weight of every candidate (see :func:`loss_weight`), with each
     pair's outcome counted in both directions."""
-    first, second = _pair_outcomes(prep, h, ledger)
-    values = np.full(prep.size, -np.inf)
-    np.maximum.at(values, prep.pair_i[~first], prep.distances[~first])
-    np.maximum.at(values, prep.pair_j[~second], prep.distances[~second])
+    first, second = _pair_outcomes(target, h, ledger)
+    pairs = _outcome_layer(target)
+    values = np.full(target.size, -np.inf)
+    np.maximum.at(values, pairs.pair_i[~first], pairs.distances[~first])
+    np.maximum.at(values, pairs.pair_j[~second], pairs.distances[~second])
     return values
 
 
-def scheffe_tournament(prep: PreprocessedFamily, h, ledger: Ledger | None = None) -> SelectionReport:
+def scheffe_tournament(
+    target: Family | PreprocessedFamily, h, ledger: Ledger | None = None
+) -> SelectionReport:
     """Select the candidate winning the most pairwise comparisons.
 
     Every unordered pair is compared exactly once (m(m-1)/2 data products);
     a draw awards no win to either side.  Ties in the win count go to the
     lowest index, so a single-candidate family selects its only member with
-    zero products.
+    zero products.  Reads the family's outcome layer, or its sorted table
+    when it keeps one.
     """
     ledger = _ensure_ledger(ledger)
     h0, t0 = ledger.h_products, ledger.term_evaluations
-    selected = int(np.argmax(_win_counts(prep, h, ledger)))
-    return _report(prep, "tournament", selected, ledger, h0, t0)
+    selected = int(np.argmax(_win_counts(target, h, ledger)))
+    return _report(target, "tournament", selected, ledger, h0, t0)
 
 
 def _check_scores_finite(scores: np.ndarray) -> None:
@@ -249,7 +268,7 @@ def _min_distance_shortlist(diffs: np.ndarray, signs: np.ndarray) -> np.ndarray:
     return np.flatnonzero(approx - slack <= (approx + slack).min())
 
 
-def min_distance(family: Family, h, ledger: Ledger | None = None) -> SelectionReport:
+def min_distance(target: Family | PreprocessedFamily, h, ledger: Ledger | None = None) -> SelectionReport:
     """Select the candidate whose worst term over every ordered pair's test
     function is smallest.
 
@@ -261,53 +280,55 @@ def min_distance(family: Family, h, ledger: Ledger | None = None) -> SelectionRe
     The scores are computed in two steps.  Matrix products over blocks of
     pairs screen every candidate within a rigorous bound on their rounding
     error and keep only those that may attain the minimum.  Those are scored
-    exactly, by row-wise sums over the whole pair table, and the lowest-index
-    minimum wins.  A dropped candidate provably scores strictly above the
-    winner, so the selection is the one exact scoring of every candidate
-    gives, whatever order the matrix product sums in.  The ledger still
-    charges the full m^2(m-1).
+    exactly, by row-wise sums over every pair, and the lowest-index minimum
+    wins.  A dropped candidate provably scores strictly above the winner, so
+    the selection is the one exact scoring of every candidate gives,
+    whatever order the matrix product sums in, and whatever order the pairs
+    are listed in.  The ledger still charges the full m^2(m-1).
 
-    The pair table is the family's own, built on first use and shared with
-    :func:`~l1select.core.preprocess`.  Only its signs are read, so a table
-    whose distances or thresholds overflow still serves.  A shortlisted
-    score that overflows raises ``ValueError``.
+    Only the test functions are read: the family's sign layer, built on
+    first use and kept, or the sorted table when the family keeps one.  A
+    shortlisted score that overflows raises ``ValueError``.
     """
+    family = _family_of(target)
     if family.size == 0:
         raise EmptyFamilyError("cannot select from an empty family")
     ledger = _ensure_ledger(ledger)
     h0, t0 = ledger.h_products, ledger.term_evaluations
     hv = _validated_h(h, family.support.size)
-    signs = _pair_table(family).signs
+    signs = _pair_layer(family, outcomes=False).signs
     ledger.add_term_evaluations(2 * family.size * signs.shape[0])
     selected = 0
     if signs.shape[0]:
         diffs = family.matrix - hv
         shortlist = _min_distance_shortlist(diffs, signs)
         with np.errstate(over="ignore", invalid="ignore"):
-            scores = np.array([np.abs((signs * diffs[c]).sum(axis=1)).max() for c in shortlist])
+            scores = np.array([np.abs(_row_products(signs, diffs[c])).max() for c in shortlist])
         _check_scores_finite(scores)
         selected = int(shortlist[np.argmin(scores)])
     return _report(family, "mindist", selected, ledger, h0, t0)
 
 
-def modified_min_distance(family: Family, h, ledger: Ledger | None = None) -> SelectionReport:
+def modified_min_distance(
+    target: Family | PreprocessedFamily, h, ledger: Ledger | None = None
+) -> SelectionReport:
     """Select the candidate whose worst term over its own pairs is smallest.
 
     Candidate i is scored by max over j != i of |(f_i - h) . T_ij| only, so
     the scan costs m(m-1) term evaluations instead of m^2(m-1), with the same
     error guarantee.  Both endpoints of every unordered pair are scored from
-    one pass over the family's shared pair table (its endpoints and signs
-    only); T_ji = -T_ij only negates the row sum, so the scores are those of
+    one pass over the family's sign layer (or its sorted table when it keeps
+    one); T_ji = -T_ij only negates the row sum, so the scores are those of
     scanning each candidate's own pairs.  A score that overflows raises
     ``ValueError``.
     """
+    family = _family_of(target)
     if family.size == 0:
         raise EmptyFamilyError("cannot select from an empty family")
     ledger = _ensure_ledger(ledger)
     h0, t0 = ledger.h_products, ledger.term_evaluations
     hv = _validated_h(h, family.support.size)
-    table = _pair_table(family)
-    idx_i, idx_j, signs = table.pair_i, table.pair_j, table.signs
+    idx_i, idx_j, signs = _pair_layer(family, outcomes=False)[:3]
     diffs = family.matrix - hv
     scores = np.zeros(family.size)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -325,37 +346,46 @@ def loss_weight(prep: PreprocessedFamily, h, i: int, ledger: Ledger | None = Non
     ``i`` fails to beat (draws count as failures to beat).
 
     Compares ``i`` against each of the other m-1 candidates, charging m-1
-    data products.  Returns -inf with no witness when ``i`` beats everyone;
-    otherwise the witness is the lowest-index rival attaining the maximum.
+    data products, after checking ``h`` once.  Returns -inf with no witness
+    when ``i`` beats everyone; otherwise the witness is the lowest-index
+    rival attaining the maximum.
     """
     if not 0 <= i < prep.size:
         raise IndexError(f"candidate index {i} out of range for family of size {prep.size}")
-    ledger = _ensure_ledger(ledger)
+    hv = _validated_h(h, prep.family.support.size)
+    return _loss_weight(prep, hv, i, _ensure_ledger(ledger))
+
+
+def _loss_weight(prep: PreprocessedFamily, hv: np.ndarray, i: int, ledger: Ledger) -> LossWeightValue:
+    """:func:`loss_weight` for a checked index and an ``hv`` already validated."""
     best = -math.inf
     witness: int | None = None
     for j in range(prep.size):
         if j == i:
             continue
-        if compare(prep, i, j, h, ledger) is not Outcome.FIRST_WINS:
+        if _compare_valid(prep, i, j, hv, ledger) is not Outcome.FIRST_WINS:
             d = prep.distance(i, j)
             if d > best:
                 best, witness = d, j
     return LossWeightValue(best, witness)
 
 
-def min_loss_weight(prep: PreprocessedFamily, h, ledger: Ledger | None = None) -> SelectionReport:
+def min_loss_weight(
+    target: Family | PreprocessedFamily, h, ledger: Ledger | None = None
+) -> SelectionReport:
     """Select the candidate with the smallest loss-weight.
 
     Each unordered pair is compared once and the outcome reused in both
     directions, so the run charges m(m-1)/2 data products rather than the
     m(m-1) of calling :func:`loss_weight` per candidate.  An undefeated
     candidate has loss-weight -inf and therefore wins; ties go to the lowest
-    index.
+    index.  Reads the family's outcome layer, or its sorted table when it
+    keeps one.
     """
     ledger = _ensure_ledger(ledger)
     h0, t0 = ledger.h_products, ledger.term_evaluations
-    selected = int(np.argmin(_loss_weights(prep, h, ledger)))
-    return _report(prep, "minloss", selected, ledger, h0, t0)
+    selected = int(np.argmin(_loss_weights(target, h, ledger)))
+    return _report(target, "minloss", selected, ledger, h0, t0)
 
 
 def efficient_min_loss_weight(
@@ -464,21 +494,23 @@ def relaxed_selection_check(
     deviation.  ``include_draws`` tightens the quantifier to rivals the
     selected candidate merely fails to beat; the default is the strict-loss
     reading.  The returned margin is the smallest slack c . loss_weight(f') -
-    l1(selected, f') over the rivals checked (+inf when none apply).
+    l1(selected, f') over the rivals checked (+inf when none apply).  ``h``
+    is checked once, as every selector checks it.
     """
     if c < 1.0:
         raise ValueError(f"relaxation factor must be >= 1, got {c}")
     if not 0 <= selected < prep.size:
         raise IndexError(f"candidate index {selected} out of range for family of size {prep.size}")
+    hv = _validated_h(h, prep.family.support.size)
     scratch = Ledger()
     margin = math.inf
     for j in range(prep.size):
         if j == selected:
             continue
-        outcome = compare(prep, selected, j, h, scratch)
+        outcome = _compare_valid(prep, selected, j, hv, scratch)
         applies = outcome is Outcome.SECOND_WINS or (include_draws and outcome is Outcome.DRAW)
         if not applies:
             continue
-        rival_lw = loss_weight(prep, h, j, scratch).value
+        rival_lw = _loss_weight(prep, hv, j, scratch).value
         margin = min(margin, c * rival_lw - prep.distance(selected, j))
     return CheckResult(passed=margin >= 0.0, margin=margin)

@@ -67,15 +67,29 @@ def uniform_empirical():
     return EmpiricalDistribution([0.25, 0.25, 0.25, 0.25])
 
 
+# The builder of each layer of a family's pair table, by layer name.
+PAIR_LAYER_BUILDERS = {
+    "signs": "_pair_signs",
+    "outcomes": "_pair_outcome_arrays",
+    "sorted": "_pair_test_signs",
+}
+
+
 @pytest.fixture
 def pair_table_builds(monkeypatch):
-    """A list that grows by the matrix shape of every pair-table build."""
+    """A list that grows by (layer, matrix shape) at every build of a layer
+    of a pair table: "signs" (the lexicographic test functions), "outcomes"
+    (those with distances and thresholds) or "sorted" (the distance-sorted
+    table)."""
     builds = []
-    build = core._pair_test_signs
 
-    def counting(matrix):
-        builds.append(matrix.shape)
-        return build(matrix)
+    def counting(layer, build):
+        def counted(matrix):
+            builds.append((layer, matrix.shape))
+            return build(matrix)
 
-    monkeypatch.setattr(core, "_pair_test_signs", counting)
+        return counted
+
+    for layer, name in PAIR_LAYER_BUILDERS.items():
+        monkeypatch.setattr(core, name, counting(layer, getattr(core, name)))
     return builds

@@ -40,6 +40,7 @@ from l1select import (
     scheffe_set,
     scheffe_win,
 )
+from l1select import core, min_loss_weight, scheffe_tournament
 from l1select import test_function as make_test_function
 from l1select.core import _pair_test_signs
 from conftest import make_family
@@ -374,13 +375,15 @@ class TestPreprocess:
 
     def test_oversized_pair_table_fails_before_allocating(self):
         """m=20000 on 6 atoms needs a 12.8 GB pair table: every builder of
-        the table raises CapacityError instead of allocating it."""
+        any layer of it raises CapacityError instead of allocating it."""
         family = make_family(np.full((20000, 6), 1 / 6))
         h = np.full(6, 1 / 6)
         builders = [
             preprocess,
             lambda fam: min_distance(fam, h),
             lambda fam: modified_min_distance(fam, h),
+            lambda fam: scheffe_tournament(fam, h),
+            lambda fam: min_loss_weight(fam, h),
             lambda fam: empirical_deviation(h, h, fam),
         ]
         tracemalloc.start()
@@ -394,21 +397,33 @@ class TestPreprocess:
         assert peak < 1_000_000
 
     def test_oversized_pair_table_is_never_cached(self, pair_table_builds):
-        """A refused build caches nothing: every later call reaches the
-        guard again and raises again."""
+        """A refused build keeps nothing: every later call reaches the guard
+        of its layer again and raises again."""
         family = make_family(np.full((20000, 6), 1 / 6))
         h = np.full(6, 1 / 6)
         builders = [
-            preprocess,
-            lambda fam: min_distance(fam, h),
-            lambda fam: modified_min_distance(fam, h),
+            ("sorted", preprocess),
+            ("signs", lambda fam: min_distance(fam, h)),
+            ("signs", lambda fam: modified_min_distance(fam, h)),
+            ("outcomes", lambda fam: scheffe_tournament(fam, h)),
+            ("outcomes", lambda fam: min_loss_weight(fam, h)),
         ]
         for _ in range(2):
-            for build in builders:
+            for _, build in builders:
                 with pytest.raises(CapacityError, match="pair table"):
                     build(family)
-        assert len(pair_table_builds) == 2 * len(builders)
-        assert family._pair_table is None
+        assert pair_table_builds == [(layer, (20000, 6)) for layer, _ in builders] * 2
+        assert family._pair_table is None and family._lex_pairs is None
+
+    def test_each_layer_has_its_own_budget(self):
+        """Guard arithmetic alone, nothing allocated: on one atom, m=8000
+        gives 31,996,000 pairs, whose sign layer (24 bytes a pair) passes the
+        1 GiB guard while the outcome layer (40) and the sorted table (48)
+        are refused."""
+        core._check_pair_table_capacity(8000, 1, "signs")
+        for layer in ("outcomes", "sorted"):
+            with pytest.raises(CapacityError, match=f"pair table \\({layer} layer\\)"):
+                core._check_pair_table_capacity(8000, 1, layer)
 
 
 def reference_pair_table(rows: np.ndarray) -> tuple[np.ndarray, ...]:

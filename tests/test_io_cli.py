@@ -633,12 +633,13 @@ class TestBenchCommand:
         capsys.readouterr()
 
     def test_every_row_builds_its_own_pair_table(self, capsys, pair_table_builds):
-        """No row reuses a table an earlier row built, so every row's wall
-        time includes its own build."""
+        """No row reuses a layer an earlier row built, so every row's wall
+        time includes the build of the one layer its selector reads."""
         assert main(["bench", "--sizes", "4", "--omega", "5"]) == 0
         rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
-        assert len(rows) == 5
-        assert pair_table_builds == [(4, 5)] * len(rows)
+        assert [r["algorithm"] for r in rows] == ["tournament", "mindist", "modified", "minloss", "efficient"]
+        layers = ["outcomes", "signs", "signs", "outcomes", "sorted"]
+        assert pair_table_builds == [(layer, (4, 5)) for layer in layers]
 
     def test_family_too_large_for_the_pair_table_exits_three(self, capsys):
         assert main(["bench", "--sizes", "20000"]) == 3

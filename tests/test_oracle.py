@@ -47,7 +47,8 @@ from l1select import (
     yatracos_restricted,
 )
 from l1select import oracle
-from l1select.oracle import _brute_loss_weight, _direct_outcome
+from l1select.cli import _evaluate_instance
+from l1select.oracle import _brute_loss_weight, _direct_outcome, _elimination_verdicts
 from conftest import make_family
 
 
@@ -515,6 +516,73 @@ class TestEliminationInvariantAgainstBruteForce:
         for h in (inst.empirical, inst.truth):
             verdicts += self._assert_agrees(inst.family, h, monkeypatch)
         assert True in verdicts
+
+
+class TestEliminationVerdicts:
+    """Both readings of the elimination invariant come from one pass, which
+    an instance reference keeps for verify's two checks."""
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 8),
+        st.integers(1, 6),
+        st.sampled_from([0.0, 0.1, 0.3]),
+        st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=3),
+    )
+    def test_verdicts_equal_two_separate_calls(self, seed, m, k, noise, copies):
+        inst = random_instance(seed, k, m, noise)
+        rows = inst.family.matrix.copy()
+        for src, dst in copies:
+            rows[dst % m] = rows[src % m]
+        family, h = make_family(rows), inst.empirical
+        reference = InstanceReference(family, inst.truth, h)
+        for selected in range(m):
+            for c in (1.0, 3.0):
+                separate = tuple(
+                    brute_force_invariant(rows, h.mass, selected, c, include_draws)
+                    for include_draws in (False, True)
+                )
+                assert _elimination_verdicts(family, h, selected, c) == separate
+                for shared in (None, reference):
+                    assert separate == tuple(
+                        check_elimination_invariant(
+                            family, h, selected, c, include_draws=include_draws, reference=shared
+                        )
+                        for include_draws in (False, True)
+                    )
+
+    def test_one_outcome_pass_per_verify_instance(self, monkeypatch):
+        """verify checks the strict and the draw reading of each instance,
+        but compares the selected candidate with each rival once, and weighs
+        each rival once."""
+        outcomes, weighed = [], []
+        direct, brute = oracle._direct_outcome, oracle._brute_loss_weight
+        monkeypatch.setattr(
+            oracle, "_direct_outcome", lambda fi, fj, hv: outcomes.append(fi.tobytes()) or direct(fi, fj, hv)
+        )
+        monkeypatch.setattr(
+            oracle, "_brute_loss_weight", lambda matrix, hv, j: weighed.append(j) or brute(matrix, hv, j)
+        )
+        rivals_weighed = 0
+        for seed in range(20):
+            inst = random_instance(seed, 6, 8, noise=0.3)
+            prep = preprocess(make_family(inst.family.matrix))
+            selected = efficient_min_loss_weight(prep, inst.empirical).selected_index
+            outcomes.clear()
+            weighed.clear()
+            result = _evaluate_instance(inst, "full", False)
+            assert result["invariant_ok"]
+            assert outcomes.count(inst.family.matrix[selected].tobytes()) == 7
+            assert len(weighed) == len(set(weighed))
+            assert len(outcomes) == 7 * (1 + len(weighed))
+            rivals_weighed += len(weighed)
+        assert rivals_weighed > 0
+
+    def test_reference_of_another_family_rejected(self):
+        first, second = random_instance(0, 4, 5, noise=0.1), random_instance(1, 4, 5, noise=0.1)
+        reference = InstanceReference(first.family, first.truth, first.empirical)
+        with pytest.raises(ValueError, match="another family"):
+            check_elimination_invariant(second.family, second.empirical, 0, reference=reference)
 
 
 def nested_loop_regions(matrix: np.ndarray, pairs) -> tuple[frozenset[int], ...]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -39,6 +40,7 @@ from l1select import (
     scheffe_tournament,
     swap_pair,
 )
+from l1select import selectors
 from l1select.core import _pair_table, _pair_test_signs
 from l1select.selectors import _loss_weights, _min_distance_shortlist, _pair_outcomes, _win_counts
 from conftest import make_family
@@ -690,13 +692,17 @@ class TestMinDistanceScreen:
 
 
 class TestSharedPairTable:
-    """A family builds its pair table once, on first use, and preprocess and
-    both distance selectors read that one table."""
+    """A family builds each layer of its pair table at most once, on first
+    need, and builds none while it keeps the distance-sorted table that
+    preprocess builds."""
 
     @pytest.mark.parametrize("preprocess_first", [True, False])
     def test_one_build_serves_preprocess_and_both_distance_selectors(
         self, pair_table_builds, preprocess_first
     ):
+        """The distance selectors build the sign layer alone, which both
+        share; a later preprocess builds the sorted table and drops the sign
+        layer.  After a preprocess, nothing else is built."""
         inst = random_instance(3, 16, 12, noise=0.1)
         family = Family(inst.family.support, inst.family.candidates)
         assert pair_table_builds == []
@@ -705,7 +711,32 @@ class TestSharedPairTable:
         min_distance(family, inst.empirical)
         modified_min_distance(family, inst.empirical)
         preprocess(family)
-        assert pair_table_builds == [(12, 16)]
+        scheffe_tournament(family, inst.empirical)
+        min_loss_weight(family, inst.empirical)
+        min_distance(family, inst.empirical)
+        layers = ["sorted"] if preprocess_first else ["signs", "sorted"]
+        assert pair_table_builds == [(layer, (12, 16)) for layer in layers]
+        assert family._lex_pairs is None
+
+    def test_each_layer_is_built_at_most_once(self, pair_table_builds):
+        """The outcome layer replaces the sign layer, so the family keeps one
+        P x k sign array, which the distance selectors then read."""
+        inst = random_instance(4, 16, 12, noise=0.1)
+        family = Family(inst.family.support, inst.family.candidates)
+        for _ in range(2):
+            min_distance(family, inst.empirical)
+            modified_min_distance(family, inst.empirical)
+        signs = family._lex_pairs.signs
+        for _ in range(2):
+            scheffe_tournament(family, inst.empirical)
+            min_loss_weight(family, inst.empirical)
+            min_distance(family, inst.empirical)
+        assert pair_table_builds == [("signs", (12, 16)), ("outcomes", (12, 16))]
+        layer = family._lex_pairs
+        assert layer.signs is not signs and np.array_equal(layer.signs, signs)
+        assert family._pair_table is None
+        for arr in layer[:5]:
+            assert not arr.flags.writeable
 
     def test_preprocessed_arrays_are_the_family_table(self):
         family = random_instance(5, 10, 7).family
@@ -728,9 +759,9 @@ class TestSharedPairTable:
         st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=4),
     )
     def test_pair_order_does_not_change_a_selection(self, seed, m, k, copies):
-        """Whether a distance selector or preprocess builds the table, it is
-        the same distance-ordered table, and both distance selectors pick
-        from it the candidate the row-wise reference picks."""
+        """Whether the distance selectors read the sign layer of a cold
+        family or the sorted table of a preprocessed one, they pick the
+        candidate the row-wise reference picks."""
         inst = random_instance(seed, k, m, noise=0.1)
         rows = inst.family.matrix.copy()
         for src, dst in copies:
@@ -743,20 +774,160 @@ class TestSharedPairTable:
         for family in (fresh, preprocessed):
             assert min_distance(family, h).selected_index == want
             assert modified_min_distance(family, h).selected_index == want_modified
-        assert _pair_table(preprocessed).signs is prep.test_signs
-        for built, kept in zip(_pair_table(fresh), _pair_table(preprocessed)):
-            assert np.array_equal(built, kept)
+        assert fresh._pair_table is None and fresh._lex_pairs.thresholds is None
+        assert preprocessed._lex_pairs is None and _pair_table(preprocessed).signs is prep.test_signs
 
     def test_empirical_deviation_builds_its_own_signs(self, pair_table_builds):
         """The oracle recomputes from raw vectors even when the family
-        already holds a table."""
+        already holds a table, and builds the sign layer alone, which it
+        does not keep."""
         inst = random_instance(6, 8, 6, noise=0.1)
         prep = preprocess(inst.family)
-        builds = len(pair_table_builds)
+        assert pair_table_builds == [("sorted", (6, 8))]
         deviation = empirical_deviation(inst.truth, inst.empirical, inst.family)
-        assert len(pair_table_builds) == builds + 1
+        assert pair_table_builds == [("sorted", (6, 8)), ("signs", (6, 8))]
+        assert inst.family._lex_pairs is None and inst.family._pair_table.signs is prep.test_signs
         terms = (prep.test_signs * (inst.truth - inst.empirical.mass)).sum(axis=1)
         assert deviation == float(np.abs(terms).max())
+
+
+COLD_SELECTORS = {
+    "tournament": scheffe_tournament,
+    "mindist": min_distance,
+    "modified": modified_min_distance,
+    "minloss": min_loss_weight,
+}
+
+
+def assert_cold_selects_like_preprocessed(rows: np.ndarray, h) -> None:
+    """The four selectors on a cold family (reading its lexicographic
+    layers) pick the index, and charge the ledger, that they do on a
+    preprocessed copy (reading its sorted table); and every lexicographic
+    array is the sorted table's, indexed through its position, bit for bit."""
+    cold, warm = make_family(rows), make_family(rows)
+    prep = preprocess(warm)
+    for name, select in COLD_SELECTORS.items():
+        got, want = select(cold, h, Ledger()), select(prep, h, Ledger())
+        assert got == want, name
+        assert select(warm, h, Ledger()) == want, name
+    layer = cold._lex_pairs
+    assert cold._pair_table is None and warm._lex_pairs is None
+    idx_i, idx_j = np.triu_indices(rows.shape[0], k=1)
+    assert np.array_equal(layer.pair_i, idx_i) and np.array_equal(layer.pair_j, idx_j)
+    for lexicographic, sorted_ in (
+        (layer.pair_i, prep.pair_i),
+        (layer.pair_j, prep.pair_j),
+        (layer.signs, prep.test_signs),
+        (layer.distances, prep.distances),
+        (layer.thresholds, prep.thresholds),
+    ):
+        assert np.array_equal(lexicographic, sorted_[prep.position])
+
+
+class TestColdFamilyLayers:
+    """Selections on a family that was never preprocessed equal those on a
+    preprocessed one, read from the smaller lexicographic layers."""
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 40),
+        st.integers(1, 200),
+        st.lists(st.tuples(st.integers(0, 39), st.integers(0, 39)), max_size=6),
+        st.sampled_from(["empirical", "truth", "member"]),
+    )
+    def test_random_families_with_copied_rows(self, seed, m, k, copies, data):
+        """Copied rows make draws, zero distances and tied scores; m up to 40
+        spans several pair blocks and k passes numpy's 128-term summation
+        block."""
+        inst = random_instance(seed, k, m, noise=0.1)
+        rows = inst.family.matrix.copy()
+        for src, dst in copies:
+            rows[dst % m] = rows[src % m]
+        h = {"empirical": inst.empirical, "truth": inst.truth, "member": rows[seed % m]}[data]
+        assert_cold_selects_like_preprocessed(rows, h)
+
+    def test_one_ulp_draws_on_a_large_support(self):
+        """Walk one atom of h an ulp at a time until compare calls the pair
+        (0, 1) an exact draw, on k=64: the fused pass of the cold path must
+        find the same draw, and the tournament and min-loss-weight selectors
+        must pick what they pick on the preprocessed family."""
+        draws = 0
+        for seed in range(20):
+            rows = random_instance(seed, 64, 3, noise=0.1).family.matrix
+            prep = preprocess(make_family(rows))
+            h = rows[:2].mean(axis=0)
+            x = int(np.flatnonzero(rows[0] > rows[1])[0])
+            for _ in range(200):
+                outcome = compare(prep, 0, 1, h, Ledger())
+                if outcome is Outcome.DRAW:
+                    break
+                h[x] = np.nextafter(h[x], -np.inf if outcome is Outcome.FIRST_WINS else np.inf)
+            else:
+                continue
+            draws += 1
+            first, second = _pair_outcomes(make_family(rows), h, Ledger())
+            for lex, (i, j) in enumerate([(0, 1), (0, 2), (1, 2)]):
+                outcome = compare(prep, i, j, h, Ledger())
+                assert (first[lex], second[lex]) == (
+                    outcome is Outcome.FIRST_WINS,
+                    outcome is Outcome.SECOND_WINS,
+                )
+            assert (first[0], second[0]) == (False, False)
+            assert_cold_selects_like_preprocessed(rows, h)
+        assert draws >= 10
+
+    @pytest.mark.parametrize(
+        "name, layer_bytes_per_pair",
+        [("mindist", 64 * 8), ("modified", 64 * 8), ("tournament", 64 * 8 + 16), ("minloss", 64 * 8 + 16)],
+    )
+    def test_cold_peak_memory_is_the_layer_read(self, name, layer_bytes_per_pair):
+        """At m=96, k=64 a cold selection holds the arrays of the layer it
+        reads (2.3 MB of signs, plus distances and thresholds for the
+        outcome selectors) and block-sized temporaries: no temporary as
+        large as the layer, such as a P x k product with h."""
+        family = make_family(random_instance(0, 64, 96).family.matrix)
+        h = np.full(64, 1 / 64)
+        tracemalloc.start()
+        try:
+            COLD_SELECTORS[name](family, h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 96 * 95 // 2 * layer_bytes_per_pair + 1_000_000
+
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("tournament", "cannot preprocess an empty family"),
+            ("mindist", "cannot select from an empty family"),
+            ("modified", "cannot select from an empty family"),
+            ("minloss", "cannot preprocess an empty family"),
+        ],
+    )
+    def test_singleton_and_empty_families(self, name, message, pair_table_builds):
+        """A singleton selects its member at no cost; an empty family is
+        refused with the message a preprocess-first run gave, and builds
+        nothing."""
+        select = COLD_SELECTORS[name]
+        report = select(singleton_family(), np.full(4, 0.25), Ledger())
+        assert (report.selected_index, report.h_products, report.term_evaluations) == (0, 0, 0)
+        with pytest.raises(EmptyFamilyError, match=f"^{message}$"):
+            select(Family(Support.default(4), []), np.full(4, 0.25), Ledger())
+        assert [shape for _, shape in pair_table_builds] == [(1, 4)]
+
+    def test_cold_family_with_overflowing_values_is_refused(self):
+        """Masses near the float maximum overflow distances or thresholds:
+        the outcome selectors refuse a cold family with the error preprocess
+        gives, and keep no layer."""
+        rows = np.random.default_rng(0).uniform(size=(5, 8)) * 1e308
+        family = make_family(rows)
+        with pytest.raises(ValueError) as refused:
+            preprocess(family)
+        for select in (scheffe_tournament, min_loss_weight):
+            with pytest.raises(ValueError) as raised:
+                select(family, np.full(8, 1 / 8))
+            assert str(raised.value) == str(refused.value)
+            assert family._lex_pairs is None and family._pair_table is None
 
 
 BAD_EMPIRICALS = {
@@ -780,6 +951,38 @@ class TestEmpiricalValidation:
     def test_randomized_rejects(self, simple_family, bad):
         with pytest.raises(ValueError, match="non-finite|negative"):
             randomized_two(simple_family[0], simple_family[1], np.array(BAD_EMPIRICALS[bad]))
+
+    @pytest.mark.parametrize("bad", sorted(BAD_EMPIRICALS))
+    def test_compare_rejects(self, pair_instance, bad):
+        """Before the check, a NaN made compare call the pair a draw."""
+        ledger = Ledger()
+        with pytest.raises(ValueError, match="non-finite|negative"):
+            compare(preprocess(pair_instance.family), 0, 1, np.array(BAD_EMPIRICALS[bad]), ledger)
+        assert ledger.h_products == 0
+
+    @pytest.mark.parametrize("bad", sorted(BAD_EMPIRICALS))
+    def test_loss_weight_rejects(self, simple_family, bad):
+        ledger = Ledger()
+        with pytest.raises(ValueError, match="non-finite|negative"):
+            loss_weight(preprocess(simple_family), np.array(BAD_EMPIRICALS[bad]), 0, ledger)
+        assert ledger.h_products == 0
+
+    @pytest.mark.parametrize("bad", sorted(BAD_EMPIRICALS))
+    def test_relaxed_selection_check_rejects(self, pair_instance, bad):
+        """Before the check, a NaN made every rival a draw and the check
+        passed with an infinite margin."""
+        with pytest.raises(ValueError, match="non-finite|negative"):
+            relaxed_selection_check(preprocess(pair_instance.family), np.array(BAD_EMPIRICALS[bad]), 0)
+
+    def test_h_is_checked_once_per_public_call(self, simple_family, monkeypatch):
+        checked = []
+        original = selectors._validated_h
+        monkeypatch.setattr(selectors, "_validated_h", lambda h, k: checked.append(k) or original(h, k))
+        prep = preprocess(simple_family)
+        h = np.full(4, 0.25)
+        loss_weight(prep, h, 1)
+        relaxed_selection_check(prep, h, 1, include_draws=True)
+        assert checked == [4, 4]
 
     def test_efficient_nan_no_longer_selects_by_draws(self, pair_instance):
         """A NaN makes every comparison a draw, so without the check the
