@@ -76,8 +76,8 @@ _NOISE_CYCLE = (0.0, 0.02, 0.1, 0.3)
 def _run_selector(algorithm: str, family, empirical, seed: int, *, prep=None, draw_flip: bool = False):
     """Run one selector on a fresh ledger.  Only the elimination selector
     reads the distance order: it uses ``prep`` when given and preprocesses
-    ``family`` otherwise.  The others build on the family the pair layer
-    they read, or read the sorted table ``prep`` keeps there."""
+    ``family`` otherwise.  The others read the pair layer the family keeps,
+    built on first need."""
     ledger = Ledger()
     if algorithm == "tournament":
         return scheffe_tournament(family, empirical, ledger)
@@ -135,7 +135,7 @@ def _evaluate_instance(inst: Instance, delta_mode: str, draw_flip: bool) -> dict
     elimination invariant share one reference, so ``d1``, each deviation and
     the invariant's outcomes and loss-weights are computed once per
     instance.  The family is preprocessed first, so every selector reads its
-    distance-sorted table."""
+    outcome layer."""
     family, g, h = inst.family, inst.truth, inst.empirical
     prep = preprocess(family)
     reference = InstanceReference(family, g, h)
@@ -226,8 +226,8 @@ def _cmd_verify(args) -> int:
     if args.max_omega < 1 or args.max_family < 1:
         raise _ParameterError("--max-omega and --max-family must be >= 1")
     # Refuse, before any trial runs, a sweep whose largest family could not
-    # get the sorted pair table every instance is preprocessed into.
-    _check_pair_table_capacity(args.max_family, args.max_omega, "sorted")
+    # get the outcome layer every instance is preprocessed into.
+    _check_pair_table_capacity(args.max_family, args.max_omega, "outcomes")
 
     # Each instance is generated, evaluated and dropped before the next, so
     # the sweep holds one family (and its pair table) at a time; only the

@@ -14,24 +14,23 @@ so that the exact number of data-dependent inner products used by each
 selection procedure can be asserted, not estimated.
 
 The pair table of a family (every unordered pair's endpoints, test function,
-L1 distance and comparison threshold) comes in layers, each built on first
-need and kept read-only on the :class:`Family`:
+L1 distance and comparison threshold) lists the pairs in lexicographic
+(i, j) order, in one of two layers built on first need and kept read-only
+on the :class:`Family`:
 
-* the sign layer: the P x k test functions in lexicographic pair order, all
-  that the distance selectors read;
-* the outcome layer: the signs with the distances and thresholds, in the
-  same order, from one fused pass, all that the tournament and
-  min-loss-weight selectors read;
-* the distance-sorted table that :func:`preprocess` builds: the pairs by
-  nonincreasing distance, with the inverse order, which only the
-  elimination selector and :func:`compare` need.
+* the sign layer: the P x k test functions, all that the distance
+  selectors read;
+* the outcome layer: the signs with the distances and thresholds, from one
+  fused pass, all that :func:`compare` and the tournament, min-loss-weight
+  and elimination selectors read.
 
-A family keeps one P x k sign array at most: the outcome layer replaces the
-sign layer, and the sorted table drops both.  Every selector reads the
-sorted table when the family keeps one.  Each layer has its own byte
-budget, counted from the arrays it holds, and a layer over
-``_PAIR_TABLE_MAX_BYTES`` is refused with :class:`CapacityError` before
-anything is allocated.
+A family keeps one layer: the outcome layer replaces the sign layer.  A
+pair is found in it by its closed-form lexicographic index.
+:func:`preprocess` adds the distance order, one stable argsort of the
+outcome layer's distances, which only the elimination selector reads.  Each
+layer has its own byte budget, counted from the arrays it holds, and a
+layer over ``_PAIR_TABLE_MAX_BYTES`` is refused with :class:`CapacityError`
+before anything is allocated.
 """
 
 from __future__ import annotations
@@ -78,12 +77,11 @@ NORMALIZATION_TOL = 1e-9
 # fast with CapacityError instead of exhausting memory.
 _PAIR_TABLE_MAX_BYTES = 1 << 30
 # Bytes per pair that each layer holds besides its k signs: two endpoints,
-# then a distance and a threshold, then the sorted table's position.
+# then a distance and a threshold.
 _INDEX_BYTES = np.dtype(np.intp).itemsize
 _LAYER_PAIR_BYTES = {
     "signs": 2 * _INDEX_BYTES,
     "outcomes": 2 * _INDEX_BYTES + 2 * 8,
-    "sorted": 3 * _INDEX_BYTES + 2 * 8,
 }
 # Families of up to this many candidates share cached read-only triu index
 # arrays, 16 bytes per pair: at most 2.7 MB over every m up to the bound.
@@ -247,13 +245,11 @@ class Family:
 
     Candidate names must be distinct so selection reports are unambiguous.
     The stacked mass matrix (one row per candidate) is precomputed and frozen.
-    The layers of the pair table (see the module docstring) are built on
-    first need and kept read-only: the lexicographic sign or outcome layer
-    for the selectors that read it, the distance-sorted table for
-    :func:`preprocess`.
+    One layer of the pair table (see the module docstring), the sign or the
+    outcome layer, is built on first need and kept read-only.
     """
 
-    __slots__ = ("support", "candidates", "matrix", "_pair_table", "_lex_pairs")
+    __slots__ = ("support", "candidates", "matrix", "_lex_pairs")
 
     def __init__(self, support: Support, candidates: Iterable[Candidate]):
         cands = tuple(candidates)
@@ -274,7 +270,6 @@ class Family:
         self.support = support
         self.candidates = cands
         self.matrix = matrix
-        self._pair_table = None
         self._lex_pairs = None
 
     @classmethod
@@ -298,7 +293,6 @@ class Family:
         family.support = support
         family.candidates = tuple(map(Candidate._view, names, matrix))
         family.matrix = matrix
-        family._pair_table = None
         family._lex_pairs = None
         return family
 
@@ -401,7 +395,7 @@ def l1_distance(fi, fj) -> float:
     return float(np.abs(a - b).sum())
 
 
-def compare(prep: "PreprocessedFamily", i: int, j: int, h, ledger: Ledger) -> Outcome:
+def compare(target: "Family | PreprocessedFamily", i: int, j: int, h, ledger: Ledger) -> Outcome:
     """Compare candidates ``i`` and ``j`` against the empirical mass ``h``.
 
     Candidate i wins when its signed excess over the data is smaller than
@@ -416,15 +410,18 @@ def compare(prep: "PreprocessedFamily", i: int, j: int, h, ledger: Ledger) -> Ou
     Exactly one ``h_products`` ledger increment per call.  The outcome is
     antisymmetric: swapping i and j flips FIRST_WINS and SECOND_WINS.  ``h``
     is rejected unless it is finite, nonnegative and on the family's support.
+    ``target`` is a family or a preprocessed one; either way the pair is read
+    from the family's outcome layer, built on first need.
     """
-    return _compare_valid(prep, i, j, _validated_h(h, prep.family.support.size), ledger)
+    family = _family_of(target)
+    hvec = _validated_h(h, family.support.size)
+    return _compare_valid(_pair_layer(family, outcomes=True), family.size, i, j, hvec, ledger)
 
 
-def _compare_valid(prep: "PreprocessedFamily", i: int, j: int, hvec: np.ndarray, ledger: Ledger) -> Outcome:
-    """:func:`compare` for an ``hvec`` already passed through :func:`_validated_h`."""
-    if i == j:
-        raise InvalidPairError(f"cannot compare candidate {i} with itself")
-    outcome = _outcome_at(prep, prep._position(i, j), hvec, ledger)
+def _compare_valid(layer: "_PairTable", m: int, i: int, j: int, hvec: np.ndarray, ledger: Ledger) -> Outcome:
+    """:func:`compare` on the outcome ``layer`` of ``m`` candidates, for an
+    ``hvec`` already passed through :func:`_validated_h`."""
+    outcome = _outcome_at(layer, _pair_index(m, i, j), hvec, ledger)
     return outcome if i < j else outcome.flipped()
 
 
@@ -442,12 +439,13 @@ def _validated_h(h, k: int) -> np.ndarray:
     return hv
 
 
-def _outcome_at(prep: "PreprocessedFamily", pos: int, hvec: np.ndarray, ledger: Ledger) -> Outcome:
-    """Outcome of the pair at list position ``pos``, its lower index first,
-    for an ``hvec`` already checked to match the support."""
-    h_dot_t = float((hvec * prep.test_signs[pos]).sum())
+def _outcome_at(layer: "_PairTable", lex: int, hvec: np.ndarray, ledger: Ledger) -> Outcome:
+    """Outcome of the pair at lexicographic index ``lex`` of an outcome
+    ``layer``, its lower index first, for an ``hvec`` already checked to
+    match the support."""
+    h_dot_t = float((hvec * layer.signs[lex]).sum())
     ledger.add_h_products(1)
-    thr = prep.thresholds[pos]
+    thr = layer.thresholds[lex]
     if h_dot_t > thr:
         return Outcome.FIRST_WINS
     if h_dot_t < thr:
@@ -490,13 +488,8 @@ def scheffe_win(fi, fj, h) -> Outcome:
 
 class _PairTable(NamedTuple):
     """One layer of a family's pair table, over every unordered pair (i < j)
-    of its candidates.
-
-    The distance-sorted table lists the pairs by nonincreasing L1 distance,
-    ties in lexicographic (i, j) order, and carries ``position``.  A
-    lexicographic layer lists them in lexicographic order, its endpoints are
-    the triu indices, and it has no ``position``; the sign layer has no
-    distances or thresholds either.
+    of its candidates in lexicographic order; its endpoints are the triu
+    indices.  The sign layer has no distances or thresholds.
     """
 
     pair_i: np.ndarray
@@ -504,14 +497,24 @@ class _PairTable(NamedTuple):
     signs: np.ndarray  # P x k test functions sign(f_i - f_j)
     distances: np.ndarray | None
     thresholds: np.ndarray | None  # (f_i . T + f_j . T) / 2
-    position: np.ndarray | None  # list position of each pair, by lexicographic index
+
+
+def _pair_index(m: int, i: int, j: int) -> int:
+    """Lexicographic index of the pair of candidates ``i`` and ``j`` among
+    the pairs of ``m`` candidates."""
+    a, b = (i, j) if i < j else (j, i)
+    if a == b:
+        raise InvalidPairError(f"no pair ({i}, {j}): a candidate is not paired with itself")
+    if a < 0 or b >= m:
+        raise IndexError(f"pair ({i}, {j}) out of range for family of size {m}")
+    return a * (2 * m - a - 1) // 2 + (b - a - 1)
 
 
 def _check_pair_table_capacity(m: int, k: int, layer: str) -> None:
-    """Raise :class:`CapacityError` when ``layer`` ("signs", "outcomes" or
-    "sorted") of the pair table of ``m`` candidates on ``k`` atoms would hold
-    more than ``_PAIR_TABLE_MAX_BYTES``: P x k signs plus the P-long arrays
-    of that layer."""
+    """Raise :class:`CapacityError` when ``layer`` ("signs" or "outcomes")
+    of the pair table of ``m`` candidates on ``k`` atoms would hold more
+    than ``_PAIR_TABLE_MAX_BYTES``: P x k signs plus the P-long arrays of
+    that layer."""
     pairs = m * (m - 1) // 2
     layer_bytes = pairs * (k * 8 + _LAYER_PAIR_BYTES[layer])
     if layer_bytes > _PAIR_TABLE_MAX_BYTES:
@@ -550,7 +553,7 @@ def _pair_signs(matrix: np.ndarray) -> _PairTable:
         diffs = matrix.take(idx_i[block], axis=0)
         diffs -= matrix.take(idx_j[block], axis=0)
         np.sign(diffs, out=signs[block])
-    return _PairTable(idx_i, idx_j, signs, None, None, None)
+    return _PairTable(idx_i, idx_j, signs, None, None)
 
 
 def _pair_outcome_arrays(matrix: np.ndarray) -> _PairTable:
@@ -558,11 +561,11 @@ def _pair_outcome_arrays(matrix: np.ndarray) -> _PairTable:
     function, distance and threshold, in lexicographic order, in one fused
     blocked pass.
 
-    Each block gathers its rows once; the distances and thresholds sum the
-    same elementwise terms along the last axis as :func:`_pair_test_signs`,
-    so every array equals the sorted table's, indexed through its
-    ``position``, bit for bit.  Sums that overflow give non-finite
-    distances or thresholds, silently; :func:`_pair_layer` refuses them.
+    Each block gathers its rows once.  Each threshold sums the same
+    elementwise terms along the last axis as :func:`inner_product`, so it is
+    bit-identical to 0.5 * (inner_product(fi, T) + inner_product(fj, T)).
+    Sums that overflow give non-finite distances or thresholds, silently;
+    :func:`_pair_layer` refuses them.
 
     Raises :class:`CapacityError`, before allocating anything, when the
     layer would exceed ``_PAIR_TABLE_MAX_BYTES``.
@@ -583,51 +586,7 @@ def _pair_outcome_arrays(matrix: np.ndarray) -> _PairTable:
             fi *= block_signs
             fj *= block_signs
             thresholds[block] = 0.5 * (fi.sum(axis=1) + fj.sum(axis=1))
-    return _PairTable(idx_i, idx_j, signs, distances, thresholds, None)
-
-
-def _pair_test_signs(matrix: np.ndarray) -> _PairTable:
-    """The distance-sorted pair table of the rows of ``matrix``, built in one
-    blocked pass.
-
-    The distances come first, from the raw rows in blocks of pairs, and a
-    stable sort of them orders the pairs.  The signs and thresholds are then
-    filled block by block, already in that order, from the rows each block
-    gathers.  Each threshold sums the same elementwise terms along the last
-    axis as :func:`inner_product`, so it is bit-identical to
-    0.5 * (inner_product(fi, T) + inner_product(fj, T)).  Masses so large
-    that a sum overflows give non-finite distances or thresholds, silently;
-    :func:`preprocess` refuses such a table.
-
-    Raises :class:`CapacityError`, before allocating anything, when the table
-    would exceed ``_PAIR_TABLE_MAX_BYTES``.
-    """
-    m, k = matrix.shape
-    _check_pair_table_capacity(m, k, "sorted")
-    idx_i, idx_j = _triu_indices(m)
-    pairs = idx_i.shape[0]
-    distances = np.empty(pairs)
-    signs = np.empty((pairs, k))
-    thresholds = np.empty(pairs)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for block in _pair_blocks(pairs):
-            diffs = matrix.take(idx_i[block], axis=0)
-            diffs -= matrix.take(idx_j[block], axis=0)
-            distances[block] = np.abs(diffs, out=diffs).sum(axis=1)
-        # Stable, so equal distances keep the lexicographic order of idx_i, idx_j.
-        order = np.argsort(-distances, kind="stable")
-        pair_i, pair_j, distances = idx_i[order], idx_j[order], distances[order]
-        for block in _pair_blocks(pairs):
-            fi, fj = matrix.take(pair_i[block], axis=0), matrix.take(pair_j[block], axis=0)
-            # Into a fresh difference: np.sign with out= its own input runs
-            # about three times slower.
-            block_signs = np.sign(fi - fj, out=signs[block])
-            fi *= block_signs
-            fj *= block_signs
-            thresholds[block] = 0.5 * (fi.sum(axis=1) + fj.sum(axis=1))
-    position = np.empty(pairs, dtype=np.intp)
-    position[order] = np.arange(pairs)
-    return _PairTable(pair_i, pair_j, signs, distances, thresholds, position)
+    return _PairTable(idx_i, idx_j, signs, distances, thresholds)
 
 
 def _kept(table: _PairTable) -> _PairTable:
@@ -643,30 +602,15 @@ def _kept(table: _PairTable) -> _PairTable:
     return table
 
 
-def _pair_table(family: Family) -> _PairTable:
-    """The family's read-only distance-sorted pair table, built by
-    :func:`_pair_test_signs` on first use and then kept; keeping it drops the
-    family's lexicographic layer.  A build that raises (too large, or with
-    distances or thresholds that overflow) keeps nothing.
-    """
-    if family._pair_table is None:
-        family._pair_table = _kept(_pair_test_signs(family.matrix))
-        family._lex_pairs = None
-    return family._pair_table
-
-
 def _pair_layer(family: Family, *, outcomes: bool) -> _PairTable:
-    """The pair arrays a selection reads.
+    """The pair arrays a selection reads: the family's layer, built on first
+    need and kept.
 
-    That is the family's distance-sorted table when it keeps one.  Otherwise
-    it is the lexicographic layer, built on first need and kept: the sign
-    layer, or with ``outcomes`` the outcome layer, whose signs, distances and
-    thresholds come from one fused pass and replace a kept sign layer.  An
-    outcome layer whose distances or thresholds overflow is refused with the
-    ValueError of :func:`preprocess`, and a refused build keeps nothing.
+    That is the sign layer, or with ``outcomes`` the outcome layer, whose
+    signs, distances and thresholds come from one fused pass and replace a
+    kept sign layer.  An outcome layer whose distances or thresholds
+    overflow is refused with ValueError, and a refused build keeps nothing.
     """
-    if family._pair_table is not None:
-        return family._pair_table
     layer = family._lex_pairs
     if layer is None or (outcomes and layer.thresholds is None):
         build = _pair_outcome_arrays if outcomes else _pair_signs
@@ -722,27 +666,26 @@ def empirical_deviation_restricted(g, h, family: Family, i: int) -> float:
 
 
 class PreprocessedFamily:
-    """A read-only view of a family's distance-sorted pair table: every
+    """A family's outcome layer with the distance order: every
     data-independent pair quantity, precomputed.
 
-    For every unordered pair (i < j) the table holds the endpoints, the test
-    function, the L1 distance and the comparison threshold
-    (fi . T + fj . T) / 2.  Pairs are listed in strictly nonincreasing
-    distance order, ties broken lexicographically by (i, j); ``position``
-    maps a pair's lexicographic index to its place in that list.  Building
-    the table takes O(m^2 k) time and memory and touches no empirical data,
-    so it charges nothing to any ledger.  The arrays are the family's own
-    table, which every selector on the family reads once it is kept.
+    ``order`` lists the lexicographic indices of the pairs by nonincreasing
+    L1 distance, ties broken lexicographically by (i, j).  ``pair_i``,
+    ``pair_j``, ``distances`` and the comparison thresholds
+    (fi . T + fj . T) / 2 are the outcome layer's P-long arrays gathered
+    through it; the test functions stay in the layer, in lexicographic
+    order.  Building takes O(m^2 k) time and memory and touches no
+    empirical data, so it charges nothing to any ledger.  The layer is the
+    family's own, which every selector on the family reads once it is kept.
     """
 
     __slots__ = (
         "family",
+        "order",
         "pair_i",
         "pair_j",
-        "test_signs",
         "distances",
         "thresholds",
-        "position",
         "_pairs",
         "_pair_position",
     )
@@ -750,10 +693,15 @@ class PreprocessedFamily:
     def __init__(self, family: Family):
         if family.size == 0:
             raise EmptyFamilyError("cannot preprocess an empty family")
+        layer = _pair_layer(family, outcomes=True)
+        # Stable, so equal distances keep the layer's lexicographic order.
+        order = np.argsort(-layer.distances, kind="stable")
+        per_pair = (layer.pair_i, layer.pair_j, layer.distances, layer.thresholds)
+        arrays = (order, *(arr[order] for arr in per_pair))
+        for arr in arrays:
+            arr.flags.writeable = False
         self.family = family
-        (
-            self.pair_i, self.pair_j, self.test_signs, self.distances, self.thresholds, self.position
-        ) = _pair_table(family)
+        self.order, self.pair_i, self.pair_j, self.distances, self.thresholds = arrays
         self._pairs = None
         self._pair_position = None
 
@@ -778,34 +726,25 @@ class PreprocessedFamily:
             )
         return self._pair_position
 
-    def _position(self, i: int, j: int) -> int:
-        """Place in the list of the pair of candidates ``i`` and ``j``."""
-        a, b = (i, j) if i < j else (j, i)
-        m = self.family.size
-        if a == b:
-            raise InvalidPairError(f"no pair ({i}, {j}): a candidate is not paired with itself")
-        if a < 0 or b >= m:
-            raise IndexError(f"pair ({i}, {j}) out of range for family of size {m}")
-        return int(self.position[a * (2 * m - a - 1) // 2 + (b - a - 1)])
-
     def test_function_for(self, i: int, j: int) -> TestFunction:
         """The pair's test function, oriented so positive entries favor ``i``."""
-        signs = self.test_signs[self._position(i, j)]
+        signs = _pair_layer(self.family, outcomes=True).signs[_pair_index(self.size, i, j)]
         return TestFunction(signs if i < j else -signs)
 
     def distance(self, i: int, j: int) -> float:
-        return float(self.distances[self._position(i, j)])
+        return float(_pair_layer(self.family, outcomes=True).distances[_pair_index(self.size, i, j)])
 
 
 def preprocess(family: Family) -> PreprocessedFamily:
     """Precompute all pair test functions, distances and thresholds for a
-    family, in distance order, in O(m^2 k) time and memory.
+    family, and their distance order, in O(m^2 k) time and memory.
 
-    Only :func:`~l1select.selectors.efficient_min_loss_weight` and
-    :func:`compare` need the distance order; the other selectors take the
-    family itself and build the smaller layer they read.  The table holds
-    P * (8k + 40) bytes and is refused over ``_PAIR_TABLE_MAX_BYTES``
-    (:class:`CapacityError`), as are distances or thresholds that overflow
-    (ValueError).
+    The family's outcome layer holds P * (8k + 32) bytes; the order and the
+    four sorted P-long arrays add 40 bytes a pair, P * (8k + 72) in all.
+    Only :func:`~l1select.selectors.efficient_min_loss_weight` needs the
+    distance order; every other selector, and :func:`compare`, takes the
+    family itself as well.  An outcome layer over ``_PAIR_TABLE_MAX_BYTES``
+    is refused (:class:`CapacityError`), as are distances or thresholds
+    that overflow (ValueError).
     """
     return PreprocessedFamily(family)

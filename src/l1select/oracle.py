@@ -181,7 +181,8 @@ def check_bound(
     deviation ranges over every pair's test function; with ``"restricted"`` it
     ranges only over the pairs of the best member, which is the sharper form
     the scan- and loss-weight-based selectors also satisfy.  The check passes
-    when the margin ``rhs - lhs`` is at least ``-GUARANTEE_TOL``.
+    when the margin ``rhs - lhs`` is at least ``-GUARANTEE_TOL``.  A
+    ``selected`` outside [0, m) raises IndexError.
 
     ``reference``, when given, supplies ``d1`` and the deviation; it must
     have been built from this ``family``, ``g`` and ``h``.  Without it the
@@ -189,6 +190,8 @@ def check_bound(
     """
     if delta_mode not in ("full", "restricted"):
         raise ValueError(f"delta_mode must be 'full' or 'restricted', got {delta_mode!r}")
+    if not 0 <= selected < family.size:
+        raise IndexError(f"candidate index {selected} out of range for family of size {family.size}")
     if reference is None:
         reference = InstanceReference(family, g, h)
     elif reference.family is not family:
@@ -243,7 +246,7 @@ def _elimination_verdicts(
     vectors.  A strict loss bears on both readings and a draw on the second
     only, so a violated strict reading also violates the draw reading.
     """
-    if c < 1.0:
+    if not c >= 1.0:
         raise ValueError(f"relaxation factor must be >= 1, got {c}")
     family = _family_of(prep_or_family)
     if not 0 <= selected < family.size:

@@ -18,13 +18,13 @@ Every data-dependent inner product is charged to a :class:`~l1select.core.Ledger
 the counts above are exact, not asymptotic.  Deterministic procedures break
 ties by lowest candidate index.
 
-The four quadratic selectors take a :class:`~l1select.core.Family` or a
+The four quadratic selectors, ``loss_weight`` and ``relaxed_selection_check``
+take a :class:`~l1select.core.Family` or a
 :class:`~l1select.core.PreprocessedFamily` and read the pair table's layer
 they need (see :mod:`l1select.core`): the distance selectors its signs, the
-tournament and the min-loss-weight selector its signs, distances and
-thresholds.  On a family that keeps a distance-sorted table they read that.
-Only ``efficient_min_loss_weight`` reads the distance order, so it alone
-needs :func:`~l1select.core.preprocess`.
+others its signs, distances and thresholds.  Only
+``efficient_min_loss_weight`` reads the distance order, so it alone needs
+:func:`~l1select.core.preprocess`.
 
 The empirical mass ``h`` is checked only for finite entries, no negative
 entry and a support of the family's size.  Library callers may pass an
@@ -52,6 +52,7 @@ from .core import (
     _family_of,
     _outcome_at,
     _pair_blocks,
+    _pair_index,
     _pair_layer,
     _validated_h,
     compare,  # re-exported: callers reach the pairwise compare as selectors.compare too
@@ -226,8 +227,7 @@ def scheffe_tournament(
     Every unordered pair is compared exactly once (m(m-1)/2 data products);
     a draw awards no win to either side.  Ties in the win count go to the
     lowest index, so a single-candidate family selects its only member with
-    zero products.  Reads the family's outcome layer, or its sorted table
-    when it keeps one.
+    zero products.  Reads the family's outcome layer.
     """
     ledger = _ensure_ledger(ledger)
     h0, t0 = ledger.h_products, ledger.term_evaluations
@@ -286,9 +286,9 @@ def min_distance(target: Family | PreprocessedFamily, h, ledger: Ledger | None =
     whatever order the matrix product sums in, and whatever order the pairs
     are listed in.  The ledger still charges the full m^2(m-1).
 
-    Only the test functions are read: the family's sign layer, built on
-    first use and kept, or the sorted table when the family keeps one.  A
-    shortlisted score that overflows raises ``ValueError``.
+    Only the test functions are read, from the family's kept layer (the
+    sign layer, built on first use, or an outcome layer).  A shortlisted
+    score that overflows raises ``ValueError``.
     """
     family = _family_of(target)
     if family.size == 0:
@@ -317,9 +317,9 @@ def modified_min_distance(
     Candidate i is scored by max over j != i of |(f_i - h) . T_ij| only, so
     the scan costs m(m-1) term evaluations instead of m^2(m-1), with the same
     error guarantee.  Both endpoints of every unordered pair are scored from
-    one pass over the family's sign layer (or its sorted table when it keeps
-    one); T_ji = -T_ij only negates the row sum, so the scores are those of
-    scanning each candidate's own pairs.  A score that overflows raises
+    one pass over the test functions of the family's kept layer; T_ji =
+    -T_ij only negates the row sum, so the scores are those of scanning each
+    candidate's own pairs.  A score that overflows raises
     ``ValueError``.
     """
     family = _family_of(target)
@@ -341,7 +341,9 @@ def modified_min_distance(
     return _report(family, "modified", selected, ledger, h0, t0)
 
 
-def loss_weight(prep: PreprocessedFamily, h, i: int, ledger: Ledger | None = None) -> LossWeightValue:
+def loss_weight(
+    target: Family | PreprocessedFamily, h, i: int, ledger: Ledger | None = None
+) -> LossWeightValue:
     """Loss-weight of candidate ``i``: the largest L1 distance to a rival that
     ``i`` fails to beat (draws count as failures to beat).
 
@@ -350,21 +352,23 @@ def loss_weight(prep: PreprocessedFamily, h, i: int, ledger: Ledger | None = Non
     when ``i`` beats everyone; otherwise the witness is the lowest-index
     rival attaining the maximum.
     """
-    if not 0 <= i < prep.size:
-        raise IndexError(f"candidate index {i} out of range for family of size {prep.size}")
-    hv = _validated_h(h, prep.family.support.size)
-    return _loss_weight(prep, hv, i, _ensure_ledger(ledger))
+    family = _family_of(target)
+    if not 0 <= i < family.size:
+        raise IndexError(f"candidate index {i} out of range for family of size {family.size}")
+    hv = _validated_h(h, family.support.size)
+    return _loss_weight(_outcome_layer(family), family.size, hv, i, _ensure_ledger(ledger))
 
 
-def _loss_weight(prep: PreprocessedFamily, hv: np.ndarray, i: int, ledger: Ledger) -> LossWeightValue:
-    """:func:`loss_weight` for a checked index and an ``hv`` already validated."""
+def _loss_weight(layer, m: int, hv: np.ndarray, i: int, ledger: Ledger) -> LossWeightValue:
+    """:func:`loss_weight` on the outcome ``layer`` of ``m`` candidates, for
+    a checked index and an ``hv`` already validated."""
     best = -math.inf
     witness: int | None = None
-    for j in range(prep.size):
+    for j in range(m):
         if j == i:
             continue
-        if _compare_valid(prep, i, j, hv, ledger) is not Outcome.FIRST_WINS:
-            d = prep.distance(i, j)
+        if _compare_valid(layer, m, i, j, hv, ledger) is not Outcome.FIRST_WINS:
+            d = float(layer.distances[_pair_index(m, i, j)])
             if d > best:
                 best, witness = d, j
     return LossWeightValue(best, witness)
@@ -379,8 +383,7 @@ def min_loss_weight(
     directions, so the run charges m(m-1)/2 data products rather than the
     m(m-1) of calling :func:`loss_weight` per candidate.  An undefeated
     candidate has loss-weight -inf and therefore wins; ties go to the lowest
-    index.  Reads the family's outcome layer, or its sorted table when it
-    keeps one.
+    index.  Reads the family's outcome layer.
     """
     ledger = _ensure_ledger(ledger)
     h0, t0 = ledger.h_products, ledger.term_evaluations
@@ -395,16 +398,17 @@ def efficient_min_loss_weight(
     *,
     draw_removes_first: bool = False,
 ) -> SelectionReport:
-    """Eliminate candidates along the distance-sorted pair list; exactly m-1
-    data products.
+    """Eliminate candidates along the distance order of the pairs; exactly
+    m-1 data products.
 
-    Repeatedly take the first pair in the precomputed list (largest L1
-    distance, lexicographic on ties) whose endpoints both survive, compare the
-    pair, and remove the loser -- on a draw the second-listed candidate is
-    removed, keeping exactly one removal per comparison.  The survivor
-    satisfies the same 3-vs-2 guarantee as :func:`min_loss_weight`: whenever
-    it fails to beat a rival f', its distance to f' is at most the rival's
-    loss-weight.
+    Repeatedly take the first pair in the precomputed distance order
+    (largest L1 distance, lexicographic on ties) whose endpoints both
+    survive, compare the pair, and remove the loser -- on a draw the
+    second-listed candidate is removed, keeping exactly one removal per
+    comparison.  Each compared pair's signs and threshold are read from the
+    family's outcome layer.  The survivor satisfies the same 3-vs-2
+    guarantee as :func:`min_loss_weight`: whenever it fails to beat a rival
+    f', its distance to f' is at most the rival's loss-weight.
 
     ``draw_removes_first`` flips which endpoint a draw removes; the guarantee
     holds either way, and the knob exists so verification can demonstrate
@@ -416,12 +420,13 @@ def efficient_min_loss_weight(
     alive = [True] * prep.size
     remaining = prep.size
     trace: list[TraceEvent] = []
-    for pos, (i, j) in enumerate(zip(prep.pair_i.tolist(), prep.pair_j.tolist())):
+    layer = _outcome_layer(prep)
+    for lex, i, j in zip(prep.order.tolist(), prep.pair_i.tolist(), prep.pair_j.tolist()):
         if remaining == 1:
             break
         if not (alive[i] and alive[j]):
             continue
-        outcome = _outcome_at(prep, pos, hv, ledger)
+        outcome = _outcome_at(layer, lex, hv, ledger)
         if outcome is Outcome.SECOND_WINS:
             removed = i
         elif outcome is Outcome.DRAW and draw_removes_first:
@@ -477,7 +482,7 @@ def randomized_two(f1, f2, h, rng_seed: int = 0) -> SelectionReport:
 
 
 def relaxed_selection_check(
-    prep: PreprocessedFamily,
+    target: Family | PreprocessedFamily,
     h,
     selected: int,
     c: float = 1.0,
@@ -497,20 +502,23 @@ def relaxed_selection_check(
     l1(selected, f') over the rivals checked (+inf when none apply).  ``h``
     is checked once, as every selector checks it.
     """
-    if c < 1.0:
+    if not c >= 1.0:
         raise ValueError(f"relaxation factor must be >= 1, got {c}")
-    if not 0 <= selected < prep.size:
-        raise IndexError(f"candidate index {selected} out of range for family of size {prep.size}")
-    hv = _validated_h(h, prep.family.support.size)
+    family = _family_of(target)
+    m = family.size
+    if not 0 <= selected < m:
+        raise IndexError(f"candidate index {selected} out of range for family of size {m}")
+    hv = _validated_h(h, family.support.size)
+    layer = _outcome_layer(family)
     scratch = Ledger()
     margin = math.inf
-    for j in range(prep.size):
+    for j in range(m):
         if j == selected:
             continue
-        outcome = _compare_valid(prep, selected, j, hv, scratch)
+        outcome = _compare_valid(layer, m, selected, j, hv, scratch)
         applies = outcome is Outcome.SECOND_WINS or (include_draws and outcome is Outcome.DRAW)
         if not applies:
             continue
-        rival_lw = _loss_weight(prep, hv, j, scratch).value
-        margin = min(margin, c * rival_lw - prep.distance(selected, j))
+        rival_lw = _loss_weight(layer, m, hv, j, scratch).value
+        margin = min(margin, c * rival_lw - float(layer.distances[_pair_index(m, selected, j)]))
     return CheckResult(passed=margin >= 0.0, margin=margin)

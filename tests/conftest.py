@@ -71,16 +71,14 @@ def uniform_empirical():
 PAIR_LAYER_BUILDERS = {
     "signs": "_pair_signs",
     "outcomes": "_pair_outcome_arrays",
-    "sorted": "_pair_test_signs",
 }
 
 
 @pytest.fixture
 def pair_table_builds(monkeypatch):
     """A list that grows by (layer, matrix shape) at every build of a layer
-    of a pair table: "signs" (the lexicographic test functions), "outcomes"
-    (those with distances and thresholds) or "sorted" (the distance-sorted
-    table)."""
+    of a pair table: "signs" (the test functions) or "outcomes" (those with
+    distances and thresholds)."""
     builds = []
 
     def counting(layer, build):

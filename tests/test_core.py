@@ -42,7 +42,7 @@ from l1select import (
 )
 from l1select import core, min_loss_weight, scheffe_tournament
 from l1select import test_function as make_test_function
-from l1select.core import _pair_test_signs
+from l1select.core import _pair_layer, _pair_outcome_arrays
 from conftest import make_family
 
 # The two-candidate construction at eps = 0.01, as literal decimals.
@@ -357,8 +357,28 @@ class TestPreprocess:
         prep = preprocess(tournament_instance.family)
         assert list(zip(prep.pair_i.tolist(), prep.pair_j.tolist())) == list(prep.pairs)
         assert all(prep.pair_position[pair] == pos for pos, pair in enumerate(prep.pairs))
-        for arr in (prep.pair_i, prep.pair_j, prep.test_signs, prep.distances, prep.thresholds):
+        for arr in (prep.order, prep.pair_i, prep.pair_j, prep.distances, prep.thresholds):
             assert not arr.flags.writeable
+
+    @pytest.mark.parametrize("m, k", [(7, 5), (96, 64)])
+    def test_holds_one_pair_by_atom_array(self, m, k):
+        """The test functions are kept once, in the family's outcome layer:
+        neither the preprocessed family nor the family holds another P x k
+        array, and a preprocess of a cold family retains that array, the
+        P-long arrays and nothing of its size besides."""
+        pairs = m * (m - 1) // 2
+        family = make_family(random_mass_vectors(k, m, 0))
+        tracemalloc.start()
+        try:
+            prep = preprocess(family)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        held = [getattr(prep, name) for name in prep.__slots__ if name != "family"]
+        held += [family.matrix, *family._lex_pairs]
+        tables = [arr for arr in held if isinstance(arr, np.ndarray) and arr.shape == (pairs, k)]
+        assert len(tables) == 1 and tables[0] is family._lex_pairs.signs
+        assert retained < pairs * (8 * k + 72) + 100_000
 
     def test_large_family_peak_memory_is_quadratic(self):
         """At m=96, k=64 the pair table itself is P*k*8 = 2.3 MB (P = 4560
@@ -402,7 +422,7 @@ class TestPreprocess:
         family = make_family(np.full((20000, 6), 1 / 6))
         h = np.full(6, 1 / 6)
         builders = [
-            ("sorted", preprocess),
+            ("outcomes", preprocess),
             ("signs", lambda fam: min_distance(fam, h)),
             ("signs", lambda fam: modified_min_distance(fam, h)),
             ("outcomes", lambda fam: scheffe_tournament(fam, h)),
@@ -413,17 +433,16 @@ class TestPreprocess:
                 with pytest.raises(CapacityError, match="pair table"):
                     build(family)
         assert pair_table_builds == [(layer, (20000, 6)) for layer, _ in builders] * 2
-        assert family._pair_table is None and family._lex_pairs is None
+        assert family._lex_pairs is None
 
     def test_each_layer_has_its_own_budget(self):
         """Guard arithmetic alone, nothing allocated: on one atom, m=8000
         gives 31,996,000 pairs, whose sign layer (24 bytes a pair) passes the
-        1 GiB guard while the outcome layer (40) and the sorted table (48)
-        are refused."""
+        1 GiB guard while the outcome layer (40), which preprocess builds,
+        is refused."""
         core._check_pair_table_capacity(8000, 1, "signs")
-        for layer in ("outcomes", "sorted"):
-            with pytest.raises(CapacityError, match=f"pair table \\({layer} layer\\)"):
-                core._check_pair_table_capacity(8000, 1, layer)
+        with pytest.raises(CapacityError, match="pair table \\(outcomes layer\\)"):
+            core._check_pair_table_capacity(8000, 1, "outcomes")
 
 
 def reference_pair_table(rows: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -444,17 +463,24 @@ def reference_pair_table(rows: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def assert_table_matches_reference(rows: np.ndarray) -> None:
-    table = _pair_test_signs(rows)
-    for built, want in zip(table, reference_pair_table(rows)):
+    """The outcome layer of ``rows``, gathered through the distance order
+    of its preprocessed family, is the reference table bit for bit; and the
+    order is the lexicographic index of each listed pair."""
+    prep = preprocess(make_family(rows))
+    layer = _pair_layer(prep.family, outcomes=True)
+    gathered = (prep.pair_i, prep.pair_j, layer.signs[prep.order], prep.distances, prep.thresholds)
+    for built, want in zip(gathered, reference_pair_table(rows)):
         assert np.array_equal(built, want)
+    for sorted_, lexicographic in zip(gathered, layer):
+        assert np.array_equal(sorted_, lexicographic[prep.order])
     m = rows.shape[0]
-    lexicographic = table.pair_i * (2 * m - table.pair_i - 1) // 2 + (table.pair_j - table.pair_i - 1)
-    assert np.array_equal(table.position[lexicographic], np.arange(len(table.pair_i)))
+    lex = prep.pair_i * (2 * m - prep.pair_i - 1) // 2 + (prep.pair_j - prep.pair_i - 1)
+    assert np.array_equal(prep.order, lex)
 
 
 class TestPairTable:
-    """The table born in distance order, with its signs and thresholds filled
-    block by block, equals the one the old lexicographic build sorted."""
+    """The outcome layer, gathered through the distance order, equals the
+    table the old lexicographic build sorted."""
 
     @given(
         st.integers(0, 2**32 - 1),
@@ -490,18 +516,24 @@ class TestPairTable:
         st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=3),
     )
     def test_compare_through_position_agrees_with_pair_position(self, seed, m, k, copies):
+        """compare, distance and test_function_for find a pair by its
+        lexicographic index; the pair's place in the distance order, mapped
+        through ``order``, reaches the same signs, distance and threshold."""
         inst = random_instance(seed, k, m, noise=0.1)
         rows = inst.family.matrix.copy()
         for src, dst in copies:
             rows[dst % m] = rows[src % m]
         prep = preprocess(make_family(rows))
+        signs = _pair_layer(prep.family, outcomes=True).signs
         h = inst.empirical.mass
         for i in range(m):
             for j in range(m):
                 if i == j:
                     continue
                 pos = prep.pair_position[(min(i, j), max(i, j))]
-                product = float((h * prep.test_signs[pos]).sum())
+                pair_signs = signs[prep.order[pos]]
+                assert np.array_equal(prep.test_function_for(i, j).signs, pair_signs if i < j else -pair_signs)
+                product = float((h * pair_signs).sum())
                 threshold = prep.thresholds[pos]
                 if i > j:
                     product, threshold = -product, -threshold
@@ -544,7 +576,7 @@ class TestPairTable:
         scores overflow too, so they refuse the family as well, without a
         warning."""
         rows = np.random.default_rng(seed).uniform(size=(5, 8)) * 1e308
-        table = _pair_test_signs(rows)
+        table = _pair_outcome_arrays(rows)
         assert not (np.isfinite(table.distances).all() and np.isfinite(table.thresholds).all())
         family = make_family(rows)
         with pytest.raises(ValueError, match="overflow"):

@@ -638,7 +638,7 @@ class TestBenchCommand:
         assert main(["bench", "--sizes", "4", "--omega", "5"]) == 0
         rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
         assert [r["algorithm"] for r in rows] == ["tournament", "mindist", "modified", "minloss", "efficient"]
-        layers = ["outcomes", "signs", "signs", "outcomes", "sorted"]
+        layers = ["outcomes", "signs", "signs", "outcomes", "outcomes"]
         assert pair_table_builds == [(layer, (4, 5)) for layer in layers]
 
     def test_family_too_large_for_the_pair_table_exits_three(self, capsys):

@@ -128,6 +128,15 @@ class TestCheckBound:
         assert bound.rhs == pytest.approx(2.288, abs=1e-12)
         assert bound.passed
 
+    @pytest.mark.parametrize("selected", [-1, 2])
+    def test_selected_out_of_range_rejected(self, pair_instance, selected):
+        """A negative index would otherwise grade the last candidate, so a
+        selector returning -1 would pass."""
+        with pytest.raises(IndexError, match=f"candidate index {selected} out of range for family of size 2"):
+            check_bound(
+                selected, pair_instance.family, pair_instance.truth, pair_instance.empirical, 3.0, 2.0
+            )
+
     def test_delta_mode_validated(self, pair_instance):
         with pytest.raises(ValueError):
             check_bound(
@@ -170,8 +179,11 @@ class TestEliminationInvariant:
         assert check_elimination_invariant(family, EmpiricalDistribution([1.0]), 0, 1.0)
 
     def test_relaxation_below_one_rejected(self, pair_instance):
-        with pytest.raises(ValueError):
-            check_elimination_invariant(pair_instance.family, pair_instance.empirical, 0, 0.9)
+        """A NaN factor is no factor >= 1; accepted, it would make every
+        rival's check false and the invariant pass vacuously."""
+        for c in (0.9, float("nan")):
+            with pytest.raises(ValueError, match="relaxation factor must be >= 1"):
+                check_elimination_invariant(pair_instance.family, pair_instance.empirical, 0, c)
 
     def test_larger_relaxation_is_monotone(self):
         for seed in range(20):

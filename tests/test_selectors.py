@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -41,8 +42,14 @@ from l1select import (
     swap_pair,
 )
 from l1select import selectors
-from l1select.core import _pair_table, _pair_test_signs
-from l1select.selectors import _loss_weights, _min_distance_shortlist, _pair_outcomes, _win_counts
+from l1select.core import _pair_layer, _pair_signs
+from l1select.selectors import (
+    TraceEvent,
+    _loss_weights,
+    _min_distance_shortlist,
+    _pair_outcomes,
+    _win_counts,
+)
 from conftest import make_family
 
 ALG_RUNNERS = {
@@ -346,8 +353,12 @@ class TestRelaxedSelectionCheck:
         assert result.margin == math.inf
 
     def test_relaxation_factor_validated(self, pair_instance):
-        with pytest.raises(ValueError):
-            relaxed_selection_check(preprocess(pair_instance.family), pair_instance.empirical, 0, 0.5)
+        """A NaN factor is no factor >= 1; accepted, it would make every
+        slack NaN, which min skips, and the check pass vacuously."""
+        prep = preprocess(pair_instance.family)
+        for c in (0.5, float("nan")):
+            with pytest.raises(ValueError, match="relaxation factor must be >= 1"):
+                relaxed_selection_check(prep, pair_instance.empirical, 0, c)
 
     def test_passing_candidates_at_two_meet_widened_bound(self):
         """Any candidate passing the relaxed condition at C=2 obeys the
@@ -435,7 +446,7 @@ class TestDeterminismAndEquivariance:
         if len(set(wins)) != len(wins):
             return False
         hv = h.mass
-        all_pair_signs = prep.test_signs
+        all_pair_signs = _pair_signs(fam.matrix).signs
         mindist_scores = [
             float(np.abs((all_pair_signs * (fam.matrix[c] - hv)).sum(axis=1)).max())
             for c in range(fam.size)
@@ -462,9 +473,9 @@ def assert_matches_compare_path(prep, h) -> int:
     wins = [0] * m
     draws = 0
     first, second = _pair_outcomes(prep, h, Ledger())
-    for pos, (i, j) in enumerate(prep.pairs):
+    for lex, (i, j) in enumerate(itertools.combinations(range(m), 2)):
         outcome = compare(prep, i, j, h, Ledger())
-        assert (bool(first[pos]), bool(second[pos])) == (
+        assert (bool(first[lex]), bool(second[lex])) == (
             outcome is Outcome.FIRST_WINS,
             outcome is Outcome.SECOND_WINS,
         ), f"pair {(i, j)}: {outcome}"
@@ -526,7 +537,7 @@ class TestVectorisedPairOutcomes:
             inst = random_instance(seed, 64, 2, noise=0.1)
             prep = preprocess(inst.family)
             h = inst.family.matrix.mean(axis=0)
-            x = int(np.flatnonzero(prep.test_signs[0] > 0)[0])
+            x = int(np.flatnonzero(prep.test_function_for(0, 1).signs > 0)[0])
             for _ in range(200):
                 outcome = compare(prep, 0, 1, h, Ledger())
                 if outcome is Outcome.DRAW:
@@ -602,7 +613,7 @@ class TestMinDistanceScreen:
         for seed in range(8):
             inst = random_instance(seed, 64, 32, noise=(0.0, 0.02, 0.1, 0.3)[seed % 4])
             rows = inst.family.matrix
-            signs = _pair_test_signs(rows).signs
+            signs = _pair_signs(rows).signs
             shortlist = _min_distance_shortlist(rows - inst.empirical.mass, signs)
             assert shortlist.tolist() == [int(np.argmin(reference_min_distance_scores(rows, inst.empirical)))]
 
@@ -618,7 +629,7 @@ class TestMinDistanceScreen:
         h = rng.dirichlet(np.ones(8))
         with np.errstate(over="ignore"):
             diffs = rows - h
-            signs = _pair_test_signs(rows).signs
+            signs = _pair_signs(rows).signs
             assert _min_distance_shortlist(diffs, signs).tolist() == list(range(5))
         family = make_family(rows)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -645,7 +656,7 @@ class TestMinDistanceScreen:
         h = rng.dirichlet(np.ones(8))
         diffs = rows - h
         assert np.abs(diffs).sum(axis=1).min() > np.finfo(np.float64).max / 2
-        assert _min_distance_shortlist(diffs, _pair_test_signs(rows).signs).tolist() == list(range(5))
+        assert _min_distance_shortlist(diffs, _pair_signs(rows).signs).tolist() == list(range(5))
         assert np.all(np.isfinite(reference_min_distance_scores(rows, h)))
         assert np.all(np.isfinite(reference_modified_scores(rows, h)))
         assert_min_distance_selectors_match_reference(rows, h)
@@ -693,16 +704,16 @@ class TestMinDistanceScreen:
 
 class TestSharedPairTable:
     """A family builds each layer of its pair table at most once, on first
-    need, and builds none while it keeps the distance-sorted table that
-    preprocess builds."""
+    need, and builds none while it keeps the outcome layer that preprocess
+    builds."""
 
     @pytest.mark.parametrize("preprocess_first", [True, False])
     def test_one_build_serves_preprocess_and_both_distance_selectors(
         self, pair_table_builds, preprocess_first
     ):
         """The distance selectors build the sign layer alone, which both
-        share; a later preprocess builds the sorted table and drops the sign
-        layer.  After a preprocess, nothing else is built."""
+        share; a later preprocess builds the outcome layer, which replaces
+        the sign layer.  After a preprocess, nothing else is built."""
         inst = random_instance(3, 16, 12, noise=0.1)
         family = Family(inst.family.support, inst.family.candidates)
         assert pair_table_builds == []
@@ -714,9 +725,9 @@ class TestSharedPairTable:
         scheffe_tournament(family, inst.empirical)
         min_loss_weight(family, inst.empirical)
         min_distance(family, inst.empirical)
-        layers = ["sorted"] if preprocess_first else ["signs", "sorted"]
+        layers = ["outcomes"] if preprocess_first else ["signs", "outcomes"]
         assert pair_table_builds == [(layer, (12, 16)) for layer in layers]
-        assert family._lex_pairs is None
+        assert family._lex_pairs.thresholds is not None
 
     def test_each_layer_is_built_at_most_once(self, pair_table_builds):
         """The outcome layer replaces the sign layer, so the family keeps one
@@ -734,20 +745,24 @@ class TestSharedPairTable:
         assert pair_table_builds == [("signs", (12, 16)), ("outcomes", (12, 16))]
         layer = family._lex_pairs
         assert layer.signs is not signs and np.array_equal(layer.signs, signs)
-        assert family._pair_table is None
-        for arr in layer[:5]:
+        for arr in layer:
             assert not arr.flags.writeable
 
     def test_preprocessed_arrays_are_the_family_table(self):
+        """A preprocessed family reads the family's own outcome layer: its
+        sorted arrays are that layer's gathered through ``order``, a second
+        preprocess reuses the layer, and every array is read-only."""
         family = random_instance(5, 10, 7).family
-        table = _pair_table(family)
+        layer = _pair_layer(family, outcomes=True)
         prep = preprocess(family)
-        assert _pair_table(family) is table
-        assert prep.pair_i is table.pair_i and prep.pair_j is table.pair_j
-        assert prep.test_signs is table.signs and prep.distances is table.distances
-        assert prep.thresholds is table.thresholds and prep.position is table.position
-        assert preprocess(family).test_signs is table.signs
-        for arr in table:
+        assert family._lex_pairs is layer
+        assert preprocess(family).family._lex_pairs is layer
+        for sorted_, lexicographic in zip(
+            (prep.pair_i, prep.pair_j, prep.distances, prep.thresholds),
+            (layer.pair_i, layer.pair_j, layer.distances, layer.thresholds),
+        ):
+            assert np.array_equal(sorted_, lexicographic[prep.order])
+        for arr in (*layer, prep.order, prep.pair_i, prep.pair_j, prep.distances, prep.thresholds):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = arr[0]
@@ -760,7 +775,7 @@ class TestSharedPairTable:
     )
     def test_pair_order_does_not_change_a_selection(self, seed, m, k, copies):
         """Whether the distance selectors read the sign layer of a cold
-        family or the sorted table of a preprocessed one, they pick the
+        family or the outcome layer of a preprocessed one, they pick the
         candidate the row-wise reference picks."""
         inst = random_instance(seed, k, m, noise=0.1)
         rows = inst.family.matrix.copy()
@@ -774,8 +789,8 @@ class TestSharedPairTable:
         for family in (fresh, preprocessed):
             assert min_distance(family, h).selected_index == want
             assert modified_min_distance(family, h).selected_index == want_modified
-        assert fresh._pair_table is None and fresh._lex_pairs.thresholds is None
-        assert preprocessed._lex_pairs is None and _pair_table(preprocessed).signs is prep.test_signs
+        assert fresh._lex_pairs.thresholds is None
+        assert preprocessed._lex_pairs.thresholds is not None and prep.family is preprocessed
 
     def test_empirical_deviation_builds_its_own_signs(self, pair_table_builds):
         """The oracle recomputes from raw vectors even when the family
@@ -783,11 +798,12 @@ class TestSharedPairTable:
         does not keep."""
         inst = random_instance(6, 8, 6, noise=0.1)
         prep = preprocess(inst.family)
-        assert pair_table_builds == [("sorted", (6, 8))]
+        layer = inst.family._lex_pairs
+        assert pair_table_builds == [("outcomes", (6, 8))]
         deviation = empirical_deviation(inst.truth, inst.empirical, inst.family)
-        assert pair_table_builds == [("sorted", (6, 8)), ("signs", (6, 8))]
-        assert inst.family._lex_pairs is None and inst.family._pair_table.signs is prep.test_signs
-        terms = (prep.test_signs * (inst.truth - inst.empirical.mass)).sum(axis=1)
+        assert pair_table_builds == [("outcomes", (6, 8)), ("signs", (6, 8))]
+        assert inst.family._lex_pairs is layer and prep.family is inst.family
+        terms = (layer.signs * (inst.truth - inst.empirical.mass)).sum(axis=1)
         assert deviation == float(np.abs(terms).max())
 
 
@@ -800,10 +816,10 @@ COLD_SELECTORS = {
 
 
 def assert_cold_selects_like_preprocessed(rows: np.ndarray, h) -> None:
-    """The four selectors on a cold family (reading its lexicographic
-    layers) pick the index, and charge the ledger, that they do on a
-    preprocessed copy (reading its sorted table); and every lexicographic
-    array is the sorted table's, indexed through its position, bit for bit."""
+    """The four selectors on a cold family (building the layer each reads)
+    pick the index, and charge the ledger, that they do on a preprocessed
+    copy; and the cold family's outcome layer, gathered through the copy's
+    distance order, is the copy's sorted arrays bit for bit."""
     cold, warm = make_family(rows), make_family(rows)
     prep = preprocess(warm)
     for name, select in COLD_SELECTORS.items():
@@ -811,17 +827,16 @@ def assert_cold_selects_like_preprocessed(rows: np.ndarray, h) -> None:
         assert got == want, name
         assert select(warm, h, Ledger()) == want, name
     layer = cold._lex_pairs
-    assert cold._pair_table is None and warm._lex_pairs is None
     idx_i, idx_j = np.triu_indices(rows.shape[0], k=1)
     assert np.array_equal(layer.pair_i, idx_i) and np.array_equal(layer.pair_j, idx_j)
+    assert np.array_equal(layer.signs, warm._lex_pairs.signs)
     for lexicographic, sorted_ in (
         (layer.pair_i, prep.pair_i),
         (layer.pair_j, prep.pair_j),
-        (layer.signs, prep.test_signs),
         (layer.distances, prep.distances),
         (layer.thresholds, prep.thresholds),
     ):
-        assert np.array_equal(lexicographic, sorted_[prep.position])
+        assert np.array_equal(lexicographic[prep.order], sorted_)
 
 
 class TestColdFamilyLayers:
@@ -927,7 +942,7 @@ class TestColdFamilyLayers:
             with pytest.raises(ValueError) as raised:
                 select(family, np.full(8, 1 / 8))
             assert str(raised.value) == str(refused.value)
-            assert family._lex_pairs is None and family._pair_table is None
+            assert family._lex_pairs is None
 
 
 BAD_EMPIRICALS = {
@@ -935,6 +950,62 @@ BAD_EMPIRICALS = {
     "inf": [float("inf"), 0.0, 0.0, 0.0],
     "negative": [-0.25, 0.75, 0.25, 0.25],
 }
+
+
+def reference_elimination(family: Family, h) -> tuple[TraceEvent, ...]:
+    """The elimination walk, driven by :func:`compare` on ``family``, over
+    the pairs lexsorted by nonincreasing distance from the raw rows, ties
+    in (i, j) order; a draw removes the second candidate."""
+    m = family.size
+    idx_i, idx_j = np.triu_indices(m, k=1)
+    distances = np.abs(family.matrix[idx_i] - family.matrix[idx_j]).sum(axis=1)
+    alive = set(range(m))
+    trace = []
+    for p in np.lexsort((idx_j, idx_i, -distances)):
+        i, j = int(idx_i[p]), int(idx_j[p])
+        if len(alive) == 1:
+            break
+        if i in alive and j in alive:
+            outcome = compare(family, i, j, h, Ledger())
+            removed = i if outcome is Outcome.SECOND_WINS else j
+            alive.discard(removed)
+            trace.append(TraceEvent(i, j, outcome, removed))
+    return tuple(trace)
+
+
+class TestOneSelectorSignature:
+    """compare, loss_weight and relaxed_selection_check read the outcome
+    layer by lexicographic index, so a family, cold or preprocessed, and
+    its preprocessed form give the same answers."""
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 12),
+        st.integers(1, 40),
+        st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=4),
+        st.sampled_from(["empirical", "truth", "member"]),
+    )
+    def test_family_and_preprocessed_family_agree(self, seed, m, k, copies, data):
+        """Copied rows make draws and tied distances; ``member`` puts h on
+        a candidate, which draws every pair of its copies."""
+        inst = random_instance(seed, k, m, noise=0.1)
+        rows = inst.family.matrix.copy()
+        for src, dst in copies:
+            rows[dst % m] = rows[src % m]
+        h = {"empirical": inst.empirical, "truth": inst.truth, "member": rows[seed % m]}[data]
+        cold, warm = make_family(rows), make_family(rows)
+        prep = preprocess(warm)
+        for i, j in itertools.permutations(range(m), 2):
+            assert compare(cold, i, j, h, Ledger()) is compare(prep, i, j, h, Ledger())
+        for i in range(m):
+            want = loss_weight(prep, h, i)
+            assert loss_weight(cold, h, i) == want and loss_weight(warm, h, i) == want
+            for include_draws in (False, True):
+                check = relaxed_selection_check(prep, h, i, 1.5, include_draws=include_draws)
+                for target in (cold, warm):
+                    assert relaxed_selection_check(target, h, i, 1.5, include_draws=include_draws) == check
+        assert efficient_min_loss_weight(prep, h).trace == reference_elimination(cold, h)
+        assert cold._lex_pairs.thresholds is not None
 
 
 class TestEmpiricalValidation:
