@@ -20,7 +20,6 @@ from l1select import (
     l1_distance,
     lower_bound_pair,
     lower_bound_tournament,
-    preprocess,
     scheffe_tournament,
 )
 
@@ -46,7 +45,7 @@ for eps in (1e-1, 1e-2, 1e-3, 1e-4):
 # the construction forces.
 
 inst = lower_bound_pair(1e-3)
-report = efficient_min_loss_weight(preprocess(inst.family), inst.empirical, Ledger())
+report = efficient_min_loss_weight(inst.family, inst.empirical, Ledger())
 print()
 print(f"elimination selector keeps {report.selected_name!r} "
       f"(error {l1_distance(inst.family.matrix[report.selected_index], inst.truth):.4f})")
@@ -58,8 +57,7 @@ print(f"elimination selector keeps {report.selected_name!r} "
 # f2 is almost nine times closer to the truth.
 
 nine = lower_bound_tournament(1e-3)
-prep = preprocess(nine.family)
-report = scheffe_tournament(prep, nine.empirical, Ledger())
+report = scheffe_tournament(nine.family, nine.empirical, Ledger())
 
 print()
 print("win-cycle construction at gap 1e-3")
@@ -80,7 +78,7 @@ for i in range(nine.family.size):
     for j in range(nine.family.size):
         if i == j:
             continue
-        if compare(prep, i, j, nine.empirical, Ledger()) is Outcome.FIRST_WINS:
+        if compare(nine.family, i, j, nine.empirical, Ledger()) is Outcome.FIRST_WINS:
             wins[i] += 1
 print()
 print("win counts:", dict(zip(nine.family.names, wins.tolist())))

@@ -15,12 +15,10 @@ import numpy as np
 
 from l1select import (
     Family,
-    Ledger,
     efficient_min_loss_weight,
     min_distance,
     min_loss_weight,
     modified_min_distance,
-    preprocess,
     random_instance,
     scheffe_tournament,
 )
@@ -28,14 +26,15 @@ from l1select import (
 # Each row of the table runs one selector on a random instance with m
 # candidates on a 6-atom support and reports the ledger.  Each row gets a
 # family of its own, so no row reuses the pair table an earlier row built.
+# Every selector takes the family itself and builds what it reads.
 
-SELECTORS = [
-    ("tournament", lambda fam, h: scheffe_tournament(preprocess(fam), h, Ledger())),
-    ("mindist", lambda fam, h: min_distance(fam, h, Ledger())),
-    ("modified", lambda fam, h: modified_min_distance(fam, h, Ledger())),
-    ("minloss", lambda fam, h: min_loss_weight(preprocess(fam), h, Ledger())),
-    ("efficient", lambda fam, h: efficient_min_loss_weight(preprocess(fam), h, Ledger())),
-]
+SELECTORS = {
+    "tournament": scheffe_tournament,
+    "mindist": min_distance,
+    "modified": modified_min_distance,
+    "minloss": min_loss_weight,
+    "efficient": efficient_min_loss_weight,
+}
 
 CLOSED_FORMS = {
     "tournament": ("m(m-1)/2 products", lambda m: m * (m - 1) // 2),
@@ -48,10 +47,10 @@ CLOSED_FORMS = {
 print(f"{'m':>4} {'selector':>10} {'products':>9} {'terms':>7} {'closed form':>20} {'us':>8}")
 for m in (2, 4, 8, 16, 32):
     inst = random_instance(m, 6, m, noise=0.1)
-    for name, run in SELECTORS:
+    for name, select in SELECTORS.items():
         family = Family(inst.family.support, inst.family.candidates)
         start = time.perf_counter()
-        report = run(family, inst.empirical)
+        report = select(family, inst.empirical)
         micros = (time.perf_counter() - start) * 1e6
         label, formula = CLOSED_FORMS[name]
         counted = report.h_products if "products" in label else report.term_evaluations
@@ -68,8 +67,7 @@ print()
 print("products used at m = 32:")
 inst = random_instance(32, 6, 32, noise=0.1)
 for name in ("tournament", "minloss", "efficient"):
-    run = dict(SELECTORS)[name]
-    report = run(inst.family, inst.empirical)
+    report = SELECTORS[name](inst.family, inst.empirical)
     print(f"  {name:>10}: {report.h_products}")
 
 # Ratios between successive family sizes confirm the orders of growth.
@@ -77,10 +75,9 @@ for name in ("tournament", "minloss", "efficient"):
 print()
 print("cost growth when m doubles (counts at 2m over counts at m):")
 for name, column in (("mindist", "term_evaluations"), ("efficient", "h_products")):
-    run = dict(SELECTORS)[name]
     counts = []
     for m in (8, 16, 32):
         inst = random_instance(m, 6, m, noise=0.1)
-        counts.append(getattr(run(inst.family, inst.empirical), column))
+        counts.append(getattr(SELECTORS[name](inst.family, inst.empirical), column))
     growth = np.array(counts[1:]) / np.array(counts[:-1])
     print(f"  {name:>10}: {np.round(growth, 3).tolist()}")

@@ -58,8 +58,6 @@ from .selectors import (
     scheffe_tournament,
 )
 
-ALGORITHMS = ("tournament", "mindist", "modified", "minloss", "efficient", "randomized")
-
 # (coefficient_best, coefficient_deviation) guaranteed by each deterministic
 # selector, and whether the sharper family-restricted deviation also works.
 _BOUNDS = {
@@ -70,14 +68,17 @@ _BOUNDS = {
     "efficient": (3.0, 2.0, True),
 }
 
+ALGORITHMS = (*_BOUNDS, "randomized")
+
 _NOISE_CYCLE = (0.0, 0.02, 0.1, 0.3)
 
 
-def _run_selector(algorithm: str, family, empirical, seed: int, *, prep=None, draw_flip: bool = False):
-    """Run one selector on a fresh ledger.  Only the elimination selector
-    reads the distance order: it uses ``prep`` when given and preprocesses
-    ``family`` otherwise.  The others read the pair layer the family keeps,
-    built on first need."""
+def _run_selector(algorithm: str, family, empirical, seed: int, *, draw_flip: bool = False):
+    """Run one selector on ``family`` with a fresh ledger.  Each reads the
+    pair layer the family keeps, built on first need.  The elimination
+    selector is handed the family preprocessed rather than the family:
+    the benchmark's tracer reads the distance order (``pair_position``) of
+    its argument."""
     ledger = Ledger()
     if algorithm == "tournament":
         return scheffe_tournament(family, empirical, ledger)
@@ -88,9 +89,7 @@ def _run_selector(algorithm: str, family, empirical, seed: int, *, prep=None, dr
     if algorithm == "minloss":
         return min_loss_weight(family, empirical, ledger)
     if algorithm == "efficient":
-        if prep is None:
-            prep = preprocess(family)
-        return efficient_min_loss_weight(prep, empirical, ledger, draw_removes_first=draw_flip)
+        return efficient_min_loss_weight(preprocess(family), empirical, ledger, draw_removes_first=draw_flip)
     if algorithm == "randomized":
         if family.size != 2:
             raise _ParameterError(
@@ -134,10 +133,9 @@ def _evaluate_instance(inst: Instance, delta_mode: str, draw_flip: bool) -> dict
     the first failure (if any).  The bound checks and both readings of the
     elimination invariant share one reference, so ``d1``, each deviation and
     the invariant's outcomes and loss-weights are computed once per
-    instance.  The family is preprocessed first, so every selector reads its
-    outcome layer."""
+    instance.  The tournament runs first and builds the family's outcome
+    layer, which every later selector reads."""
     family, g, h = inst.family, inst.truth, inst.empirical
-    prep = preprocess(family)
     reference = InstanceReference(family, g, h)
     result = {"bounds": {}, "failure": None}
 
@@ -146,7 +144,7 @@ def _evaluate_instance(inst: Instance, delta_mode: str, draw_flip: bool) -> dict
             result["failure"] = {"kind": kind, **detail}
 
     for algorithm, (a, b, supports_restricted) in _BOUNDS.items():
-        report = _run_selector(algorithm, family, h, 0, prep=prep, draw_flip=draw_flip)
+        report = _run_selector(algorithm, family, h, 0, draw_flip=draw_flip)
         mode = "restricted" if (delta_mode == "restricted" and supports_restricted) else "full"
         bound = check_bound(report.selected_index, family, g, h, a, b, mode, reference=reference)
         result["bounds"][algorithm] = bound.margin
@@ -155,10 +153,10 @@ def _evaluate_instance(inst: Instance, delta_mode: str, draw_flip: bool) -> dict
         if algorithm == "efficient":
             # Both readings come from one pass, which the reference keeps.
             strict_ok = check_elimination_invariant(
-                prep, h, report.selected_index, 1.0, reference=reference
+                family, h, report.selected_index, 1.0, reference=reference
             )
             draws_ok = check_elimination_invariant(
-                prep, h, report.selected_index, 1.0, include_draws=True, reference=reference
+                family, h, report.selected_index, 1.0, include_draws=True, reference=reference
             )
             result["invariant_ok"] = strict_ok
             result["invariant_draw_disagrees"] = strict_ok != draws_ok
@@ -226,7 +224,7 @@ def _cmd_verify(args) -> int:
     if args.max_omega < 1 or args.max_family < 1:
         raise _ParameterError("--max-omega and --max-family must be >= 1")
     # Refuse, before any trial runs, a sweep whose largest family could not
-    # get the outcome layer every instance is preprocessed into.
+    # get the outcome layer every instance builds.
     _check_pair_table_capacity(args.max_family, args.max_omega, "outcomes")
 
     # Each instance is generated, evaluated and dropped before the next, so

@@ -26,11 +26,11 @@ on the :class:`Family`:
 
 A family keeps one layer: the outcome layer replaces the sign layer.  A
 pair is found in it by its closed-form lexicographic index.
-:func:`preprocess` adds the distance order, one stable argsort of the
-outcome layer's distances, which only the elimination selector reads.  Each
-layer has its own byte budget, counted from the arrays it holds, and a
-layer over ``_PAIR_TABLE_MAX_BYTES`` is refused with :class:`CapacityError`
-before anything is allocated.
+:func:`preprocess` adds only the distance order, one stable argsort of the
+outcome layer's distances, and the pair endpoints gathered through it; only
+the elimination selector reads them.  Each layer has its own byte budget,
+counted from the arrays it holds, and a layer over ``_PAIR_TABLE_MAX_BYTES``
+is refused with :class:`CapacityError` before anything is allocated.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from __future__ import annotations
 import enum
 import functools
 import types
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -618,6 +618,12 @@ def _pair_layer(family: Family, *, outcomes: bool) -> _PairTable:
     return layer
 
 
+def _check_candidate_index(family: Family, i: int) -> None:
+    """Raise IndexError unless ``i`` indexes a candidate of ``family``."""
+    if not 0 <= i < family.size:
+        raise IndexError(f"candidate index {i} out of range for family of size {family.size}")
+
+
 def _family_of(target: "Family | PreprocessedFamily") -> Family:
     """The family of a selection target, which may be either."""
     return target.family if isinstance(target, PreprocessedFamily) else target
@@ -654,8 +660,7 @@ def empirical_deviation_restricted(g, h, family: Family, i: int) -> float:
     Max over j != i of |(g - h) . T_ij|; never exceeds the unrestricted
     deviation.  Zero when candidate ``i`` has no partner.
     """
-    if not 0 <= i < family.size:
-        raise IndexError(f"candidate index {i} out of range for family of size {family.size}")
+    _check_candidate_index(family, i)
     gv, hv = _as_vector(g), _as_vector(h)
     _check_same_length(gv, hv, family.matrix[i])
     if family.size < 2:
@@ -666,29 +671,19 @@ def empirical_deviation_restricted(g, h, family: Family, i: int) -> float:
 
 
 class PreprocessedFamily:
-    """A family's outcome layer with the distance order: every
-    data-independent pair quantity, precomputed.
+    """A family with the distance order of its pairs: the preprocessing the
+    elimination selector needs.
 
     ``order`` lists the lexicographic indices of the pairs by nonincreasing
-    L1 distance, ties broken lexicographically by (i, j).  ``pair_i``,
-    ``pair_j``, ``distances`` and the comparison thresholds
-    (fi . T + fj . T) / 2 are the outcome layer's P-long arrays gathered
-    through it; the test functions stay in the layer, in lexicographic
-    order.  Building takes O(m^2 k) time and memory and touches no
-    empirical data, so it charges nothing to any ledger.  The layer is the
-    family's own, which every selector on the family reads once it is kept.
+    L1 distance, ties broken lexicographically by (i, j); ``pair_i`` and
+    ``pair_j`` are the pairs' endpoints gathered through it.  Everything
+    else about a pair, its test function, distance and threshold, stays in
+    the family's outcome layer, in lexicographic order.  Building takes
+    O(m^2 k) time and memory and touches no empirical data, so it charges
+    nothing to any ledger.
     """
 
-    __slots__ = (
-        "family",
-        "order",
-        "pair_i",
-        "pair_j",
-        "distances",
-        "thresholds",
-        "_pairs",
-        "_pair_position",
-    )
+    __slots__ = ("family", "order", "pair_i", "pair_j", "_pairs", "_pair_position")
 
     def __init__(self, family: Family):
         if family.size == 0:
@@ -696,12 +691,11 @@ class PreprocessedFamily:
         layer = _pair_layer(family, outcomes=True)
         # Stable, so equal distances keep the layer's lexicographic order.
         order = np.argsort(-layer.distances, kind="stable")
-        per_pair = (layer.pair_i, layer.pair_j, layer.distances, layer.thresholds)
-        arrays = (order, *(arr[order] for arr in per_pair))
+        arrays = (order, layer.pair_i[order], layer.pair_j[order])
         for arr in arrays:
             arr.flags.writeable = False
         self.family = family
-        self.order, self.pair_i, self.pair_j, self.distances, self.thresholds = arrays
+        self.order, self.pair_i, self.pair_j = arrays
         self._pairs = None
         self._pair_position = None
 
@@ -726,25 +720,16 @@ class PreprocessedFamily:
             )
         return self._pair_position
 
-    def test_function_for(self, i: int, j: int) -> TestFunction:
-        """The pair's test function, oriented so positive entries favor ``i``."""
-        signs = _pair_layer(self.family, outcomes=True).signs[_pair_index(self.size, i, j)]
-        return TestFunction(signs if i < j else -signs)
-
-    def distance(self, i: int, j: int) -> float:
-        return float(_pair_layer(self.family, outcomes=True).distances[_pair_index(self.size, i, j)])
-
 
 def preprocess(family: Family) -> PreprocessedFamily:
-    """Precompute all pair test functions, distances and thresholds for a
-    family, and their distance order, in O(m^2 k) time and memory.
+    """The distance order of a family's pairs, in O(m^2 k) time and memory.
 
-    The family's outcome layer holds P * (8k + 32) bytes; the order and the
-    four sorted P-long arrays add 40 bytes a pair, P * (8k + 72) in all.
-    Only :func:`~l1select.selectors.efficient_min_loss_weight` needs the
-    distance order; every other selector, and :func:`compare`, takes the
-    family itself as well.  An outcome layer over ``_PAIR_TABLE_MAX_BYTES``
-    is refused (:class:`CapacityError`), as are distances or thresholds
-    that overflow (ValueError).
+    Builds the family's outcome layer, P * (8k + 32) bytes, unless it keeps
+    one; the order and the two gathered endpoint arrays add 24 bytes a pair,
+    P * (8k + 56) in all.  Only
+    :func:`~l1select.selectors.efficient_min_loss_weight` reads the order,
+    and it preprocesses a :class:`Family` itself.  An outcome layer over
+    ``_PAIR_TABLE_MAX_BYTES`` is refused (:class:`CapacityError`), as are
+    distances or thresholds that overflow (ValueError).
     """
     return PreprocessedFamily(family)

@@ -2,8 +2,9 @@
 
 Everything here recomputes from raw mass vectors: distances by summing
 absolute differences, loss-weights by exhaustive comparison, and VC
-dimension by enumerating subsets.  None of it reuses the cached thresholds
-or distances a :class:`~l1select.core.PreprocessedFamily` carries, so
+dimension by enumerating subsets.  None of it reuses the thresholds or
+distances of the pair table a :class:`~l1select.core.Family` keeps, or the
+distance order of a :class:`~l1select.core.PreprocessedFamily`, so
 agreement between a selector and these checks is evidence, not circularity.
 
 One deliberate exception: pair *outcomes* are recomputed with the same
@@ -49,7 +50,9 @@ from .core import (
     Outcome,
     PreprocessedFamily,
     _as_vector,
+    _check_candidate_index,
     _family_of,
+    _validated_h,
     compare,
     Ledger,
     empirical_deviation,
@@ -190,8 +193,7 @@ def check_bound(
     """
     if delta_mode not in ("full", "restricted"):
         raise ValueError(f"delta_mode must be 'full' or 'restricted', got {delta_mode!r}")
-    if not 0 <= selected < family.size:
-        raise IndexError(f"candidate index {selected} out of range for family of size {family.size}")
+    _check_candidate_index(family, selected)
     if reference is None:
         reference = InstanceReference(family, g, h)
     elif reference.family is not family:
@@ -245,14 +247,15 @@ def _elimination_verdicts(
     rival's brute-force loss-weight are computed once, from raw mass
     vectors.  A strict loss bears on both readings and a draw on the second
     only, so a violated strict reading also violates the draw reading.
+    ``h`` is rejected unless it is finite, nonnegative and on the family's
+    support, as every selector rejects it.
     """
     if not c >= 1.0:
         raise ValueError(f"relaxation factor must be >= 1, got {c}")
     family = _family_of(prep_or_family)
-    if not 0 <= selected < family.size:
-        raise IndexError(f"candidate index {selected} out of range for family of size {family.size}")
+    _check_candidate_index(family, selected)
     matrix = family.matrix
-    hv = _as_vector(h)
+    hv = _validated_h(h, family.support.size)
     strict = with_draws = True
     for j in range(family.size):
         if j == selected:
@@ -285,7 +288,8 @@ def check_elimination_invariant(
     to beat, when ``include_draws`` is set), its distance to that rival must
     be at most ``c`` times the rival's loss-weight.  All outcomes, distances
     and loss-weights are recomputed from raw mass vectors.  Vacuously true
-    for a singleton family.
+    for a singleton family.  An ``h`` that is not finite, nonnegative and on
+    the family's support is rejected, as every selector rejects it.
 
     ``reference``, when given, must have been built from this family and
     ``h``; it keeps both readings of each (selected, c) it is asked for, so
@@ -376,8 +380,7 @@ def yatracos_class(family: Family) -> SetSystem:
 def yatracos_restricted(family: Family, i: int) -> SetSystem:
     """The regions of candidate ``i`` only: {A_ij : j != i}, deduplicated in
     order of j."""
-    if not 0 <= i < family.size:
-        raise IndexError(f"candidate index {i} out of range for family of size {family.size}")
+    _check_candidate_index(family, i)
     matrix = family.matrix
     greater = np.delete(matrix[i] > matrix, i, axis=0)
     return SetSystem(family.support.size, _distinct_regions(greater))

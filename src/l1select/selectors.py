@@ -18,13 +18,12 @@ Every data-dependent inner product is charged to a :class:`~l1select.core.Ledger
 the counts above are exact, not asymptotic.  Deterministic procedures break
 ties by lowest candidate index.
 
-The four quadratic selectors, ``loss_weight`` and ``relaxed_selection_check``
+Every deterministic selector, ``loss_weight`` and ``relaxed_selection_check``
 take a :class:`~l1select.core.Family` or a
 :class:`~l1select.core.PreprocessedFamily` and read the pair table's layer
 they need (see :mod:`l1select.core`): the distance selectors its signs, the
-others its signs, distances and thresholds.  Only
-``efficient_min_loss_weight`` reads the distance order, so it alone needs
-:func:`~l1select.core.preprocess`.
+others its signs, distances and thresholds.  ``efficient_min_loss_weight``
+also reads the distance order, and preprocesses a family it is given.
 
 The empirical mass ``h`` is checked only for finite entries, no negative
 entry and a support of the family's size.  Library callers may pass an
@@ -48,6 +47,7 @@ from .core import (
     Outcome,
     PreprocessedFamily,
     _as_vector,
+    _check_candidate_index,
     _compare_valid,
     _family_of,
     _outcome_at,
@@ -56,6 +56,7 @@ from .core import (
     _pair_layer,
     _validated_h,
     compare,  # re-exported: callers reach the pairwise compare as selectors.compare too
+    preprocess,
     test_function,
 )
 
@@ -353,8 +354,7 @@ def loss_weight(
     rival attaining the maximum.
     """
     family = _family_of(target)
-    if not 0 <= i < family.size:
-        raise IndexError(f"candidate index {i} out of range for family of size {family.size}")
+    _check_candidate_index(family, i)
     hv = _validated_h(h, family.support.size)
     return _loss_weight(_outcome_layer(family), family.size, hv, i, _ensure_ledger(ledger))
 
@@ -392,7 +392,7 @@ def min_loss_weight(
 
 
 def efficient_min_loss_weight(
-    prep: PreprocessedFamily,
+    target: Family | PreprocessedFamily,
     h,
     ledger: Ledger | None = None,
     *,
@@ -401,11 +401,13 @@ def efficient_min_loss_weight(
     """Eliminate candidates along the distance order of the pairs; exactly
     m-1 data products.
 
-    Repeatedly take the first pair in the precomputed distance order
-    (largest L1 distance, lexicographic on ties) whose endpoints both
-    survive, compare the pair, and remove the loser -- on a draw the
-    second-listed candidate is removed, keeping exactly one removal per
-    comparison.  Each compared pair's signs and threshold are read from the
+    Repeatedly take the first pair in the distance order (largest L1
+    distance, lexicographic on ties) whose endpoints both survive, compare
+    the pair, and remove the loser -- on a draw the second-listed candidate
+    is removed, keeping exactly one removal per comparison.  A
+    :class:`~l1select.core.Family` is preprocessed first, after ``h`` is
+    checked; a :class:`~l1select.core.PreprocessedFamily` is walked as it
+    is.  Each compared pair's signs and threshold are read from the
     family's outcome layer.  The survivor satisfies the same 3-vs-2
     guarantee as :func:`min_loss_weight`: whenever it fails to beat a rival
     f', its distance to f' is at most the rival's loss-weight.
@@ -414,7 +416,8 @@ def efficient_min_loss_weight(
     holds either way, and the knob exists so verification can demonstrate
     that.
     """
-    hv = _validated_h(h, prep.family.support.size)
+    hv = _validated_h(h, _family_of(target).support.size)
+    prep = target if isinstance(target, PreprocessedFamily) else preprocess(target)
     ledger = _ensure_ledger(ledger)
     h0, t0 = ledger.h_products, ledger.term_evaluations
     alive = [True] * prep.size
@@ -506,8 +509,7 @@ def relaxed_selection_check(
         raise ValueError(f"relaxation factor must be >= 1, got {c}")
     family = _family_of(target)
     m = family.size
-    if not 0 <= selected < m:
-        raise IndexError(f"candidate index {selected} out of range for family of size {m}")
+    _check_candidate_index(family, selected)
     hv = _validated_h(h, family.support.size)
     layer = _outcome_layer(family)
     scratch = Ledger()

@@ -25,6 +25,7 @@ from l1select import (
     Ledger,
     NormalizationError,
     Outcome,
+    PreprocessedFamily,
     Support,
     SupportMismatchError,
     compare,
@@ -54,6 +55,11 @@ G = np.array([0.5, 0.5, 0.0, 0.0])
 def random_mass_vectors(k: int, count: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     return rng.dirichlet(np.ones(k), size=count)
+
+
+def ordered_distances(prep) -> np.ndarray:
+    """The family's pair distances in the preprocessed distance order."""
+    return _pair_layer(prep.family, outcomes=True).distances[prep.order]
 
 
 class TestSupport:
@@ -303,9 +309,11 @@ class TestEmpiricalDeviation:
 
 class TestPreprocess:
     def test_single_pair_distance(self, pair_instance):
-        prep = preprocess(pair_instance.family)
+        family = pair_instance.family
+        prep = preprocess(family)
         assert prep.pairs == ((0, 1),)
-        assert prep.distances[0] == pytest.approx(1.0 + 4.0 * pair_instance.eps, abs=1e-12)
+        assert ordered_distances(prep)[0] == l1_distance(family[0], family[1])
+        assert ordered_distances(prep)[0] == pytest.approx(1.0 + 4.0 * pair_instance.eps, abs=1e-12)
 
     def test_singleton_family_has_no_pairs(self):
         prep = preprocess(make_family([[1.0]]))
@@ -318,47 +326,58 @@ class TestPreprocess:
     def test_duplicate_pair_sorts_last(self, tournament_instance):
         """The duplicated candidate pair has distance zero, hence comes last
         in the nonincreasing pair order."""
-        prep = preprocess(tournament_instance.family)
+        family = tournament_instance.family
+        prep = preprocess(family)
         assert prep.pairs[-1] == (2, 3)
-        assert prep.distances[-1] == 0.0
+        assert ordered_distances(prep)[-1] == l1_distance(family[2], family[3]) == 0.0
 
     def test_charges_nothing(self, simple_family):
         # preprocess takes no ledger at all: member-only work is free by
-        # construction.  The comparison below only documents that the sorted
-        # distances are nonincreasing.
-        prep = preprocess(simple_family)
-        assert all(
-            prep.distances[p] >= prep.distances[p + 1] for p in range(len(prep.pairs) - 1)
-        )
+        # construction.  The comparison below only documents that the
+        # distances, read through the order, are nonincreasing.
+        distances = ordered_distances(preprocess(simple_family))
+        assert all(distances[p] >= distances[p + 1] for p in range(len(distances) - 1))
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 7), st.integers(2, 5))
     def test_pair_order_nonincreasing_with_lexicographic_ties(self, seed, m, k):
         family = make_family(random_mass_vectors(k, m, seed))
         prep = preprocess(family)
+        distances = ordered_distances(prep)
         for p in range(len(prep.pairs) - 1):
-            d0, d1 = prep.distances[p], prep.distances[p + 1]
+            d0, d1 = distances[p], distances[p + 1]
             assert d0 >= d1
             if d0 == d1:
                 assert prep.pairs[p] < prep.pairs[p + 1]
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.integers(2, 20))
     def test_thresholds_match_member_products(self, seed, m, k):
-        """The cached threshold of each pair is, bit for bit, the average of
-        the two members' products with the pair's test function, computed
-        from the raw vectors."""
+        """The kept threshold of each pair, read through the distance
+        order, is, bit for bit, the average of the two members' products
+        with the pair's test function, computed from the raw vectors."""
         rows = random_mass_vectors(k, m, seed)
         prep = preprocess(make_family(rows))
+        thresholds = _pair_layer(prep.family, outcomes=True).thresholds
         for pos, (i, j) in enumerate(prep.pairs):
             t = make_test_function(rows[i], rows[j])
             expected = 0.5 * (inner_product(rows[i], t) + inner_product(rows[j], t))
-            assert prep.thresholds[pos] == expected
+            assert thresholds[prep.order[pos]] == expected
 
     def test_pair_endpoints_follow_pair_order(self, tournament_instance):
         prep = preprocess(tournament_instance.family)
         assert list(zip(prep.pair_i.tolist(), prep.pair_j.tolist())) == list(prep.pairs)
         assert all(prep.pair_position[pair] == pos for pos, pair in enumerate(prep.pairs))
-        for arr in (prep.order, prep.pair_i, prep.pair_j, prep.distances, prep.thresholds):
+        for arr in (prep.order, prep.pair_i, prep.pair_j):
             assert not arr.flags.writeable
+
+    def test_holds_the_distance_order_and_nothing_else(self, simple_family):
+        """A preprocessed family adds the order and the endpoints gathered
+        through it; the pair data stays in the family's layer."""
+        prep = preprocess(simple_family)
+        assert set(PreprocessedFamily.__slots__) == {
+            "family", "order", "pair_i", "pair_j", "_pairs", "_pair_position"
+        }
+        public = {name for name in dir(prep) if not name.startswith("_")}
+        assert public == {"family", "order", "pair_i", "pair_j", "size", "pairs", "pair_position"}
 
     @pytest.mark.parametrize("m, k", [(7, 5), (96, 64)])
     def test_holds_one_pair_by_atom_array(self, m, k):
@@ -378,7 +397,7 @@ class TestPreprocess:
         held += [family.matrix, *family._lex_pairs]
         tables = [arr for arr in held if isinstance(arr, np.ndarray) and arr.shape == (pairs, k)]
         assert len(tables) == 1 and tables[0] is family._lex_pairs.signs
-        assert retained < pairs * (8 * k + 72) + 100_000
+        assert retained < pairs * (8 * k + 56) + 100_000
 
     def test_large_family_peak_memory_is_quadratic(self):
         """At m=96, k=64 the pair table itself is P*k*8 = 2.3 MB (P = 4560
@@ -400,6 +419,7 @@ class TestPreprocess:
         h = np.full(6, 1 / 6)
         builders = [
             preprocess,
+            lambda fam: efficient_min_loss_weight(fam, h),
             lambda fam: min_distance(fam, h),
             lambda fam: modified_min_distance(fam, h),
             lambda fam: scheffe_tournament(fam, h),
@@ -423,6 +443,7 @@ class TestPreprocess:
         h = np.full(6, 1 / 6)
         builders = [
             ("outcomes", preprocess),
+            ("outcomes", lambda fam: efficient_min_loss_weight(fam, h)),
             ("signs", lambda fam: min_distance(fam, h)),
             ("signs", lambda fam: modified_min_distance(fam, h)),
             ("outcomes", lambda fam: scheffe_tournament(fam, h)),
@@ -464,15 +485,14 @@ def reference_pair_table(rows: np.ndarray) -> tuple[np.ndarray, ...]:
 
 def assert_table_matches_reference(rows: np.ndarray) -> None:
     """The outcome layer of ``rows``, gathered through the distance order
-    of its preprocessed family, is the reference table bit for bit; and the
-    order is the lexicographic index of each listed pair."""
+    of its preprocessed family, is the reference table bit for bit, with
+    the preprocessed endpoints; and the order is the lexicographic index of
+    each listed pair."""
     prep = preprocess(make_family(rows))
-    layer = _pair_layer(prep.family, outcomes=True)
-    gathered = (prep.pair_i, prep.pair_j, layer.signs[prep.order], prep.distances, prep.thresholds)
+    gathered = tuple(arr[prep.order] for arr in _pair_layer(prep.family, outcomes=True))
     for built, want in zip(gathered, reference_pair_table(rows)):
         assert np.array_equal(built, want)
-    for sorted_, lexicographic in zip(gathered, layer):
-        assert np.array_equal(sorted_, lexicographic[prep.order])
+    assert np.array_equal(prep.pair_i, gathered[0]) and np.array_equal(prep.pair_j, gathered[1])
     m = rows.shape[0]
     lex = prep.pair_i * (2 * m - prep.pair_i - 1) // 2 + (prep.pair_j - prep.pair_i - 1)
     assert np.array_equal(prep.order, lex)
@@ -516,25 +536,28 @@ class TestPairTable:
         st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=3),
     )
     def test_compare_through_position_agrees_with_pair_position(self, seed, m, k, copies):
-        """compare, distance and test_function_for find a pair by its
-        lexicographic index; the pair's place in the distance order, mapped
-        through ``order``, reaches the same signs, distance and threshold."""
+        """compare finds a pair by its lexicographic index; the pair's place
+        in the distance order, mapped through ``order``, reaches the signs
+        and distance that test_function and l1_distance give on the raw
+        rows, and the threshold compare decides by."""
         inst = random_instance(seed, k, m, noise=0.1)
         rows = inst.family.matrix.copy()
         for src, dst in copies:
             rows[dst % m] = rows[src % m]
         prep = preprocess(make_family(rows))
-        signs = _pair_layer(prep.family, outcomes=True).signs
+        layer = _pair_layer(prep.family, outcomes=True)
         h = inst.empirical.mass
         for i in range(m):
             for j in range(m):
                 if i == j:
                     continue
-                pos = prep.pair_position[(min(i, j), max(i, j))]
-                pair_signs = signs[prep.order[pos]]
-                assert np.array_equal(prep.test_function_for(i, j).signs, pair_signs if i < j else -pair_signs)
+                lex = prep.order[prep.pair_position[(min(i, j), max(i, j))]]
+                pair_signs = layer.signs[lex]
+                assert np.array_equal(
+                    make_test_function(rows[i], rows[j]).signs, pair_signs if i < j else -pair_signs
+                )
                 product = float((h * pair_signs).sum())
-                threshold = prep.thresholds[pos]
+                threshold = layer.thresholds[lex]
                 if i > j:
                     product, threshold = -product, -threshold
                 want = (
@@ -543,7 +566,7 @@ class TestPairTable:
                     else Outcome.DRAW
                 )
                 assert compare(prep, i, j, h, Ledger()) is want
-                assert prep.distance(i, j) == prep.distances[pos]
+                assert l1_distance(rows[i], rows[j]) == layer.distances[lex]
 
     def test_pairs_and_pair_position_are_lazy_read_only_views(self):
         inst = random_instance(2, 8, 9, noise=0.1)

@@ -24,7 +24,7 @@ from l1select import (
     write_family,
     write_mass_vector,
 )
-from l1select import cli, oracle
+from l1select import cli, core, oracle
 from l1select.cli import main
 from conftest import make_family
 
@@ -566,6 +566,51 @@ class TestVerifyCommand:
             assert called.get("best_in_family") == 1
             assert called.get("empirical_deviation") == 1
             assert called.get("empirical_deviation_restricted", 0) == restricted
+
+    def test_each_instance_builds_one_outcome_layer_and_sorts_it_once(
+        self, capsys, tmp_path, monkeypatch, pair_table_builds
+    ):
+        """The tournament runs first and builds each sweep family's outcome
+        layer, which every later selector reads: no selector builds a sign
+        layer (only the oracle's deviation builds one, which it does not
+        keep), and the elimination selector's preprocess sorts the layer
+        once."""
+        monkeypatch.chdir(tmp_path)
+        deviation = oracle.empirical_deviation
+
+        def deviating(g, h, family):
+            pair_table_builds.append(("deviation", family.matrix.shape))
+            return deviation(g, h, family)
+
+        monkeypatch.setattr(oracle, "empirical_deviation", deviating)
+        sorts = []
+        init = core.PreprocessedFamily.__init__
+
+        def sorting(prep, family):
+            sorts.append(family)
+            init(prep, family)
+
+        monkeypatch.setattr(core.PreprocessedFamily, "__init__", sorting)
+        per_instance = []
+        evaluate = cli._evaluate_instance
+
+        def evaluating(inst, *args):
+            pair_table_builds.clear()
+            sorts.clear()
+            result = evaluate(inst, *args)
+            per_instance.append((inst.family, list(pair_table_builds), list(sorts)))
+            return result
+
+        monkeypatch.setattr(cli, "_evaluate_instance", evaluating)
+        code = main(["verify", "--trials", "20", "--seed", "3"])
+        capsys.readouterr()
+        assert code == 0
+        assert len(per_instance) == 28
+        for family, built, sorted_ in per_instance:
+            shape = family.matrix.shape
+            want = [("outcomes", shape), ("deviation", shape)]
+            assert built == want + ([("signs", shape)] if family.size >= 2 else [])
+            assert len(sorted_) == 1 and sorted_[0] is family
 
     @pytest.mark.parametrize("delta_mode", ["full", "restricted"])
     def test_shared_reference_gives_the_from_scratch_checks(self, capsys, tmp_path, monkeypatch, delta_mode):

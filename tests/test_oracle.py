@@ -21,6 +21,7 @@ from l1select import (
     Outcome,
     SetSystem,
     Support,
+    SupportMismatchError,
     best_in_family,
     check_bound,
     check_elimination_invariant,
@@ -184,6 +185,36 @@ class TestEliminationInvariant:
         for c in (0.9, float("nan")):
             with pytest.raises(ValueError, match="relaxation factor must be >= 1"):
                 check_elimination_invariant(pair_instance.family, pair_instance.empirical, 0, c)
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            ("nan", ValueError),
+            ("inf", ValueError),
+            ("negative", ValueError),
+            ("short", SupportMismatchError),
+        ],
+    )
+    def test_invalid_h_rejected(self, bad, error):
+        """Candidate 0 fails the invariant on this instance.  A NaN would
+        make every outcome a draw, so both readings would pass vacuously,
+        and a short h would fail only inside numpy: each is refused as the
+        selectors refuse it, by both readings, with or without a reference."""
+        inst = random_instance(0, 6, 8, 0.3)
+        assert not check_elimination_invariant(inst.family, inst.empirical, 0, 1.0)
+        h = inst.empirical.mass.copy()
+        if bad == "short":
+            h = h[:3]
+        else:
+            h[0] = {"nan": float("nan"), "inf": float("inf"), "negative": -0.25}[bad]
+        for include_draws in (False, True):
+            with pytest.raises(error):
+                check_elimination_invariant(inst.family, h, 0, 1.0, include_draws=include_draws)
+            reference = InstanceReference(inst.family, inst.truth, h)
+            with pytest.raises(error):
+                check_elimination_invariant(
+                    inst.family, h, 0, 1.0, include_draws=include_draws, reference=reference
+                )
 
     def test_larger_relaxation_is_monotone(self):
         for seed in range(20):

@@ -42,6 +42,7 @@ from l1select import (
     swap_pair,
 )
 from l1select import selectors
+from l1select import test_function as make_test_function
 from l1select.core import _pair_layer, _pair_signs
 from l1select.selectors import (
     TraceEvent,
@@ -434,7 +435,7 @@ class TestDeterminismAndEquivariance:
         """No pair draws, no distance ties, and distinct per-candidate scores
         for every score-based rule."""
         prep = preprocess(fam)
-        dists = sorted(prep.distances)
+        dists = sorted(l1_distance(fam[i], fam[j]) for i, j in prep.pairs)
         if any(a == b for a, b in zip(dists, dists[1:])):
             return False
         wins = [0] * fam.size
@@ -537,7 +538,7 @@ class TestVectorisedPairOutcomes:
             inst = random_instance(seed, 64, 2, noise=0.1)
             prep = preprocess(inst.family)
             h = inst.family.matrix.mean(axis=0)
-            x = int(np.flatnonzero(prep.test_function_for(0, 1).signs > 0)[0])
+            x = int(np.flatnonzero(make_test_function(inst.family[0], inst.family[1]).signs > 0)[0])
             for _ in range(200):
                 outcome = compare(prep, 0, 1, h, Ledger())
                 if outcome is Outcome.DRAW:
@@ -750,19 +751,18 @@ class TestSharedPairTable:
 
     def test_preprocessed_arrays_are_the_family_table(self):
         """A preprocessed family reads the family's own outcome layer: its
-        sorted arrays are that layer's gathered through ``order``, a second
-        preprocess reuses the layer, and every array is read-only."""
+        endpoints are that layer's gathered through ``order``, which lists
+        the layer's distances nonincreasing, a second preprocess reuses the
+        layer, and every array is read-only."""
         family = random_instance(5, 10, 7).family
         layer = _pair_layer(family, outcomes=True)
         prep = preprocess(family)
         assert family._lex_pairs is layer
         assert preprocess(family).family._lex_pairs is layer
-        for sorted_, lexicographic in zip(
-            (prep.pair_i, prep.pair_j, prep.distances, prep.thresholds),
-            (layer.pair_i, layer.pair_j, layer.distances, layer.thresholds),
-        ):
-            assert np.array_equal(sorted_, lexicographic[prep.order])
-        for arr in (*layer, prep.order, prep.pair_i, prep.pair_j, prep.distances, prep.thresholds):
+        assert np.array_equal(prep.pair_i, layer.pair_i[prep.order])
+        assert np.array_equal(prep.pair_j, layer.pair_j[prep.order])
+        assert np.all(np.diff(layer.distances[prep.order]) <= 0.0)
+        for arr in (*layer, prep.order, prep.pair_i, prep.pair_j):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = arr[0]
@@ -812,14 +812,16 @@ COLD_SELECTORS = {
     "mindist": min_distance,
     "modified": modified_min_distance,
     "minloss": min_loss_weight,
+    "efficient": efficient_min_loss_weight,
 }
 
 
 def assert_cold_selects_like_preprocessed(rows: np.ndarray, h) -> None:
-    """The four selectors on a cold family (building the layer each reads)
-    pick the index, and charge the ledger, that they do on a preprocessed
-    copy; and the cold family's outcome layer, gathered through the copy's
-    distance order, is the copy's sorted arrays bit for bit."""
+    """The five selectors on a cold family (building the layer each reads)
+    give the report, index, ledger and trace, that they give on a
+    preprocessed copy; the cold family's outcome layer is the copy's bit for
+    bit, and gathered through the copy's distance order it gives the copy's
+    endpoints."""
     cold, warm = make_family(rows), make_family(rows)
     prep = preprocess(warm)
     for name, select in COLD_SELECTORS.items():
@@ -829,14 +831,10 @@ def assert_cold_selects_like_preprocessed(rows: np.ndarray, h) -> None:
     layer = cold._lex_pairs
     idx_i, idx_j = np.triu_indices(rows.shape[0], k=1)
     assert np.array_equal(layer.pair_i, idx_i) and np.array_equal(layer.pair_j, idx_j)
-    assert np.array_equal(layer.signs, warm._lex_pairs.signs)
-    for lexicographic, sorted_ in (
-        (layer.pair_i, prep.pair_i),
-        (layer.pair_j, prep.pair_j),
-        (layer.distances, prep.distances),
-        (layer.thresholds, prep.thresholds),
-    ):
-        assert np.array_equal(lexicographic[prep.order], sorted_)
+    for cold_arr, warm_arr in zip(layer, warm._lex_pairs):
+        assert np.array_equal(cold_arr, warm_arr)
+    assert np.array_equal(layer.pair_i[prep.order], prep.pair_i)
+    assert np.array_equal(layer.pair_j[prep.order], prep.pair_j)
 
 
 class TestColdFamilyLayers:
@@ -893,13 +891,20 @@ class TestColdFamilyLayers:
 
     @pytest.mark.parametrize(
         "name, layer_bytes_per_pair",
-        [("mindist", 64 * 8), ("modified", 64 * 8), ("tournament", 64 * 8 + 16), ("minloss", 64 * 8 + 16)],
+        [
+            ("mindist", 64 * 8),
+            ("modified", 64 * 8),
+            ("tournament", 64 * 8 + 16),
+            ("minloss", 64 * 8 + 16),
+            ("efficient", 64 * 8 + 16 + 24),
+        ],
     )
     def test_cold_peak_memory_is_the_layer_read(self, name, layer_bytes_per_pair):
         """At m=96, k=64 a cold selection holds the arrays of the layer it
         reads (2.3 MB of signs, plus distances and thresholds for the
-        outcome selectors) and block-sized temporaries: no temporary as
-        large as the layer, such as a P x k product with h."""
+        outcome selectors, plus the distance order and its endpoints for
+        the elimination selector) and block-sized temporaries: no temporary
+        as large as the layer, such as a P x k product with h."""
         family = make_family(random_instance(0, 64, 96).family.matrix)
         h = np.full(64, 1 / 64)
         tracemalloc.start()
@@ -917,6 +922,7 @@ class TestColdFamilyLayers:
             ("mindist", "cannot select from an empty family"),
             ("modified", "cannot select from an empty family"),
             ("minloss", "cannot preprocess an empty family"),
+            ("efficient", "cannot preprocess an empty family"),
         ],
     )
     def test_singleton_and_empty_families(self, name, message, pair_table_builds):
@@ -974,9 +980,9 @@ def reference_elimination(family: Family, h) -> tuple[TraceEvent, ...]:
 
 
 class TestOneSelectorSignature:
-    """compare, loss_weight and relaxed_selection_check read the outcome
-    layer by lexicographic index, so a family, cold or preprocessed, and
-    its preprocessed form give the same answers."""
+    """compare, loss_weight, relaxed_selection_check and the elimination
+    selector read the outcome layer by lexicographic index, so a family,
+    cold or preprocessed, and its preprocessed form give the same answers."""
 
     @given(
         st.integers(0, 2**32 - 1),
@@ -1004,7 +1010,11 @@ class TestOneSelectorSignature:
                 check = relaxed_selection_check(prep, h, i, 1.5, include_draws=include_draws)
                 for target in (cold, warm):
                     assert relaxed_selection_check(target, h, i, 1.5, include_draws=include_draws) == check
-        assert efficient_min_loss_weight(prep, h).trace == reference_elimination(cold, h)
+        ledgers = [Ledger() for _ in range(3)]
+        reports = [efficient_min_loss_weight(t, h, ledger) for t, ledger in zip((cold, warm, prep), ledgers)]
+        assert reports[0] == reports[1] == reports[2]
+        assert ledgers[0] == ledgers[1] == ledgers[2] == Ledger(max(m - 1, 0), 0)
+        assert reports[0].trace == reference_elimination(cold, h)
         assert cold._lex_pairs.thresholds is not None
 
 
