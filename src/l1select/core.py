@@ -13,6 +13,17 @@ candidates is the better fit.  Comparisons are charged to a :class:`Ledger`
 so that the exact number of data-dependent inner products used by each
 selection procedure can be asserted, not estimated.
 
+Every public function of the package that takes a mass vector (a
+candidate, a truth ``g`` or an empirical ``h``) checks it once per call, in
+one place: it refuses a NaN, infinite or negative entry with ValueError and
+a length other than the support's with :class:`SupportMismatchError`.  Where
+the vector must be a distribution (an :class:`EmpiricalDistribution`, a
+candidate built with ``distribution=True``, the inputs of
+:func:`scheffe_win` and of ``sample_empirical``), a total more than
+``NORMALIZATION_TOL`` from 1 is refused with :class:`NormalizationError`.
+Elsewhere the total is not checked, so library callers may pass an
+unnormalized ``h``; the selectors' guarantees assume a normalized one.
+
 The pair table of a family (every unordered pair's endpoints, test function,
 L1 distance and comparison threshold) lists the pairs in lexicographic
 (i, j) order, in one of two layers built on first need and kept read-only
@@ -141,6 +152,34 @@ def _as_vector(values) -> np.ndarray:
     return arr
 
 
+def _checked_mass(values, noun: str, k: int | None = None, *, normalized: bool = False) -> np.ndarray:
+    """``values`` coerced by :func:`_as_vector`, refused unless it is a mass
+    vector; ``noun`` names it in the message.
+
+    Refuses a length other than ``k``, when ``k`` is given
+    (:class:`SupportMismatchError`), a NaN, infinite or negative entry
+    (ValueError) and, with ``normalized``, a total more than
+    ``NORMALIZATION_TOL`` from 1 (:class:`NormalizationError`).  Every
+    public function that takes a mass vector checks it here, once per call.
+    Two reductions test finite and nonnegative together, as NaN fails both
+    comparisons; the entries are scanned only to word a refusal.
+    """
+    arr = _as_vector(values)
+    if k is not None and arr.shape[0] != k:
+        raise SupportMismatchError(f"{noun} has {arr.shape[0]} entries on a support of size {k}")
+    top = arr.max(initial=0.0)
+    if not (arr.min(initial=0.0) >= 0.0 and top < np.inf):
+        fault = "non-finite" if not np.isfinite(arr).all() else "negative"
+        raise ValueError(f"{noun} has {fault} mass entries")
+    # The entries are finite and nonnegative, so the total is at least ``top``
+    # and cannot overflow while ``top`` is at most 2.
+    if normalized and not (top <= 2.0 and abs(float(arr.sum()) - 1.0) <= NORMALIZATION_TOL):
+        with np.errstate(over="ignore"):
+            total = float(arr.sum())
+        raise NormalizationError(f"{noun} must sum to 1, got {total!r}")
+    return arr
+
+
 def _check_same_length(*vectors: np.ndarray) -> int:
     sizes = {v.shape[0] for v in vectors}
     if len(sizes) != 1:
@@ -187,15 +226,7 @@ class Candidate:
     __slots__ = ("name", "mass")
 
     def __init__(self, name: str, mass, *, distribution: bool = False):
-        arr = _as_vector(mass).copy()
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"candidate {name!r} has non-finite mass entries")
-        if np.any(arr < 0.0):
-            raise ValueError(f"candidate {name!r} has negative mass entries")
-        if distribution and abs(float(arr.sum()) - 1.0) > NORMALIZATION_TOL:
-            raise NormalizationError(
-                f"candidate {name!r} flagged as a distribution but has total mass {arr.sum()!r}"
-            )
+        arr = _checked_mass(mass, f"candidate {name!r}", normalized=distribution).copy()
         arr.flags.writeable = False
         self.name = name
         self.mass = arr
@@ -210,7 +241,7 @@ class Candidate:
         return candidate
 
     def is_distribution(self, tol: float = NORMALIZATION_TOL) -> bool:
-        return bool(np.all(self.mass >= 0.0)) and abs(float(self.mass.sum()) - 1.0) <= tol
+        return abs(float(self.mass.sum()) - 1.0) <= tol
 
     def __repr__(self):
         return f"Candidate({self.name!r}, total_mass={float(self.mass.sum()):.6g})"
@@ -222,13 +253,7 @@ class EmpiricalDistribution:
     __slots__ = ("mass", "sample_count")
 
     def __init__(self, mass, sample_count: int | None = None):
-        arr = _as_vector(mass).copy()
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("empirical mass has non-finite entries")
-        if np.any(arr < 0.0):
-            raise ValueError("empirical mass has negative entries")
-        if abs(float(arr.sum()) - 1.0) > NORMALIZATION_TOL:
-            raise NormalizationError(f"empirical mass must sum to 1, got {arr.sum()!r}")
+        arr = _checked_mass(mass, "empirical distribution", normalized=True).copy()
         if sample_count is not None and sample_count < 1:
             raise ValueError(f"sample_count must be >= 1, got {sample_count}")
         arr.flags.writeable = False
@@ -281,13 +306,9 @@ class Family:
         not name the candidate at fault.
         """
         names = tuple(names)
-        if (
-            matrix.shape != (len(names), support.size)
-            or len(set(names)) != len(names)
-            or not np.isfinite(matrix).all()
-            or (matrix < 0.0).any()
-        ):
+        if matrix.shape != (len(names), support.size) or len(set(names)) != len(names):
             raise ValueError("mass matrix fails the candidate checks")
+        _checked_mass(matrix.reshape(-1), "mass matrix")
         matrix.flags.writeable = False
         family = cls.__new__(cls)
         family.support = support
@@ -408,35 +429,20 @@ def compare(target: "Family | PreprocessedFamily", i: int, j: int, h, ledger: Le
         h . T == t   ->  DRAW
 
     Exactly one ``h_products`` ledger increment per call.  The outcome is
-    antisymmetric: swapping i and j flips FIRST_WINS and SECOND_WINS.  ``h``
-    is rejected unless it is finite, nonnegative and on the family's support.
+    antisymmetric: swapping i and j flips FIRST_WINS and SECOND_WINS.
     ``target`` is a family or a preprocessed one; either way the pair is read
     from the family's outcome layer, built on first need.
     """
     family = _family_of(target)
-    hvec = _validated_h(h, family.support.size)
+    hvec = _checked_mass(h, "empirical distribution", family.support.size)
     return _compare_valid(_pair_layer(family, outcomes=True), family.size, i, j, hvec, ledger)
 
 
 def _compare_valid(layer: "_PairTable", m: int, i: int, j: int, hvec: np.ndarray, ledger: Ledger) -> Outcome:
     """:func:`compare` on the outcome ``layer`` of ``m`` candidates, for an
-    ``hvec`` already passed through :func:`_validated_h`."""
+    ``hvec`` already passed through :func:`_checked_mass`."""
     outcome = _outcome_at(layer, _pair_index(m, i, j), hvec, ledger)
     return outcome if i < j else outcome.flipped()
-
-
-def _validated_h(h, k: int) -> np.ndarray:
-    """The empirical mass as a vector, rejected unless it is finite,
-    nonnegative and on a support of size ``k``.  Every selector, and every
-    public comparison, runs it once per call, not once per inner compare."""
-    hv = _as_vector(h)
-    if hv.shape[0] != k:
-        raise SupportMismatchError(f"empirical mass of size {hv.shape[0]} on a support of size {k}")
-    if not np.all(np.isfinite(hv)):
-        raise ValueError("empirical mass has non-finite entries")
-    if np.any(hv < 0.0):
-        raise ValueError("empirical mass has negative entries")
-    return hv
 
 
 def _outcome_at(layer: "_PairTable", lex: int, hvec: np.ndarray, ledger: Ledger) -> Outcome:
@@ -468,11 +474,9 @@ def scheffe_win(fi, fj, h) -> Outcome:
     wins when its total mass over ``scheffe_set(fi, fj)`` is closer to the
     empirical mass of that region than candidate j's.
     """
-    a, b, hv = _as_vector(fi), _as_vector(fj), _as_vector(h)
-    _check_same_length(a, b, hv)
-    for label, vec in (("first", a), ("second", b), ("empirical", hv)):
-        if np.any(vec < 0.0) or abs(float(vec.sum()) - 1.0) > NORMALIZATION_TOL:
-            raise NormalizationError(f"scheffe_win requires normalized inputs; {label} vector is not")
+    a = _checked_mass(fi, "first candidate", normalized=True)
+    b = _checked_mass(fj, "second candidate", a.shape[0], normalized=True)
+    hv = _checked_mass(h, "empirical distribution", a.shape[0], normalized=True)
     region = a > b
     mass_i = float(a[region].sum())
     mass_j = float(b[region].sum())
@@ -642,12 +646,8 @@ def empirical_deviation(g, h, family: Family) -> float:
     The test functions come from a sign layer built from ``family.matrix``
     on every call, never from a layer the family keeps.
     """
-    gv, hv = _as_vector(g), _as_vector(h)
-    _check_same_length(gv, hv)
-    if gv.shape[0] != family.support.size:
-        raise SupportMismatchError(
-            f"mass vectors of size {gv.shape[0]} on a family support of size {family.support.size}"
-        )
+    gv = _checked_mass(g, "truth", family.support.size)
+    hv = _checked_mass(h, "empirical distribution", family.support.size)
     if family.size < 2:
         return 0.0
     signs = _pair_signs(family.matrix).signs
@@ -661,8 +661,8 @@ def empirical_deviation_restricted(g, h, family: Family, i: int) -> float:
     deviation.  Zero when candidate ``i`` has no partner.
     """
     _check_candidate_index(family, i)
-    gv, hv = _as_vector(g), _as_vector(h)
-    _check_same_length(gv, hv, family.matrix[i])
+    gv = _checked_mass(g, "truth", family.support.size)
+    hv = _checked_mass(h, "empirical distribution", family.support.size)
     if family.size < 2:
         return 0.0
     others = np.delete(family.matrix, i, axis=0)

@@ -21,9 +21,8 @@ from .core import (
     Candidate,
     EmpiricalDistribution,
     Family,
-    NormalizationError,
     Support,
-    _as_vector,
+    _checked_mass,
 )
 
 __all__ = [
@@ -60,9 +59,7 @@ class Instance:
     eps: float | None = None
 
     def __post_init__(self):
-        truth = _as_vector(self.truth).copy()
-        if truth.shape[0] != self.family.support.size:
-            raise ValueError("instance truth vector does not match the family support")
+        truth = _checked_mass(self.truth, "truth", self.family.support.size).copy()
         truth.flags.writeable = False
         self.truth = truth
 
@@ -273,17 +270,15 @@ def sample_empirical(g, n: int, seed: int) -> EmpiricalDistribution:
     for any sample size.
 
     Args:
-        g: a normalized mass vector (within 1e-9).
+        g: a normalized mass vector (within ``NORMALIZATION_TOL``).
         n: number of draws, >= 1.
         seed: RNG seed.
 
     Raises:
-        NormalizationError: if ``g`` is not a distribution.
-        ValueError: if ``n`` < 1.
+        ValueError: if ``g`` has a non-finite or negative entry, or ``n`` < 1.
+        NormalizationError: if ``g`` does not sum to 1.
     """
-    gv = _as_vector(g)
-    if np.any(gv < 0.0) or abs(float(gv.sum()) - 1.0) > 1e-9:
-        raise NormalizationError("sampling requires a normalized nonnegative mass vector")
+    gv = _checked_mass(g, "sampled distribution", normalized=True)
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
     rng = np.random.default_rng(seed)

@@ -51,8 +51,9 @@ from .core import (
     PreprocessedFamily,
     _as_vector,
     _check_candidate_index,
+    _check_same_length,
+    _checked_mass,
     _family_of,
-    _validated_h,
     compare,
     Ledger,
     empirical_deviation,
@@ -120,7 +121,7 @@ def best_in_family(family: Family, g) -> tuple[int, float]:
     lowest index on ties)."""
     if family.size == 0:
         raise EmptyFamilyError("no best member in an empty family")
-    gv = _as_vector(g)
+    gv = _checked_mass(g, "truth", family.support.size)
     dists = np.abs(family.matrix - gv).sum(axis=1)
     idx = int(np.argmin(dists))
     return idx, float(dists[idx])
@@ -247,15 +248,13 @@ def _elimination_verdicts(
     rival's brute-force loss-weight are computed once, from raw mass
     vectors.  A strict loss bears on both readings and a draw on the second
     only, so a violated strict reading also violates the draw reading.
-    ``h`` is rejected unless it is finite, nonnegative and on the family's
-    support, as every selector rejects it.
     """
     if not c >= 1.0:
         raise ValueError(f"relaxation factor must be >= 1, got {c}")
     family = _family_of(prep_or_family)
     _check_candidate_index(family, selected)
     matrix = family.matrix
-    hv = _validated_h(h, family.support.size)
+    hv = _checked_mass(h, "empirical distribution", family.support.size)
     strict = with_draws = True
     for j in range(family.size):
         if j == selected:
@@ -288,8 +287,7 @@ def check_elimination_invariant(
     to beat, when ``include_draws`` is set), its distance to that rival must
     be at most ``c`` times the rival's loss-weight.  All outcomes, distances
     and loss-weights are recomputed from raw mass vectors.  Vacuously true
-    for a singleton family.  An ``h`` that is not finite, nonnegative and on
-    the family's support is rejected, as every selector rejects it.
+    for a singleton family.
 
     ``reference``, when given, must have been built from this family and
     ``h``; it keeps both readings of each (selected, c) it is asked for, so
@@ -330,10 +328,13 @@ def check_quadruple(fi, fj, fk, fl) -> float:
 
     The product of a difference with its own sign vector dominates its product
     with any other sign vector, so the value is >= 0 up to roundoff; a value
-    below ``-QUADRUPLE_TOL`` raises.
+    below ``-QUADRUPLE_TOL`` raises.  The vectors may be any real vectors of
+    one length; vectors of different lengths raise
+    :class:`~l1select.core.SupportMismatchError`.
     """
     a, b = _as_vector(fi), _as_vector(fj)
     k, l = _as_vector(fk), _as_vector(fl)
+    _check_same_length(a, b, k, l)
     diff = a - b
     t_own = np.sign(diff)
     t_other = np.sign(k - l)

@@ -25,11 +25,10 @@ they need (see :mod:`l1select.core`): the distance selectors its signs, the
 others its signs, distances and thresholds.  ``efficient_min_loss_weight``
 also reads the distance order, and preprocesses a family it is given.
 
-The empirical mass ``h`` is checked only for finite entries, no negative
-entry and a support of the family's size.  Library callers may pass an
-unnormalized ``h``; no selector spends time checking its sum.  The paper's
-guarantees assume a normalized ``h``, which the command line enforces by
-reading it into an :class:`~l1select.core.EmpiricalDistribution`.
+Every mass vector is checked once per call as :mod:`l1select.core`
+describes.  The paper's guarantees assume a normalized ``h``, which the
+command line enforces by reading it into an
+:class:`~l1select.core.EmpiricalDistribution`.
 """
 
 from __future__ import annotations
@@ -46,15 +45,14 @@ from .core import (
     Ledger,
     Outcome,
     PreprocessedFamily,
-    _as_vector,
     _check_candidate_index,
+    _checked_mass,
     _compare_valid,
     _family_of,
     _outcome_at,
     _pair_blocks,
     _pair_index,
     _pair_layer,
-    _validated_h,
     compare,  # re-exported: callers reach the pairwise compare as selectors.compare too
     preprocess,
     test_function,
@@ -196,7 +194,7 @@ def _pair_outcomes(target: Family | PreprocessedFamily, h, ledger: Ledger) -> tu
     could flip a one-ulp draw).  Charges one data product per pair.
     """
     pairs = _outcome_layer(target)
-    hv = _validated_h(h, _family_of(target).support.size)
+    hv = _checked_mass(h, "empirical distribution", _family_of(target).support.size)
     prods = _row_products(pairs.signs, hv)
     ledger.add_h_products(prods.shape[0])
     return prods > pairs.thresholds, prods < pairs.thresholds
@@ -296,7 +294,7 @@ def min_distance(target: Family | PreprocessedFamily, h, ledger: Ledger | None =
         raise EmptyFamilyError("cannot select from an empty family")
     ledger = _ensure_ledger(ledger)
     h0, t0 = ledger.h_products, ledger.term_evaluations
-    hv = _validated_h(h, family.support.size)
+    hv = _checked_mass(h, "empirical distribution", family.support.size)
     signs = _pair_layer(family, outcomes=False).signs
     ledger.add_term_evaluations(2 * family.size * signs.shape[0])
     selected = 0
@@ -328,7 +326,7 @@ def modified_min_distance(
         raise EmptyFamilyError("cannot select from an empty family")
     ledger = _ensure_ledger(ledger)
     h0, t0 = ledger.h_products, ledger.term_evaluations
-    hv = _validated_h(h, family.support.size)
+    hv = _checked_mass(h, "empirical distribution", family.support.size)
     idx_i, idx_j, signs = _pair_layer(family, outcomes=False)[:3]
     diffs = family.matrix - hv
     scores = np.zeros(family.size)
@@ -349,13 +347,12 @@ def loss_weight(
     ``i`` fails to beat (draws count as failures to beat).
 
     Compares ``i`` against each of the other m-1 candidates, charging m-1
-    data products, after checking ``h`` once.  Returns -inf with no witness
-    when ``i`` beats everyone; otherwise the witness is the lowest-index
-    rival attaining the maximum.
+    data products.  Returns -inf with no witness when ``i`` beats everyone;
+    otherwise the witness is the lowest-index rival attaining the maximum.
     """
     family = _family_of(target)
     _check_candidate_index(family, i)
-    hv = _validated_h(h, family.support.size)
+    hv = _checked_mass(h, "empirical distribution", family.support.size)
     return _loss_weight(_outcome_layer(family), family.size, hv, i, _ensure_ledger(ledger))
 
 
@@ -416,7 +413,7 @@ def efficient_min_loss_weight(
     holds either way, and the knob exists so verification can demonstrate
     that.
     """
-    hv = _validated_h(h, _family_of(target).support.size)
+    hv = _checked_mass(h, "empirical distribution", _family_of(target).support.size)
     prep = target if isinstance(target, PreprocessedFamily) else preprocess(target)
     ledger = _ensure_ledger(ledger)
     h0, t0 = ledger.h_products, ledger.term_evaluations
@@ -456,11 +453,13 @@ def randomized_two(f1, f2, h, rng_seed: int = 0) -> SelectionReport:
     generator, and the report carries the seed plus both mixture weights
     exactly.
     """
-    v1, v2 = _as_vector(f1), _as_vector(f2)
+    names = (getattr(f1, "name", "f1"), getattr(f2, "name", "f2"))
+    v1 = _checked_mass(f1, f"candidate {names[0]!r}")
+    v2 = _checked_mass(f2, f"candidate {names[1]!r}", v1.shape[0])
     if np.array_equal(v1, v2):
         raise DegeneratePairError("randomized selection needs two candidates at positive L1 distance")
     signs = test_function(v1, v2).signs
-    hv = _validated_h(h, signs.shape[0])
+    hv = _checked_mass(h, "empirical distribution", v1.shape[0])
     ledger = Ledger()
     n1 = abs(float(((v1 - hv) * signs).sum()))
     n2 = abs(float(((v2 - hv) * signs).sum()))
@@ -472,7 +471,6 @@ def randomized_two(f1, f2, h, rng_seed: int = 0) -> SelectionReport:
     mixture = (0.5, 0.5) if n1 + n2 == 0.0 else (n2 / (n1 + n2), n1 / (n1 + n2))
     draw = float(np.random.default_rng(rng_seed).random())
     selected = 0 if draw < mixture[0] else 1
-    names = (getattr(f1, "name", "f1"), getattr(f2, "name", "f2"))
     return SelectionReport(
         algorithm="randomized",
         selected_index=selected,
@@ -502,15 +500,14 @@ def relaxed_selection_check(
     deviation.  ``include_draws`` tightens the quantifier to rivals the
     selected candidate merely fails to beat; the default is the strict-loss
     reading.  The returned margin is the smallest slack c . loss_weight(f') -
-    l1(selected, f') over the rivals checked (+inf when none apply).  ``h``
-    is checked once, as every selector checks it.
+    l1(selected, f') over the rivals checked (+inf when none apply).
     """
     if not c >= 1.0:
         raise ValueError(f"relaxation factor must be >= 1, got {c}")
     family = _family_of(target)
     m = family.size
     _check_candidate_index(family, selected)
-    hv = _validated_h(h, family.support.size)
+    hv = _checked_mass(h, "empirical distribution", family.support.size)
     layer = _outcome_layer(family)
     scratch = Ledger()
     margin = math.inf

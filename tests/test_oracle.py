@@ -303,6 +303,15 @@ class TestQuadruple:
         b = np.array([0.3, 0.3, 0.4])
         assert check_quadruple(a, b, b, a) == pytest.approx(2 * l1_distance(a, b), abs=1e-12)
 
+    def test_vectors_of_different_lengths_rejected(self):
+        """Numpy would broadcast the short vectors and return 1.0."""
+        with pytest.raises(SupportMismatchError):
+            check_quadruple([0.5, 0.5], [1.0, 0.0], [0.2], [0.3])
+
+    def test_signed_vectors_accepted(self):
+        """The inequality holds for any real vectors of one length."""
+        assert check_quadruple([-1.0, 2.0], [0.5, -3.0], [1.0, 1.0], [0.0, 2.0]) == 13.0
+
     @given(st.integers(0, 2**32 - 1), st.integers(1, 8))
     def test_random_quadruples_are_nonnegative(self, seed, k):
         rows = dirichlet_rows(seed, k, 4)

@@ -18,14 +18,21 @@ from l1select import (
     EmpiricalDistribution,
     EmptyFamilyError,
     Family,
+    Instance,
+    InstanceReference,
     Ledger,
+    NormalizationError,
     Outcome,
     Support,
+    SupportMismatchError,
     best_in_family,
     check_bound,
+    check_elimination_invariant,
+    check_win_equivalence,
     compare,
     efficient_min_loss_weight,
     empirical_deviation,
+    empirical_deviation_restricted,
     l1_distance,
     loss_weight,
     lower_bound_pair,
@@ -39,6 +46,7 @@ from l1select import (
     relaxed_selection_check,
     sample_empirical,
     scheffe_tournament,
+    scheffe_win,
     swap_pair,
 )
 from l1select import selectors
@@ -951,13 +959,6 @@ class TestColdFamilyLayers:
             assert family._lex_pairs is None
 
 
-BAD_EMPIRICALS = {
-    "nan": [float("nan"), 0.5, 0.25, 0.25],
-    "inf": [float("inf"), 0.0, 0.0, 0.0],
-    "negative": [-0.25, 0.75, 0.25, 0.25],
-}
-
-
 def reference_elimination(family: Family, h) -> tuple[TraceEvent, ...]:
     """The elimination walk, driven by :func:`compare` on ``family``, over
     the pairs lexsorted by nonincreasing distance from the raw rows, ties
@@ -1018,47 +1019,165 @@ class TestOneSelectorSignature:
         assert cold._lex_pairs.thresholds is not None
 
 
+# A family of three distributions on four atoms, a uniform vector and two
+# of the family's rows: the fixed, valid inputs of the entry points below.
+MASS_FAMILY = make_family([[0.4, 0.3, 0.2, 0.1], [0.1, 0.2, 0.3, 0.4], [0.25] * 4])
+UNIFORM = np.full(4, 0.25)
+ROW0, ROW1 = MASS_FAMILY.matrix[0], MASS_FAMILY.matrix[1]
+
+# Every public entry point that takes a mass vector, as a call of that one
+# vector ``v`` and a ledger; ``(g)``, ``(h)``, ``(f1)`` and so on name the
+# argument ``v`` fills when an entry point takes several.
+MASS_ENTRY_POINTS = {
+    "Candidate": lambda v, ledger: Candidate("f", v),
+    "Candidate(distribution)": lambda v, ledger: Candidate("f", v, distribution=True),
+    "EmpiricalDistribution": lambda v, ledger: EmpiricalDistribution(v),
+    "Family": lambda v, ledger: Family(Support.default(4), [Candidate("f", v)]),
+    "compare": lambda v, ledger: compare(MASS_FAMILY, 0, 1, v, ledger),
+    "scheffe_win(fi)": lambda v, ledger: scheffe_win(v, ROW1, UNIFORM),
+    "scheffe_win(fj)": lambda v, ledger: scheffe_win(ROW0, v, UNIFORM),
+    "scheffe_win(h)": lambda v, ledger: scheffe_win(ROW0, ROW1, v),
+    "empirical_deviation(g)": lambda v, ledger: empirical_deviation(v, UNIFORM, MASS_FAMILY),
+    "empirical_deviation(h)": lambda v, ledger: empirical_deviation(UNIFORM, v, MASS_FAMILY),
+    "empirical_deviation_restricted(g)": lambda v, ledger: empirical_deviation_restricted(
+        v, UNIFORM, MASS_FAMILY, 0
+    ),
+    "empirical_deviation_restricted(h)": lambda v, ledger: empirical_deviation_restricted(
+        UNIFORM, v, MASS_FAMILY, 0
+    ),
+    "tournament": lambda v, ledger: scheffe_tournament(MASS_FAMILY, v, ledger),
+    "mindist": lambda v, ledger: min_distance(MASS_FAMILY, v, ledger),
+    "modified": lambda v, ledger: modified_min_distance(MASS_FAMILY, v, ledger),
+    "minloss": lambda v, ledger: min_loss_weight(MASS_FAMILY, v, ledger),
+    "efficient": lambda v, ledger: efficient_min_loss_weight(preprocess(MASS_FAMILY), v, ledger),
+    "loss_weight": lambda v, ledger: loss_weight(MASS_FAMILY, v, 0, ledger),
+    "relaxed_selection_check": lambda v, ledger: relaxed_selection_check(MASS_FAMILY, v, 0),
+    "randomized_two(f1)": lambda v, ledger: randomized_two(v, ROW1, UNIFORM),
+    "randomized_two(f2)": lambda v, ledger: randomized_two(ROW0, v, UNIFORM),
+    "randomized_two(h)": lambda v, ledger: randomized_two(ROW0, ROW1, v),
+    "best_in_family": lambda v, ledger: best_in_family(MASS_FAMILY, v),
+    "InstanceReference(g)": lambda v, ledger: InstanceReference(MASS_FAMILY, v, UNIFORM),
+    "check_bound(g)": lambda v, ledger: check_bound(0, MASS_FAMILY, v, UNIFORM, 3.0, 2.0),
+    "check_bound(h)": lambda v, ledger: check_bound(0, MASS_FAMILY, UNIFORM, v, 3.0, 2.0),
+    "check_elimination_invariant": lambda v, ledger: check_elimination_invariant(MASS_FAMILY, v, 0),
+    "check_win_equivalence(fi)": lambda v, ledger: check_win_equivalence(v, ROW1, UNIFORM),
+    "check_win_equivalence(fj)": lambda v, ledger: check_win_equivalence(ROW0, v, UNIFORM),
+    "check_win_equivalence(h)": lambda v, ledger: check_win_equivalence(ROW0, ROW1, v),
+    "Instance": lambda v, ledger: Instance(MASS_FAMILY, v, EmpiricalDistribution(UNIFORM), "t"),
+    "sample_empirical": lambda v, ledger: sample_empirical(v, 10, 0),
+}
+# Entry points given no support size, which cannot tell a wrong length.
+SUPPORTLESS = {"Candidate", "Candidate(distribution)", "EmpiricalDistribution", "sample_empirical"}
+
+# Bad mass vectors on four atoms, each with the class every entry point
+# raises for it and a word of the message.
+BAD_MASSES = {
+    "nan": ([float("nan"), 0.5, 0.25, 0.25], ValueError, "non-finite"),
+    "inf": ([float("inf"), 0.0, 0.0, 0.0], ValueError, "non-finite"),
+    "-inf": ([-float("inf"), 1.0, 0.0, 0.0], ValueError, "non-finite"),
+    "negative": ([-0.25, 0.75, 0.25, 0.25], ValueError, "negative"),
+    "short": ([0.5, 0.5], SupportMismatchError, "on a support of size"),
+}
+
+
+def assert_refused(entry: str, bad: str) -> None:
+    """``entry`` raises exactly the documented class for ``bad``, and
+    charges no ledger."""
+    values, error, word = BAD_MASSES[bad]
+    if bad == "short" and entry in SUPPORTLESS:
+        return
+    ledger = Ledger()
+    with pytest.raises(ValueError, match=word) as raised:
+        MASS_ENTRY_POINTS[entry](np.array(values), ledger)
+    assert type(raised.value) is error
+    assert ledger == Ledger()
+
+
+# The rows of MASS_ENTRY_POINTS that a test below names on its own.
+NAMED_ENTRY_POINTS = {
+    *ALG_RUNNERS,
+    "compare",
+    "loss_weight",
+    "relaxed_selection_check",
+    "randomized_two(f1)",
+    "randomized_two(f2)",
+    "randomized_two(h)",
+}
+
+
 class TestEmpiricalValidation:
-    """Non-finite or negative empirical mass is rejected by every selector
-    instead of yielding a selection."""
+    """Every public entry point that takes a mass vector refuses a NaN,
+    infinite or negative entry with ValueError and, when it knows the
+    support, a wrong length with SupportMismatchError, instead of yielding
+    an answer.  The rows of one table, MASS_ENTRY_POINTS, are shared out
+    among the tests below."""
 
-    @pytest.mark.parametrize("bad", sorted(BAD_EMPIRICALS))
+    @pytest.mark.parametrize("bad", sorted(BAD_MASSES))
     @pytest.mark.parametrize("algorithm", sorted(ALG_RUNNERS))
-    def test_deterministic_selectors_reject(self, simple_family, algorithm, bad):
-        with pytest.raises(ValueError, match="non-finite|negative"):
-            ALG_RUNNERS[algorithm](simple_family, np.array(BAD_EMPIRICALS[bad]))
+    def test_deterministic_selectors_reject(self, algorithm, bad):
+        assert_refused(algorithm, bad)
 
-    @pytest.mark.parametrize("bad", sorted(BAD_EMPIRICALS))
-    def test_randomized_rejects(self, simple_family, bad):
-        with pytest.raises(ValueError, match="non-finite|negative"):
-            randomized_two(simple_family[0], simple_family[1], np.array(BAD_EMPIRICALS[bad]))
+    @pytest.mark.parametrize("bad", sorted(BAD_MASSES))
+    def test_randomized_rejects(self, bad):
+        """Before f1 and f2 were checked, a negative f1 was selected
+        against, and a NaN f1 failed as a malformed test function."""
+        for arg in ("f1", "f2", "h"):
+            assert_refused(f"randomized_two({arg})", bad)
 
-    @pytest.mark.parametrize("bad", sorted(BAD_EMPIRICALS))
-    def test_compare_rejects(self, pair_instance, bad):
+    @pytest.mark.parametrize("bad", sorted(BAD_MASSES))
+    def test_compare_rejects(self, bad):
         """Before the check, a NaN made compare call the pair a draw."""
-        ledger = Ledger()
-        with pytest.raises(ValueError, match="non-finite|negative"):
-            compare(preprocess(pair_instance.family), 0, 1, np.array(BAD_EMPIRICALS[bad]), ledger)
-        assert ledger.h_products == 0
+        assert_refused("compare", bad)
 
-    @pytest.mark.parametrize("bad", sorted(BAD_EMPIRICALS))
-    def test_loss_weight_rejects(self, simple_family, bad):
-        ledger = Ledger()
-        with pytest.raises(ValueError, match="non-finite|negative"):
-            loss_weight(preprocess(simple_family), np.array(BAD_EMPIRICALS[bad]), 0, ledger)
-        assert ledger.h_products == 0
+    @pytest.mark.parametrize("bad", sorted(BAD_MASSES))
+    def test_loss_weight_rejects(self, bad):
+        assert_refused("loss_weight", bad)
 
-    @pytest.mark.parametrize("bad", sorted(BAD_EMPIRICALS))
-    def test_relaxed_selection_check_rejects(self, pair_instance, bad):
+    @pytest.mark.parametrize("bad", sorted(BAD_MASSES))
+    def test_relaxed_selection_check_rejects(self, bad):
         """Before the check, a NaN made every rival a draw and the check
         passed with an infinite margin."""
-        with pytest.raises(ValueError, match="non-finite|negative"):
-            relaxed_selection_check(preprocess(pair_instance.family), np.array(BAD_EMPIRICALS[bad]), 0)
+        assert_refused("relaxed_selection_check", bad)
+
+    @pytest.mark.parametrize("bad", sorted(BAD_MASSES))
+    @pytest.mark.parametrize("entry", sorted(set(MASS_ENTRY_POINTS) - NAMED_ENTRY_POINTS))
+    def test_other_entry_points_reject(self, entry, bad):
+        """Before the check, best_in_family broadcast a short g and
+        scheffe_win let a NaN through."""
+        assert_refused(entry, bad)
+
+    @pytest.mark.parametrize("entry", sorted(MASS_ENTRY_POINTS))
+    def test_signed_zero_and_subnormal_entries_accepted(self, entry):
+        for first in (-0.0, 5e-324):
+            MASS_ENTRY_POINTS[entry](np.array([first, 0.5, 0.25, 0.25]), Ledger())
+
+    def test_huge_masses_pass_the_check_without_warning(self):
+        """Masses near the float maximum are finite: they are accepted, and
+        a normalized vector of them is refused for its sum, with no overflow
+        warning from either."""
+        huge = np.full(4, 1e308)
+        assert Candidate("f", huge).mass.tolist() == huge.tolist()
+        with pytest.raises(NormalizationError, match="must sum to 1, got inf"):
+            EmpiricalDistribution(huge)
+
+    def test_empty_vector(self):
+        """An empty candidate is accepted until a family places it on a
+        support; an empty empirical distribution does not sum to 1."""
+        assert Candidate("f", []).mass.shape == (0,)
+        with pytest.raises(NormalizationError, match="must sum to 1, got 0.0"):
+            EmpiricalDistribution([])
+        with pytest.raises(SupportMismatchError):
+            compare(MASS_FAMILY, 0, 1, [], Ledger())
 
     def test_h_is_checked_once_per_public_call(self, simple_family, monkeypatch):
         checked = []
-        original = selectors._validated_h
-        monkeypatch.setattr(selectors, "_validated_h", lambda h, k: checked.append(k) or original(h, k))
+        original = selectors._checked_mass
+
+        def counted(values, noun, k=None, **kwargs):
+            checked.append(k)
+            return original(values, noun, k, **kwargs)
+
+        monkeypatch.setattr(selectors, "_checked_mass", counted)
         prep = preprocess(simple_family)
         h = np.full(4, 0.25)
         loss_weight(prep, h, 1)
