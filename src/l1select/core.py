@@ -435,13 +435,7 @@ def compare(target: "Family | PreprocessedFamily", i: int, j: int, h, ledger: Le
     """
     family = _family_of(target)
     hvec = _checked_mass(h, "empirical distribution", family.support.size)
-    return _compare_valid(_pair_layer(family, outcomes=True), family.size, i, j, hvec, ledger)
-
-
-def _compare_valid(layer: "_PairTable", m: int, i: int, j: int, hvec: np.ndarray, ledger: Ledger) -> Outcome:
-    """:func:`compare` on the outcome ``layer`` of ``m`` candidates, for an
-    ``hvec`` already passed through :func:`_checked_mass`."""
-    outcome = _outcome_at(layer, _pair_index(m, i, j), hvec, ledger)
+    outcome = _outcome_at(_pair_layer(family, outcomes=True), _pair_index(family.size, i, j), hvec, ledger)
     return outcome if i < j else outcome.flipped()
 
 

@@ -138,14 +138,16 @@ class InstanceReference:
     :func:`~l1select.core.empirical_deviation_restricted`.  Everything is
     derived from ``family.matrix``, ``g`` and ``h``: never from a family's
     cached pair table or a :class:`~l1select.core.PreprocessedFamily`.  A
-    reference describes one instance only and is dropped with it.
+    reference describes one instance only and is dropped with it.  ``g``
+    and ``h`` are both checked at construction, so a malformed one is
+    refused before any quantity is read.
     """
 
     def __init__(self, family: Family, g, h):
         self.family = family
         self.g = _as_vector(g)
-        self.h = h
         self.best_index, self.d1 = best_in_family(family, self.g)
+        self.h = _checked_mass(h, "empirical distribution", family.support.size)
         self._elimination_verdicts: dict[tuple[int, float], tuple[bool, bool]] = {}
 
     def elimination_verdicts(self, selected: int, c: float) -> tuple[bool, bool]:

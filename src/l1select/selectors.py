@@ -25,6 +25,13 @@ they need (see :mod:`l1select.core`): the distance selectors its signs, the
 others its signs, distances and thresholds.  ``efficient_min_loss_weight``
 also reads the distance order, and preprocesses a family it is given.
 
+The tournament, ``min_loss_weight``, ``loss_weight`` and
+``relaxed_selection_check`` read their pair outcomes from one vectorised
+pass, bit-identical to :func:`~l1select.core.compare`: ``loss_weight`` over
+its candidate's m-1 pairs, the others over all P, ``relaxed_selection_check``
+charging no caller's ledger.  The elimination selector, whose cost the paper
+counts one product at a time, compares pair by pair.
+
 Every mass vector is checked once per call as :mod:`l1select.core`
 describes.  The paper's guarantees assume a normalized ``h``, which the
 command line enforces by reading it into an
@@ -46,12 +53,11 @@ from .core import (
     Outcome,
     PreprocessedFamily,
     _check_candidate_index,
+    _PairTable,
     _checked_mass,
-    _compare_valid,
     _family_of,
     _outcome_at,
     _pair_blocks,
-    _pair_index,
     _pair_layer,
     compare,  # re-exported: callers reach the pairwise compare as selectors.compare too
     preprocess,
@@ -175,46 +181,44 @@ def _row_products(signs: np.ndarray, v: np.ndarray) -> np.ndarray:
     return products
 
 
-def _outcome_layer(target: Family | PreprocessedFamily):
-    """The pairs, signs, distances and thresholds the outcome selectors read."""
+def _pair_outcomes(target: Family | PreprocessedFamily, h, ledger: Ledger, candidate: int | None = None):
+    """The pairs of the family's outcome layer, every pair or only the m-1
+    of ``candidate``, and their outcomes, in one vectorised pass.
+
+    Returns (pairs, first_wins, second_wins): the layer itself, or a table
+    of ``candidate``'s rows of it in lexicographic order, which lists the
+    rivals in index order too; and the masks over its rows.  A pair in
+    neither mask is a draw.  ``h`` is checked before the layer is built.
+    The products are row-wise sums of the same elementwise terms
+    :func:`~l1select.core.compare` sums, so every outcome is bit-identical
+    to it (a matrix product would reduce in another order and could flip a
+    one-ulp draw).  Charges one data product per row.
+    """
     family = _family_of(target)
     if family.size == 0:
         raise EmptyFamilyError("cannot preprocess an empty family")
-    return _pair_layer(family, outcomes=True)
-
-
-def _pair_outcomes(target: Family | PreprocessedFamily, h, ledger: Ledger) -> tuple[np.ndarray, np.ndarray]:
-    """Outcomes of every pair in the order of the layer :func:`_outcome_layer`
-    returns, in one vectorised pass.
-
-    Returns boolean masks (first_wins, second_wins) over the pairs; a pair in
-    neither is a draw.  The products are row-wise sums of the same elementwise
-    terms :func:`~l1select.core.compare` sums, so every outcome is
-    bit-identical to it (a matrix product would reduce in another order and
-    could flip a one-ulp draw).  Charges one data product per pair.
-    """
-    pairs = _outcome_layer(target)
-    hv = _checked_mass(h, "empirical distribution", _family_of(target).support.size)
+    hv = _checked_mass(h, "empirical distribution", family.support.size)
+    pairs = _pair_layer(family, outcomes=True)
+    if candidate is not None:
+        rows = np.flatnonzero((pairs.pair_i == candidate) | (pairs.pair_j == candidate))
+        pairs = _PairTable(*(arr[rows] for arr in pairs))
     prods = _row_products(pairs.signs, hv)
     ledger.add_h_products(prods.shape[0])
-    return prods > pairs.thresholds, prods < pairs.thresholds
+    return pairs, prods > pairs.thresholds, prods < pairs.thresholds
 
 
-def _win_counts(target: Family | PreprocessedFamily, h, ledger: Ledger) -> np.ndarray:
-    """Pairwise wins of every candidate; a draw awards no win."""
-    first, second = _pair_outcomes(target, h, ledger)
-    pairs, m = _outcome_layer(target), target.size
-    return np.bincount(pairs.pair_i[first], minlength=m) + np.bincount(pairs.pair_j[second], minlength=m)
+def _win_counts(m: int, layer: _PairTable, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Pairwise wins of each of the ``m`` candidates from the outcomes of
+    every pair; a draw awards no win."""
+    return np.bincount(layer.pair_i[first], minlength=m) + np.bincount(layer.pair_j[second], minlength=m)
 
 
-def _loss_weights(target: Family | PreprocessedFamily, h, ledger: Ledger) -> np.ndarray:
-    """Loss-weight of every candidate (see :func:`loss_weight`), with each
-    pair's outcome counted in both directions."""
-    first, second = _pair_outcomes(target, h, ledger)
-    pairs = _outcome_layer(target)
-    values = np.full(target.size, -np.inf)
-    np.maximum.at(values, pairs.pair_i[~first], pairs.distances[~first])
-    np.maximum.at(values, pairs.pair_j[~second], pairs.distances[~second])
+def _loss_weights(m: int, layer: _PairTable, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Loss-weight of each of the ``m`` candidates (see :func:`loss_weight`)
+    from the outcomes of every pair, each counted in both directions."""
+    values = np.full(m, -np.inf)
+    np.maximum.at(values, layer.pair_i[~first], layer.distances[~first])
+    np.maximum.at(values, layer.pair_j[~second], layer.distances[~second])
     return values
 
 
@@ -230,7 +234,7 @@ def scheffe_tournament(
     """
     ledger = _ensure_ledger(ledger)
     h0, t0 = ledger.h_products, ledger.term_evaluations
-    selected = int(np.argmax(_win_counts(target, h, ledger)))
+    selected = int(np.argmax(_win_counts(target.size, *_pair_outcomes(target, h, ledger))))
     return _report(target, "tournament", selected, ledger, h0, t0)
 
 
@@ -347,28 +351,22 @@ def loss_weight(
     ``i`` fails to beat (draws count as failures to beat).
 
     Compares ``i`` against each of the other m-1 candidates, charging m-1
-    data products.  Returns -inf with no witness when ``i`` beats everyone;
-    otherwise the witness is the lowest-index rival attaining the maximum.
+    data products: the outcomes of ``i``'s m-1 pairs of the family's
+    outcome layer, from the same vectorised pass as the tournament and
+    :func:`min_loss_weight`.  Returns -inf with no witness when ``i`` beats
+    everyone; otherwise the witness is the lowest-index rival attaining the
+    maximum.
     """
     family = _family_of(target)
     _check_candidate_index(family, i)
-    hv = _checked_mass(h, "empirical distribution", family.support.size)
-    return _loss_weight(_outcome_layer(family), family.size, hv, i, _ensure_ledger(ledger))
-
-
-def _loss_weight(layer, m: int, hv: np.ndarray, i: int, ledger: Ledger) -> LossWeightValue:
-    """:func:`loss_weight` on the outcome ``layer`` of ``m`` candidates, for
-    a checked index and an ``hv`` already validated."""
-    best = -math.inf
-    witness: int | None = None
-    for j in range(m):
-        if j == i:
-            continue
-        if _compare_valid(layer, m, i, j, hv, ledger) is not Outcome.FIRST_WINS:
-            d = float(layer.distances[_pair_index(m, i, j)])
-            if d > best:
-                best, witness = d, j
-    return LossWeightValue(best, witness)
+    pairs, first, second = _pair_outcomes(family, h, _ensure_ledger(ledger), candidate=i)
+    # i is the second endpoint of its pairs with rivals 0..i-1, the first of the rest.
+    beats = np.concatenate((second[:i], first[i:]))
+    if beats.all():
+        return LossWeightValue(-math.inf, None)
+    distances = np.where(beats, -np.inf, pairs.distances)
+    rival = int(np.argmax(distances))  # the first maximum: the lowest-index rival
+    return LossWeightValue(float(distances[rival]), rival + (rival >= i))
 
 
 def min_loss_weight(
@@ -384,7 +382,7 @@ def min_loss_weight(
     """
     ledger = _ensure_ledger(ledger)
     h0, t0 = ledger.h_products, ledger.term_evaluations
-    selected = int(np.argmin(_loss_weights(target, h, ledger)))
+    selected = int(np.argmin(_loss_weights(target.size, *_pair_outcomes(target, h, ledger))))
     return _report(target, "minloss", selected, ledger, h0, t0)
 
 
@@ -420,7 +418,7 @@ def efficient_min_loss_weight(
     alive = [True] * prep.size
     remaining = prep.size
     trace: list[TraceEvent] = []
-    layer = _outcome_layer(prep)
+    layer = _pair_layer(prep.family, outcomes=True)
     for lex, i, j in zip(prep.order.tolist(), prep.pair_i.tolist(), prep.pair_j.tolist()):
         if remaining == 1:
             break
@@ -501,23 +499,26 @@ def relaxed_selection_check(
     selected candidate merely fails to beat; the default is the strict-loss
     reading.  The returned margin is the smallest slack c . loss_weight(f') -
     l1(selected, f') over the rivals checked (+inf when none apply).
+
+    Every rival's loss-weight, and the selected candidate's wins and
+    losses, come from one vectorised pass over all P pairs of the family's
+    outcome layer, the pass :func:`min_loss_weight` makes; its P data
+    products are charged to no caller's ledger.
     """
     if not c >= 1.0:
         raise ValueError(f"relaxation factor must be >= 1, got {c}")
     family = _family_of(target)
-    m = family.size
     _check_candidate_index(family, selected)
-    hv = _checked_mass(h, "empirical distribution", family.support.size)
-    layer = _outcome_layer(family)
-    scratch = Ledger()
-    margin = math.inf
-    for j in range(m):
-        if j == selected:
-            continue
-        outcome = _compare_valid(layer, m, selected, j, hv, scratch)
-        applies = outcome is Outcome.SECOND_WINS or (include_draws and outcome is Outcome.DRAW)
-        if not applies:
-            continue
-        rival_lw = _loss_weight(layer, m, hv, j, scratch).value
-        margin = min(margin, c * rival_lw - float(layer.distances[_pair_index(m, selected, j)]))
+    layer, first, second = _pair_outcomes(family, h, Ledger())
+    loss_weights = _loss_weights(family.size, layer, first, second)
+    is_first = layer.pair_i == selected
+    applies = np.where(is_first, second, first)  # where the selected candidate strictly loses
+    if include_draws:
+        applies |= ~(first | second)
+    applies &= is_first | (layer.pair_j == selected)
+    rivals = np.where(is_first, layer.pair_j, layer.pair_i)[applies]
+    # fmin skips the NaN slack of an infinite c against a zero loss-weight.
+    with np.errstate(over="ignore", invalid="ignore"):
+        slacks = c * loss_weights[rivals] - layer.distances[applies]
+    margin = float(np.fmin.reduce(slacks, initial=math.inf))
     return CheckResult(passed=margin >= 0.0, margin=margin)

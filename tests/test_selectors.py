@@ -481,7 +481,9 @@ def assert_matches_compare_path(prep, h) -> int:
     m = prep.size
     wins = [0] * m
     draws = 0
-    first, second = _pair_outcomes(prep, h, Ledger())
+    outcomes = _pair_outcomes(prep, h, Ledger())
+    layer, first, second = outcomes
+    assert layer is prep.family._lex_pairs
     for lex, (i, j) in enumerate(itertools.combinations(range(m), 2)):
         outcome = compare(prep, i, j, h, Ledger())
         assert (bool(first[lex]), bool(second[lex])) == (
@@ -495,8 +497,8 @@ def assert_matches_compare_path(prep, h) -> int:
         else:
             draws += 1
     lws = [loss_weight(prep, h, c, Ledger()).value for c in range(m)]
-    assert _win_counts(prep, h, Ledger()).tolist() == wins
-    assert _loss_weights(prep, h, Ledger()).tolist() == lws
+    assert _win_counts(m, *outcomes).tolist() == wins
+    assert _loss_weights(m, *outcomes).tolist() == lws
 
     ledger = Ledger()
     tournament = scheffe_tournament(prep, h, ledger)
@@ -554,6 +556,132 @@ class TestVectorisedPairOutcomes:
                     break
                 h[x] = np.nextafter(h[x], -np.inf if outcome is Outcome.FIRST_WINS else np.inf)
         assert draws >= 10
+
+
+def reference_loss_weight(prep, h, i: int):
+    """Loss-weight of candidate ``i`` from per-pair :func:`compare` calls:
+    the rivals in index order, a larger distance replacing the maximum only
+    when strictly larger."""
+    rows = prep.family.matrix
+    best, witness = -math.inf, None
+    for j in range(prep.size):
+        if j != i and compare(prep, i, j, h, Ledger()) is not Outcome.FIRST_WINS:
+            d = l1_distance(rows[i], rows[j])
+            if d > best:
+                best, witness = d, j
+    return selectors.LossWeightValue(best, witness)
+
+
+def reference_relaxed_check(prep, h, selected: int, c: float, include_draws: bool):
+    """The relaxed output condition from per-pair :func:`compare` calls and
+    :func:`reference_loss_weight`, each rival's slack folded into the margin
+    by Python's ``min``."""
+    rows = prep.family.matrix
+    margin = math.inf
+    for j in range(prep.size):
+        if j == selected:
+            continue
+        outcome = compare(prep, selected, j, h, Ledger())
+        if outcome is Outcome.SECOND_WINS or (include_draws and outcome is Outcome.DRAW):
+            slack = c * reference_loss_weight(prep, h, j).value - l1_distance(rows[selected], rows[j])
+            margin = min(margin, slack)
+    return selectors.CheckResult(passed=margin >= 0.0, margin=margin)
+
+
+def assert_loss_weights_match_reference(prep, h) -> None:
+    """``loss_weight`` (value and witness) and ``relaxed_selection_check``
+    (verdict and margin) of every candidate equal the per-pair reference,
+    floats compared with ``==`` and by repr; ``loss_weight`` charges exactly
+    m-1 products to the caller's ledger."""
+    m = prep.size
+    for i in range(m):
+        ledger = Ledger()
+        got, want = loss_weight(prep, h, i, ledger), reference_loss_weight(prep, h, i)
+        assert got == want and repr(got) == repr(want), f"candidate {i}"
+        assert ledger == Ledger(m - 1, 0)
+        for c in (1, 1.5, 2):
+            for include_draws in (False, True):
+                got = relaxed_selection_check(prep, h, i, c, include_draws=include_draws)
+                want = reference_relaxed_check(prep, h, i, c, include_draws)
+                assert got == want and repr(got) == repr(want), f"candidate {i}, c={c}, draws={include_draws}"
+
+
+class TestLossWeightAgainstCompare:
+    """loss_weight and relaxed_selection_check, read from one vectorised
+    pass, give what per-pair compare calls give, draws and ties included."""
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 8),
+        st.integers(1, 12),
+        st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=4),
+        st.sampled_from(["empirical", "truth", "member"]),
+    )
+    def test_random_families_with_copied_rows(self, seed, m, k, copies, data):
+        """Copied rows make draws, zero distances and tied loss-weights;
+        ``member`` puts h on a candidate, which draws every pair of its
+        copies."""
+        inst = random_instance(seed, k, m, noise=0.1)
+        rows = inst.family.matrix.copy()
+        for src, dst in copies:
+            rows[dst % m] = rows[src % m]
+        h = {"empirical": inst.empirical, "truth": inst.truth, "member": rows[seed % m]}[data]
+        assert_loss_weights_match_reference(preprocess(make_family(rows)), h)
+
+    @pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4, 1.5e-2])
+    @pytest.mark.parametrize(
+        "build", [lower_bound_pair, lambda e: swap_pair(lower_bound_pair(e)), lower_bound_tournament],
+        ids=["pair", "swap_pair", "tournament"],
+    )
+    def test_draw_constructions(self, build, eps):
+        inst = build(eps)
+        prep = preprocess(inst.family)
+        for h in (inst.empirical, inst.truth):
+            assert_loss_weights_match_reference(prep, h)
+
+    def test_one_ulp_draws_on_a_large_support(self):
+        """Walk one atom of h an ulp at a time until compare calls the pair
+        (0, 1) an exact draw, on k=64 where the reduction order matters."""
+        draws = 0
+        for seed in range(20):
+            rows = random_instance(seed, 64, 3, noise=0.1).family.matrix
+            prep = preprocess(make_family(rows))
+            h = rows[:2].mean(axis=0)
+            x = int(np.flatnonzero(rows[0] > rows[1])[0])
+            for _ in range(200):
+                outcome = compare(prep, 0, 1, h, Ledger())
+                if outcome is Outcome.DRAW:
+                    draws += 1
+                    assert_loss_weights_match_reference(prep, h)
+                    break
+                h[x] = np.nextafter(h[x], -np.inf if outcome is Outcome.FIRST_WINS else np.inf)
+        assert draws >= 10
+
+    def test_singleton(self):
+        prep = preprocess(singleton_family())
+        assert_loss_weights_match_reference(prep, np.full(4, 0.25))
+        assert loss_weight(prep, np.full(4, 0.25), 0) == selectors.LossWeightValue(-math.inf, None)
+
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    def test_relaxed_check_makes_one_pass_on_no_callers_ledger(self, m, monkeypatch):
+        """The check's P products are charged in one pass to a ledger of
+        its own, and a caller's ledger alongside it is left untouched."""
+        inst = random_instance(m, 5, m, noise=0.1)
+        prep = preprocess(inst.family)
+        caller = Ledger()
+        loss_weight(prep, inst.empirical, 0, caller)
+        charges = []
+        add = Ledger.add_h_products
+
+        def spied(ledger, n=1):
+            charges.append((ledger, n))
+            add(ledger, n)
+
+        monkeypatch.setattr(Ledger, "add_h_products", spied)
+        relaxed_selection_check(prep, inst.empirical, 0, include_draws=True)
+        assert [n for _, n in charges] == [m * (m - 1) // 2]
+        assert all(ledger is not caller for ledger, _ in charges)
+        assert caller == Ledger(m - 1, 0)
 
 
 def reference_min_distance_scores(rows: np.ndarray, h) -> np.ndarray:
@@ -886,7 +1014,7 @@ class TestColdFamilyLayers:
             else:
                 continue
             draws += 1
-            first, second = _pair_outcomes(make_family(rows), h, Ledger())
+            _, first, second = _pair_outcomes(make_family(rows), h, Ledger())
             for lex, (i, j) in enumerate([(0, 1), (0, 2), (1, 2)]):
                 outcome = compare(prep, i, j, h, Ledger())
                 assert (first[lex], second[lex]) == (
@@ -1057,6 +1185,7 @@ MASS_ENTRY_POINTS = {
     "randomized_two(h)": lambda v, ledger: randomized_two(ROW0, ROW1, v),
     "best_in_family": lambda v, ledger: best_in_family(MASS_FAMILY, v),
     "InstanceReference(g)": lambda v, ledger: InstanceReference(MASS_FAMILY, v, UNIFORM),
+    "InstanceReference(h)": lambda v, ledger: InstanceReference(MASS_FAMILY, UNIFORM, v),
     "check_bound(g)": lambda v, ledger: check_bound(0, MASS_FAMILY, v, UNIFORM, 3.0, 2.0),
     "check_bound(h)": lambda v, ledger: check_bound(0, MASS_FAMILY, UNIFORM, v, 3.0, 2.0),
     "check_elimination_invariant": lambda v, ledger: check_elimination_invariant(MASS_FAMILY, v, 0),
@@ -1142,8 +1271,9 @@ class TestEmpiricalValidation:
     @pytest.mark.parametrize("bad", sorted(BAD_MASSES))
     @pytest.mark.parametrize("entry", sorted(set(MASS_ENTRY_POINTS) - NAMED_ENTRY_POINTS))
     def test_other_entry_points_reject(self, entry, bad):
-        """Before the check, best_in_family broadcast a short g and
-        scheffe_win let a NaN through."""
+        """Before the check, best_in_family broadcast a short g,
+        scheffe_win let a NaN through, and InstanceReference accepted any h
+        until a deviation was first read."""
         assert_refused(entry, bad)
 
     @pytest.mark.parametrize("entry", sorted(MASS_ENTRY_POINTS))
@@ -1183,6 +1313,20 @@ class TestEmpiricalValidation:
         loss_weight(prep, h, 1)
         relaxed_selection_check(prep, h, 1, include_draws=True)
         assert checked == [4, 4]
+
+    def test_h_is_refused_before_any_layer_is_built(self, pair_table_builds):
+        """A refused h costs no pair table: the tournament and min-loss-weight
+        selectors used to build the outcome layer before checking h."""
+        queries = [
+            *COLD_SELECTORS.values(),
+            lambda family, h: compare(family, 0, 1, h, Ledger()),
+            lambda family, h: loss_weight(family, h, 0),
+            lambda family, h: relaxed_selection_check(family, h, 0),
+        ]
+        for query in queries:
+            with pytest.raises(ValueError, match="non-finite"):
+                query(make_family(MASS_FAMILY.matrix), np.array([float("nan"), 0.5, 0.25, 0.25]))
+        assert pair_table_builds == []
 
     def test_efficient_nan_no_longer_selects_by_draws(self, pair_instance):
         """A NaN makes every comparison a draw, so without the check the
