@@ -163,8 +163,7 @@ def _evaluate_instance(inst: Instance, delta_mode: str, draw_flip: bool) -> dict
             if not strict_ok:
                 fail("elimination_invariant", {"selected": report.selected_index})
 
-    pair_distance = float(np.abs(family.matrix[0] - family.matrix[-1]).sum()) if family.size == 2 else 0.0
-    if family.size == 2 and pair_distance > 0.0:
+    if family.size == 2 and not np.array_equal(family.matrix[0], family.matrix[1]):
         report = randomized_two(family.candidates[0], family.candidates[1], h, 0)
         errors = np.abs(family.matrix - g).sum(axis=1)
         expected = report.mixture[0] * errors[0] + report.mixture[1] * errors[1]

@@ -15,12 +15,14 @@ selection procedure can be asserted, not estimated.
 
 Every public function of the package that takes a mass vector (a
 candidate, a truth ``g`` or an empirical ``h``) checks it once per call, in
-one place: it refuses a NaN, infinite or negative entry with ValueError and
-a length other than the support's with :class:`SupportMismatchError`.  Where
-the vector must be a distribution (an :class:`EmpiricalDistribution`, a
-candidate built with ``distribution=True``, the inputs of
-:func:`scheffe_win` and of ``sample_empirical``), a total more than
-``NORMALIZATION_TOL`` from 1 is refused with :class:`NormalizationError`.
+one place: it refuses a NaN, infinite or negative entry, or a length times
+largest entry over an eighth of the float maximum (so that no sum downstream
+can overflow), with ValueError, and a length other than the support's with
+:class:`SupportMismatchError`.  Where the vector must be a distribution (an
+:class:`EmpiricalDistribution`, a candidate built with
+``distribution=True``, the inputs of :func:`scheffe_win` and of
+``sample_empirical``), a total more than ``NORMALIZATION_TOL`` from 1 is
+refused with :class:`NormalizationError`.
 Elsewhere the total is not checked, so library callers may pass an
 unnormalized ``h``; the selectors' guarantees assume a normalized one.
 
@@ -83,6 +85,8 @@ __all__ = [
 
 # Mass vectors flagged as probability distributions must sum to 1 within this.
 NORMALIZATION_TOL = 1e-9
+# Largest accepted length times largest entry of a mass vector (see _checked_mass).
+_MASS_BOUND = float(np.finfo(np.float64).max) / 8
 
 # Largest layer of a pair table that a family builds; larger families fail
 # fast with CapacityError instead of exhausting memory.
@@ -157,27 +161,46 @@ def _checked_mass(values, noun: str, k: int | None = None, *, normalized: bool =
     vector; ``noun`` names it in the message.
 
     Refuses a length other than ``k``, when ``k`` is given
-    (:class:`SupportMismatchError`), a NaN, infinite or negative entry
-    (ValueError) and, with ``normalized``, a total more than
-    ``NORMALIZATION_TOL`` from 1 (:class:`NormalizationError`).  Every
-    public function that takes a mass vector checks it here, once per call.
-    Two reductions test finite and nonnegative together, as NaN fails both
-    comparisons; the entries are scanned only to word a refusal.
+    (:class:`SupportMismatchError`), a NaN, infinite or negative entry, a
+    length times largest entry above ``_MASS_BOUND`` (ValueError) and, with
+    ``normalized``, a total more than ``NORMALIZATION_TOL`` from 1
+    (:class:`NormalizationError`).  Every public function that takes a mass
+    vector checks it here, once per call.
+
+    With F the float maximum, an accepted vector of length k has entries at
+    most F/8k, so its norm and its product with any test function are at
+    most F/8, rounding aside.  So every sum built from one or two accepted
+    vectors stays at or below F/4, and none downstream needs an overflow
+    guard: distances, ||f - h||_1 and min-distance terms are at most F/4,
+    below the F/2 where the screen's rounding bound could fail; thresholds
+    and h . T at most F/8; the randomized selector's n1 + n2 at most F/2.
     """
     arr = _as_vector(values)
     if k is not None and arr.shape[0] != k:
         raise SupportMismatchError(f"{noun} has {arr.shape[0]} entries on a support of size {k}")
-    top = arr.max(initial=0.0)
-    if not (arr.min(initial=0.0) >= 0.0 and top < np.inf):
-        fault = "non-finite" if not np.isfinite(arr).all() else "negative"
-        raise ValueError(f"{noun} has {fault} mass entries")
-    # The entries are finite and nonnegative, so the total is at least ``top``
-    # and cannot overflow while ``top`` is at most 2.
-    if normalized and not (top <= 2.0 and abs(float(arr.sum()) - 1.0) <= NORMALIZATION_TOL):
-        with np.errstate(over="ignore"):
-            total = float(arr.sum())
-        raise NormalizationError(f"{noun} must sum to 1, got {total!r}")
+    _check_entries(arr, noun, arr.shape[0])
+    if normalized:
+        total = float(arr.sum())
+        if not abs(total - 1.0) <= NORMALIZATION_TOL:
+            raise NormalizationError(f"{noun} must sum to 1, got {total!r}")
     return arr
+
+
+def _check_entries(arr: np.ndarray, noun: str, length: int) -> None:
+    """Refuse (ValueError) the entries of ``arr``, mass vectors of ``length``
+    entries, unless finite, nonnegative and at most ``_MASS_BOUND / length``.
+    Two reductions test all three: NaN fails both comparisons, inf the
+    product (a Python float, so no overflow warning); the entries are
+    scanned again only to word a refusal."""
+    top = float(arr.max(initial=0.0))
+    if not (arr.min(initial=0.0) >= 0.0 and top * length <= _MASS_BOUND):
+        if not np.isfinite(arr).all():
+            fault = "non-finite mass entries"
+        elif not arr.min() >= 0.0:
+            fault = "negative mass entries"
+        else:
+            fault = f"mass entries too large: {length} times {top!r} exceeds {_MASS_BOUND!r}"
+        raise ValueError(f"{noun} has {fault}")
 
 
 def _check_same_length(*vectors: np.ndarray) -> int:
@@ -308,7 +331,7 @@ class Family:
         names = tuple(names)
         if matrix.shape != (len(names), support.size) or len(set(names)) != len(names):
             raise ValueError("mass matrix fails the candidate checks")
-        _checked_mass(matrix.reshape(-1), "mass matrix")
+        _check_entries(matrix, "mass matrix", support.size)
         matrix.flags.writeable = False
         family = cls.__new__(cls)
         family.support = support
@@ -562,8 +585,6 @@ def _pair_outcome_arrays(matrix: np.ndarray) -> _PairTable:
     Each block gathers its rows once.  Each threshold sums the same
     elementwise terms along the last axis as :func:`inner_product`, so it is
     bit-identical to 0.5 * (inner_product(fi, T) + inner_product(fj, T)).
-    Sums that overflow give non-finite distances or thresholds, silently;
-    :func:`_pair_layer` refuses them.
 
     Raises :class:`CapacityError`, before allocating anything, when the
     layer would exceed ``_PAIR_TABLE_MAX_BYTES``.
@@ -575,29 +596,15 @@ def _pair_outcome_arrays(matrix: np.ndarray) -> _PairTable:
     signs = np.empty((pairs, k))
     distances = np.empty(pairs)
     thresholds = np.empty(pairs)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for block in _pair_blocks(pairs):
-            fi, fj = matrix.take(idx_i[block], axis=0), matrix.take(idx_j[block], axis=0)
-            diffs = fi - fj
-            block_signs = np.sign(diffs, out=signs[block])
-            distances[block] = np.abs(diffs, out=diffs).sum(axis=1)
-            fi *= block_signs
-            fj *= block_signs
-            thresholds[block] = 0.5 * (fi.sum(axis=1) + fj.sum(axis=1))
+    for block in _pair_blocks(pairs):
+        fi, fj = matrix.take(idx_i[block], axis=0), matrix.take(idx_j[block], axis=0)
+        diffs = fi - fj
+        block_signs = np.sign(diffs, out=signs[block])
+        distances[block] = np.abs(diffs, out=diffs).sum(axis=1)
+        fi *= block_signs
+        fj *= block_signs
+        thresholds[block] = 0.5 * (fi.sum(axis=1) + fj.sum(axis=1))
     return _PairTable(idx_i, idx_j, signs, distances, thresholds)
-
-
-def _kept(table: _PairTable) -> _PairTable:
-    """``table`` with every array made read-only, refused with ValueError
-    when it has distances or thresholds that overflowed."""
-    if table.distances is not None and not (
-        np.isfinite(table.distances).all() and np.isfinite(table.thresholds).all()
-    ):
-        raise ValueError("pair distances or thresholds overflow: candidate masses too large")
-    for arr in table:
-        if arr is not None:
-            arr.flags.writeable = False
-    return table
 
 
 def _pair_layer(family: Family, *, outcomes: bool) -> _PairTable:
@@ -606,13 +613,15 @@ def _pair_layer(family: Family, *, outcomes: bool) -> _PairTable:
 
     That is the sign layer, or with ``outcomes`` the outcome layer, whose
     signs, distances and thresholds come from one fused pass and replace a
-    kept sign layer.  An outcome layer whose distances or thresholds
-    overflow is refused with ValueError, and a refused build keeps nothing.
+    kept sign layer.  A refused build keeps nothing.
     """
     layer = family._lex_pairs
     if layer is None or (outcomes and layer.thresholds is None):
-        build = _pair_outcome_arrays if outcomes else _pair_signs
-        layer = family._lex_pairs = _kept(build(family.matrix))
+        layer = (_pair_outcome_arrays if outcomes else _pair_signs)(family.matrix)
+        for arr in layer:
+            if arr is not None:
+                arr.flags.writeable = False
+        family._lex_pairs = layer
     return layer
 
 
@@ -723,7 +732,6 @@ def preprocess(family: Family) -> PreprocessedFamily:
     P * (8k + 56) in all.  Only
     :func:`~l1select.selectors.efficient_min_loss_weight` reads the order,
     and it preprocesses a :class:`Family` itself.  An outcome layer over
-    ``_PAIR_TABLE_MAX_BYTES`` is refused (:class:`CapacityError`), as are
-    distances or thresholds that overflow (ValueError).
+    ``_PAIR_TABLE_MAX_BYTES`` is refused (:class:`CapacityError`).
     """
     return PreprocessedFamily(family)

@@ -45,10 +45,12 @@ import numpy as np
 
 from .core import (
     CapacityError,
+    Candidate,
     EmptyFamilyError,
     Family,
     Outcome,
     PreprocessedFamily,
+    Support,
     _as_vector,
     _check_candidate_index,
     _check_same_length,
@@ -191,21 +193,33 @@ def check_bound(
     ``selected`` outside [0, m) raises IndexError.
 
     ``reference``, when given, supplies ``d1`` and the deviation; it must
-    have been built from this ``family``, ``g`` and ``h``.  Without it the
-    check builds its own, so the result is the same either way.
+    have been built from this ``family``, ``g`` and ``h`` (ValueError
+    otherwise).  Without it the check builds its own: the same result.
     """
     if delta_mode not in ("full", "restricted"):
         raise ValueError(f"delta_mode must be 'full' or 'restricted', got {delta_mode!r}")
     _check_candidate_index(family, selected)
     if reference is None:
         reference = InstanceReference(family, g, h)
-    elif reference.family is not family:
-        raise ValueError("reference was built for another family")
+    else:
+        _check_reference(reference, family, h, g)
     dev = reference.deviation if delta_mode == "full" else reference.restricted_deviation
     lhs = l1_distance(family.matrix[selected], g)
     rhs = a * reference.d1 + b * dev
     margin = rhs - lhs
     return BoundCheck(a, b, lhs, rhs, margin, margin >= -GUARANTEE_TOL)
+
+
+def _check_reference(reference: InstanceReference, family: Family, h, g=None) -> None:
+    """Refuse (ValueError) a ``reference`` not built from ``family``, ``h``
+    and ``g`` unless None: each must be the very array the reference keeps,
+    as ``verify`` passes it, or a mass vector equal to it entry for entry."""
+    if reference.family is not family:
+        raise ValueError("reference was built for another family")
+    for noun, values, kept in (("truth", g, reference.g), ("empirical distribution", h, reference.h)):
+        vec = _as_vector(values) if values is not None else kept
+        if vec is not kept and not np.array_equal(_checked_mass(vec, noun, family.support.size), kept):
+            raise ValueError(f"reference was built for another {noun}")
 
 
 def _direct_outcome(fi: np.ndarray, fj: np.ndarray, hv: np.ndarray) -> Outcome:
@@ -292,14 +306,14 @@ def check_elimination_invariant(
     for a singleton family.
 
     ``reference``, when given, must have been built from this family and
-    ``h``; it keeps both readings of each (selected, c) it is asked for, so
-    checking the strict and the draw reading costs one pass.
+    ``h`` (ValueError otherwise); it keeps both readings of each (selected,
+    c) it is asked for, so checking the strict and the draw reading costs
+    one pass.
     """
     if reference is None:
         verdicts = _elimination_verdicts(prep_or_family, h, selected, c)
-    elif reference.family is not _family_of(prep_or_family):
-        raise ValueError("reference was built for another family")
     else:
+        _check_reference(reference, _family_of(prep_or_family), h)
         verdicts = reference.elimination_verdicts(selected, c)
     return verdicts[include_draws]
 
@@ -313,8 +327,6 @@ def check_win_equivalence(fi, fj, h) -> bool:
     :func:`~l1select.core.scheffe_win` directly.  Both require normalized
     inputs.
     """
-    from .core import Candidate, Support  # local import to avoid cycles in __init__
-
     a, b = _as_vector(fi), _as_vector(fj)
     family = Family(
         Support.default(a.shape[0]),

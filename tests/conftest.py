@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -21,6 +23,24 @@ settings.register_profile(
     "suite", deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
 settings.load_profile("suite")
+
+
+# The mass check's bound on a vector's length times its largest entry: an
+# eighth of the float maximum.
+MASS_BOUND = float(np.finfo(np.float64).max) / 8
+
+
+def largest_accepted_exponent(k: int, *arrays) -> int:
+    """The largest s such that every array scaled by 2**s, read as mass
+    vectors of ``k`` entries, passes the mass check: k times its largest
+    entry is at most MASS_BOUND."""
+    top = max(float(np.max(a)) for a in arrays)
+    s = math.floor(math.log2(MASS_BOUND / (k * top)))
+    while k * math.ldexp(top, s + 1) <= MASS_BOUND:
+        s += 1
+    while k * math.ldexp(top, s) > MASS_BOUND:
+        s -= 1
+    return s
 
 
 def make_family(rows, names=None, support=None) -> Family:

@@ -44,7 +44,7 @@ from l1select import (
 from l1select import core, min_loss_weight, scheffe_tournament
 from l1select import test_function as make_test_function
 from l1select.core import _pair_layer, _pair_outcome_arrays
-from conftest import make_family
+from conftest import largest_accepted_exponent, make_family
 
 # The two-candidate construction at eps = 0.01, as literal decimals.
 F1 = np.array([0.0, 0.26, 0.5, 0.24])
@@ -592,22 +592,25 @@ class TestPairTable:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_overflowing_thresholds_rejected(self, seed):
-        """Masses near the float maximum overflow the distances and
-        thresholds (some thresholds are NaN, so every compare on them would
-        be a silent draw): the build warns nothing, and preprocess refuses
-        the table.  The distance selectors read only its signs, but their
-        scores overflow too, so they refuse the family as well, without a
-        warning."""
-        rows = np.random.default_rng(seed).uniform(size=(5, 8)) * 1e308
-        table = _pair_outcome_arrays(rows)
-        assert not (np.isfinite(table.distances).all() and np.isfinite(table.thresholds).all())
-        family = make_family(rows)
-        with pytest.raises(ValueError, match="overflow"):
-            preprocess(family)
-        h = np.full(8, 1 / 8)
-        for select in (min_distance, modified_min_distance):
-            with pytest.raises(ValueError, match="overflow"):
-                select(family, h)
+        """Masses near the float maximum, whose distances and thresholds
+        would overflow, are refused when the family is built, candidate by
+        candidate or as one matrix, so no pair table of them exists.  The
+        same rows scaled to the largest accepted power of two give finite
+        distances and thresholds, exactly 2**s times the unscaled ones, and
+        no warning."""
+        unit = np.random.default_rng(seed).uniform(size=(5, 8))
+        rows = unit * 1e308
+        with pytest.raises(ValueError, match="^candidate 'f1' has mass entries too large"):
+            make_family(rows)
+        with pytest.raises(ValueError, match="^mass matrix has mass entries too large"):
+            Family._from_matrix(Support.default(8), [f"f{i}" for i in range(5)], rows)
+        s = largest_accepted_exponent(8, unit)
+        scaled = _pair_layer(make_family(np.ldexp(unit, s)), outcomes=True)
+        table = _pair_outcome_arrays(unit)
+        assert_array_equal(scaled.signs, table.signs)
+        assert_array_equal(scaled.distances, np.ldexp(table.distances, s))
+        assert_array_equal(scaled.thresholds, np.ldexp(table.thresholds, s))
+        assert np.isfinite(scaled.distances).all() and np.isfinite(scaled.thresholds).all()
 
 
 class TestQuadrupleProperty:

@@ -73,6 +73,10 @@ FAMILY_FAULTS = {
         {"support": ["a", "b"], "candidates": [GOOD_ENTRY, {"name": "g", "mass": [-0.5, 1.5]}]},
         "candidate 'g' has negative mass entries",
     ),
+    "mass_too_large": (
+        {"support": ["a", "b"], "candidates": [GOOD_ENTRY, {"name": "g", "mass": [1e308, 0.5]}]},
+        "candidate 'g' has mass entries too large: 2 times 1e+308 exceeds 2.2471164185778946e+307",
+    ),
     "row_of_the_wrong_length": (
         {"support": ["a", "b"], "candidates": [GOOD_ENTRY, {"name": "g", "mass": [1.0]}]},
         "candidate 'g' has 1 entries on a support of size 2",
@@ -365,34 +369,48 @@ class TestSelectCommand:
 
     @pytest.mark.parametrize("algorithm", ["tournament", "minloss", "efficient"])
     def test_overflowing_thresholds_exit_three(self, tmp_path, capsys, algorithm):
-        """Masses near the float maximum leave NaN thresholds, on which every
-        compare would be a silent draw; preprocessing refuses them instead."""
+        """Masses near the float maximum, whose thresholds would overflow,
+        are refused as the family file is read: exit 2, naming the first
+        candidate at fault, as for a NaN or negative mass, before any
+        threshold exists.  (They exited 3 when preprocessing refused the
+        overflowed thresholds.)"""
         rows = np.random.default_rng(0).uniform(size=(5, 8)) * 1e308
-        family = make_family(rows)
-        fam = tmp_path / "family.json"
-        emp = tmp_path / "empirical.json"
-        write_family(fam, family)
-        emp.write_text(json.dumps({"mass": [1 / 8] * 8}), encoding="utf-8")
-        code = main(["select", "--family", str(fam), "--empirical", str(emp), "--algorithm", algorithm])
-        assert code == 3
-        assert "overflow" in capsys.readouterr().err
+        fam, emp = write_huge_instance(tmp_path, rows)
+        code = main(["select", "--family", fam, "--empirical", emp, "--algorithm", algorithm])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {fam}: candidate 'f1' has mass entries too large")
 
     @pytest.mark.parametrize("algorithm", ["mindist", "modified"])
     def test_overflowing_scores_exit_three(self, tmp_path, capsys, algorithm):
-        """The distance selectors read only the signs of such a family, but
-        their scores overflow: exit 3 with a message, not a pick among
-        infinite scores."""
+        """The distance selectors read only the signs of such a family, and
+        their scores would overflow: the file is refused as it is read
+        (exit 2, naming the candidate, no traceback) before any score is
+        computed.  (They exited 3 when the overflowed scores were
+        refused.)"""
         rows = np.random.default_rng(0).uniform(size=(5, 8)) * 1e308
-        fam = tmp_path / "family.json"
-        emp = tmp_path / "empirical.json"
-        write_family(fam, make_family(rows))
-        emp.write_text(json.dumps({"mass": [1 / 8] * 8}), encoding="utf-8")
-        code = main(["select", "--family", str(fam), "--empirical", str(emp), "--algorithm", algorithm])
+        rows[0] = 1 / 8
+        fam, emp = write_huge_instance(tmp_path, rows)
+        code = main(["select", "--family", fam, "--empirical", emp, "--algorithm", algorithm])
         captured = capsys.readouterr()
-        assert code == 3
+        assert code == 2
         assert captured.out == ""
-        assert "overflow" in captured.err
+        assert captured.err.startswith(f"error: {fam}: candidate 'f2' has mass entries too large")
         assert "Traceback" not in captured.err
+
+
+def write_huge_instance(tmp_path, rows) -> tuple[str, str]:
+    """A family file of ``rows`` on eight atoms and a uniform empirical
+    file, written as JSON without building a family of them."""
+    fam = tmp_path / "family.json"
+    emp = tmp_path / "empirical.json"
+    candidates = [{"name": f"f{i + 1}", "mass": row.tolist()} for i, row in enumerate(rows)]
+    fam.write_text(
+        json.dumps({"support": [f"A{x}" for x in range(1, 9)], "candidates": candidates}), encoding="utf-8"
+    )
+    emp.write_text(json.dumps({"mass": [1 / 8] * 8}), encoding="utf-8")
+    return str(fam), str(emp)
 
 
 class TestVerifyCommand:

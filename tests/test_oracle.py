@@ -487,6 +487,48 @@ class TestInstanceReference:
         with pytest.raises(ValueError, match="another family"):
             check_bound(0, second.family, second.truth, second.empirical, 3.0, 2.0, reference=reference)
 
+    def test_reference_of_another_instance_rejected(self):
+        """A reference answers only for the g and h it was built from: given
+        another instance's g or h, a NaN g or a one-entry h, the checks
+        refuse it.  Grading from the reference's own vectors instead would
+        give margin -0.286 for the other instance, where the check computes
+        1.102 from scratch, a NaN margin for the NaN g, and a verdict for
+        the one-entry h."""
+        inst, other = random_instance(0, 6, 8, 0.3), random_instance(1, 6, 8, 0.3)
+        family, g, h = inst.family, inst.truth, inst.empirical
+        reference = InstanceReference(family, g, h)
+        scratch = check_bound(0, family, other.truth, other.empirical, 3.0, 2.0)
+        assert scratch.margin == pytest.approx(1.1016512770385514)
+        with pytest.raises(ValueError, match="^reference was built for another truth$"):
+            check_bound(0, family, other.truth, h, 3.0, 2.0, reference=reference)
+        for check in (
+            lambda h: check_bound(0, family, g, h, 3.0, 2.0, reference=reference),
+            lambda h: check_elimination_invariant(family, h, 0, reference=reference),
+        ):
+            with pytest.raises(ValueError, match="^reference was built for another empirical distribution$"):
+                check(other.empirical)
+            with pytest.raises(SupportMismatchError, match="^empirical distribution has 1 entries"):
+                check(np.array([0.5]))
+        nan_g = g.copy()
+        nan_g[0] = np.nan
+        with pytest.raises(ValueError, match="^truth has non-finite mass entries$"):
+            check_bound(0, family, nan_g, h, 3.0, 2.0, reference=reference)
+
+    def test_copies_of_the_reference_vectors_are_accepted(self):
+        """The vectors the reference keeps pass at once, and equal copies
+        pass after an entry-by-entry comparison: either way the check gives
+        what it gives without a reference."""
+        inst = random_instance(0, 6, 8, 0.3)
+        family, g, h = inst.family, inst.truth, inst.empirical
+        reference = InstanceReference(family, g, h)
+        assert reference.g is g and reference.h is h.mass
+        alone = bound_bits(check_bound(2, family, g, h, 3.0, 2.0))
+        for gv, hv in ((g, h), (g.tolist(), h.mass.copy()), (g.copy(), EmpiricalDistribution(h.mass))):
+            assert bound_bits(check_bound(2, family, gv, hv, 3.0, 2.0, reference=reference)) == alone
+            assert check_elimination_invariant(family, hv, 2, reference=reference) == (
+                check_elimination_invariant(family, hv, 2)
+            )
+
     def test_empty_family_rejected(self):
         family = Family(Support.default(2), [])
         with pytest.raises(EmptyFamilyError):

@@ -51,15 +51,16 @@ from l1select import (
 )
 from l1select import selectors
 from l1select import test_function as make_test_function
-from l1select.core import _pair_layer, _pair_signs
+from l1select.core import _checked_mass, _pair_layer, _pair_signs
 from l1select.selectors import (
+    LossWeightValue,
     TraceEvent,
     _loss_weights,
     _min_distance_shortlist,
     _pair_outcomes,
     _win_counts,
 )
-from conftest import make_family
+from conftest import MASS_BOUND, largest_accepted_exponent, make_family
 
 ALG_RUNNERS = {
     "tournament": lambda fam, h: scheffe_tournament(preprocess(fam), h, Ledger()),
@@ -297,22 +298,27 @@ class TestRandomizedTwo:
         assert a == b
 
     def test_term_sum_overflow_still_mixes_evenly(self):
-        """Each term is 1e308, so n1 + n2 overflows; the weights are still
-        the exact ratio of the two terms."""
-        f1 = Candidate("f1", [1e308, 0.0])
-        f2 = Candidate("f2", [0.0, 1e308])
-        with np.errstate(over="ignore"):
-            report = randomized_two(f1, f2, np.array([0.5, 0.5]), rng_seed=0)
+        """The largest accepted masses on two atoms, MASS_BOUND / 2 each:
+        n1 + n2 is about MASS_BOUND, far from overflow, and the weights are
+        the exact ratio of the two terms.  At 1e308 each, where n1 + n2
+        would overflow, f1 is refused."""
+        f1 = Candidate("f1", [MASS_BOUND / 2, 0.0])
+        f2 = Candidate("f2", [0.0, MASS_BOUND / 2])
+        report = randomized_two(f1, f2, np.array([0.5, 0.5]), rng_seed=0)
         assert report.mixture == (0.5, 0.5)
+        with pytest.raises(ValueError, match="^candidate 'f1' has mass entries too large"):
+            randomized_two(np.array([1e308, 0.0]), f2, np.array([0.5, 0.5]), rng_seed=0)
 
     def test_term_sum_overflow_warns_nothing(self):
-        """The degenerate-pair check compares the masses exactly, so masses
-        near the float maximum raise no numpy overflow warning."""
-        f1 = Candidate("f1", [1e308, 0.0])
-        f2 = Candidate("f2", [0.0, 1e308])
+        """Neither the largest accepted masses nor the refusal of masses
+        near the float maximum raise a numpy warning."""
+        f1 = Candidate("f1", [MASS_BOUND / 2, 0.0])
+        f2 = Candidate("f2", [0.0, MASS_BOUND / 2])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             report = randomized_two(f1, f2, np.array([0.5, 0.5]), rng_seed=0)
+            with pytest.raises(ValueError, match="too large"):
+                Candidate("f1", [1e308, 0.0])
         assert report.mixture == (0.5, 0.5)
 
     def test_both_terms_zero_give_even_mixture(self):
@@ -326,10 +332,20 @@ class TestRandomizedTwo:
             assert report.term_evaluations == 2
 
     def test_overflowing_term_rejected(self):
-        f1 = Candidate("f1", [1.7e308, 1.7e308, 0.0])
-        f2 = Candidate("f2", [0.0, 0.0, 1.0])
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflow"):
-            randomized_two(f1, f2, np.array([0.5, 0.25, 0.25]), rng_seed=0)
+        """A term that could overflow needs masses past the bound, which
+        are refused, as a candidate or a raw vector, before any term is
+        evaluated: near the float maximum and one ulp past the bound alike.
+        Exactly at the bound both terms are finite."""
+        f2 = Candidate("f2", [0.0, 0.0, 0.5, 0.5])
+        h = np.full(4, 0.25)
+        for f1 in ([1.7e308, 1.7e308, 0.0, 0.0], [np.nextafter(MASS_BOUND / 4, np.inf), 0.0, 0.0, 0.0]):
+            with pytest.raises(ValueError, match="^candidate 'f1' has mass entries too large"):
+                randomized_two(Candidate("f1", f1), f2, h, rng_seed=0)
+            with pytest.raises(ValueError, match="^candidate 'f1' has mass entries too large"):
+                randomized_two(np.array(f1), f2, h, rng_seed=0)
+        f1 = Candidate("f1", [MASS_BOUND / 4, MASS_BOUND / 4, 0.0, 0.0])
+        report = randomized_two(f1, f2, h, rng_seed=0)
+        assert report.mixture == (1.0 / (MASS_BOUND / 2 + 1.0), (MASS_BOUND / 2) / (MASS_BOUND / 2 + 1.0))
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 6))
     def test_mixture_weights_are_a_distribution(self, seed, k):
@@ -756,47 +772,49 @@ class TestMinDistanceScreen:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_masses_near_the_float_max_recheck_everyone(self, seed):
-        """Above half the float maximum the rounding bound can overflow, so
-        the screen keeps every candidate.  Where an exact score overflows as
-        well, both selectors refuse the family instead of choosing among
-        infinite scores."""
+        """Masses near the float maximum, on which the screen's rounding
+        bound could fail, are refused, as a family and as a raw h.  At the
+        largest accepted power of two the bound holds, so the screen need
+        not keep everyone: it shortlists what it shortlists unscaled, and
+        both selectors report what they report unscaled."""
         rng = np.random.default_rng(seed)
-        rows = rng.uniform(0.0, 1.0, size=(5, 8)) * 1e308
-        rows[3] = rows[1]
+        unit = rng.uniform(0.0, 1.0, size=(5, 8))
+        unit[3] = unit[1]
         h = rng.dirichlet(np.ones(8))
-        with np.errstate(over="ignore"):
-            diffs = rows - h
-            signs = _pair_signs(rows).signs
-            assert _min_distance_shortlist(diffs, signs).tolist() == list(range(5))
-        family = make_family(rows)
-        with np.errstate(over="ignore", invalid="ignore"):
-            references = (
-                (min_distance, reference_min_distance_scores(rows, h)),
-                (modified_min_distance, reference_modified_scores(rows, h)),
-            )
-        for select, scores in references:
-            if np.all(np.isfinite(scores)):
-                assert select(family, h, Ledger()).selected_index == int(np.argmin(scores))
-            else:
-                with pytest.raises(ValueError, match="overflow"):
-                    select(family, h, Ledger())
+        with pytest.raises(ValueError, match="^candidate 'f1' has mass entries too large"):
+            make_family(unit * 1e308)
+        family = make_family(unit)
+        for select in (min_distance, modified_min_distance):
+            with pytest.raises(ValueError, match="^empirical distribution has mass entries too large"):
+                select(family, h * 1e308, Ledger())
+        s = largest_accepted_exponent(8, unit, h)
+        rows, hs = np.ldexp(unit, s), np.ldexp(h, s)
+        signs = _pair_signs(unit).signs
+        shortlist = _min_distance_shortlist(rows - hs, signs).tolist()
+        assert shortlist == _min_distance_shortlist(unit - h, signs).tolist()
+        assert len(shortlist) < 5
+        for select in (min_distance, modified_min_distance):
+            assert select(make_family(rows), hs, Ledger()) == select(family, h, Ledger())
 
     @pytest.mark.parametrize("seed", range(6))
     def test_norms_past_half_the_float_max_with_finite_scores(self, seed):
-        """Rows between 0.6 and 1 times 2e307 on eight atoms: every
-        ||f - h||_1 exceeds half the float maximum, so the screen keeps
-        everyone, but no partial sum can pass 8 * 2e307 and no score
-        overflows.  Both selectors must pick what the reference picks."""
+        """Rows between 0.6 and 1 times 2e307 on eight atoms, whose
+        ||f - h||_1 would pass half the float maximum, are refused.  At the
+        largest accepted power of two every ||f - h||_1 stays at or below a
+        quarter of the float maximum, no score overflows, and both
+        selectors pick what the reference picks."""
         rng = np.random.default_rng(seed)
-        rows = rng.uniform(0.6, 1.0, size=(5, 8)) * 2e307
-        rows[3] = rows[1]
+        unit = rng.uniform(0.6, 1.0, size=(5, 8))
+        unit[3] = unit[1]
         h = rng.dirichlet(np.ones(8))
-        diffs = rows - h
-        assert np.abs(diffs).sum(axis=1).min() > np.finfo(np.float64).max / 2
-        assert _min_distance_shortlist(diffs, _pair_signs(rows).signs).tolist() == list(range(5))
-        assert np.all(np.isfinite(reference_min_distance_scores(rows, h)))
-        assert np.all(np.isfinite(reference_modified_scores(rows, h)))
-        assert_min_distance_selectors_match_reference(rows, h)
+        with pytest.raises(ValueError, match="^candidate 'f1' has mass entries too large"):
+            make_family(unit * 2e307)
+        s = largest_accepted_exponent(8, unit, h)
+        rows, hs = np.ldexp(unit, s), np.ldexp(h, s)
+        assert np.abs(rows - hs).sum(axis=1).max() <= np.finfo(np.float64).max / 4
+        assert np.all(np.isfinite(reference_min_distance_scores(rows, hs)))
+        assert np.all(np.isfinite(reference_modified_scores(rows, hs)))
+        assert_min_distance_selectors_match_reference(rows, hs)
 
     @pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4, 1.5e-2])
     @pytest.mark.parametrize(
@@ -1073,18 +1091,21 @@ class TestColdFamilyLayers:
         assert [shape for _, shape in pair_table_builds] == [(1, 4)]
 
     def test_cold_family_with_overflowing_values_is_refused(self):
-        """Masses near the float maximum overflow distances or thresholds:
-        the outcome selectors refuse a cold family with the error preprocess
-        gives, and keep no layer."""
-        rows = np.random.default_rng(0).uniform(size=(5, 8)) * 1e308
-        family = make_family(rows)
-        with pytest.raises(ValueError) as refused:
-            preprocess(family)
+        """Masses near the float maximum, whose distances or thresholds
+        would overflow, are refused before a family of them exists, so no
+        layer of them is ever built.  At the largest accepted power of two
+        the outcome selectors build, on a cold family, a layer of finite
+        distances and thresholds, and report what they report unscaled."""
+        unit = np.random.default_rng(0).uniform(size=(5, 8))
+        with pytest.raises(ValueError, match="^candidate 'f1' has mass entries too large"):
+            make_family(unit * 1e308)
+        h = np.full(8, 1 / 8)
+        s = largest_accepted_exponent(8, unit, h)
+        family = make_family(np.ldexp(unit, s))
         for select in (scheffe_tournament, min_loss_weight):
-            with pytest.raises(ValueError) as raised:
-                select(family, np.full(8, 1 / 8))
-            assert str(raised.value) == str(refused.value)
-            assert family._lex_pairs is None
+            assert select(family, np.ldexp(h, s)) == select(make_family(unit), h)
+        layer = family._lex_pairs
+        assert np.isfinite(layer.distances).all() and np.isfinite(layer.thresholds).all()
 
 
 def reference_elimination(family: Family, h) -> tuple[TraceEvent, ...]:
@@ -1153,6 +1174,23 @@ MASS_FAMILY = make_family([[0.4, 0.3, 0.2, 0.1], [0.1, 0.2, 0.3, 0.4], [0.25] * 
 UNIFORM = np.full(4, 0.25)
 ROW0, ROW1 = MASS_FAMILY.matrix[0], MASS_FAMILY.matrix[1]
 
+
+def reference_from(g, h) -> InstanceReference:
+    """A reference on MASS_FAMILY built from copies of ``g`` and ``h``, with
+    UNIFORM in place of either where the mass check refuses it.  A check
+    handed the reference with ``g`` and ``h`` themselves compares them with
+    its copies entry by entry, and refuses a malformed one as a mass
+    vector."""
+
+    def copy_or_uniform(v):
+        try:
+            return _checked_mass(v, "v", 4).copy()
+        except ValueError:
+            return UNIFORM.copy()
+
+    return InstanceReference(MASS_FAMILY, copy_or_uniform(g), copy_or_uniform(h))
+
+
 # Every public entry point that takes a mass vector, as a call of that one
 # vector ``v`` and a ledger; ``(g)``, ``(h)``, ``(f1)`` and so on name the
 # argument ``v`` fills when an entry point takes several.
@@ -1188,7 +1226,16 @@ MASS_ENTRY_POINTS = {
     "InstanceReference(h)": lambda v, ledger: InstanceReference(MASS_FAMILY, UNIFORM, v),
     "check_bound(g)": lambda v, ledger: check_bound(0, MASS_FAMILY, v, UNIFORM, 3.0, 2.0),
     "check_bound(h)": lambda v, ledger: check_bound(0, MASS_FAMILY, UNIFORM, v, 3.0, 2.0),
+    "check_bound(g, reference)": lambda v, ledger: check_bound(
+        0, MASS_FAMILY, v, UNIFORM, 3.0, 2.0, reference=reference_from(v, UNIFORM)
+    ),
+    "check_bound(h, reference)": lambda v, ledger: check_bound(
+        0, MASS_FAMILY, UNIFORM, v, 3.0, 2.0, reference=reference_from(UNIFORM, v)
+    ),
     "check_elimination_invariant": lambda v, ledger: check_elimination_invariant(MASS_FAMILY, v, 0),
+    "check_elimination_invariant(reference)": lambda v, ledger: check_elimination_invariant(
+        MASS_FAMILY, v, 0, reference=reference_from(UNIFORM, v)
+    ),
     "check_win_equivalence(fi)": lambda v, ledger: check_win_equivalence(v, ROW1, UNIFORM),
     "check_win_equivalence(fj)": lambda v, ledger: check_win_equivalence(ROW0, v, UNIFORM),
     "check_win_equivalence(h)": lambda v, ledger: check_win_equivalence(ROW0, ROW1, v),
@@ -1206,6 +1253,8 @@ BAD_MASSES = {
     "-inf": ([-float("inf"), 1.0, 0.0, 0.0], ValueError, "non-finite"),
     "negative": ([-0.25, 0.75, 0.25, 0.25], ValueError, "negative"),
     "short": ([0.5, 0.5], SupportMismatchError, "on a support of size"),
+    "huge": ([1e308, 0.0, 0.0, 0.0], ValueError, "too large"),
+    "past_the_bound": ([np.nextafter(MASS_BOUND / 4, np.inf), 0.0, 0.0, 0.0], ValueError, "too large"),
 }
 
 
@@ -1236,7 +1285,7 @@ NAMED_ENTRY_POINTS = {
 
 class TestEmpiricalValidation:
     """Every public entry point that takes a mass vector refuses a NaN,
-    infinite or negative entry with ValueError and, when it knows the
+    infinite, negative or too large entry with ValueError and, when it knows the
     support, a wrong length with SupportMismatchError, instead of yielding
     an answer.  The rows of one table, MASS_ENTRY_POINTS, are shared out
     among the tests below."""
@@ -1282,13 +1331,21 @@ class TestEmpiricalValidation:
             MASS_ENTRY_POINTS[entry](np.array([first, 0.5, 0.25, 0.25]), Ledger())
 
     def test_huge_masses_pass_the_check_without_warning(self):
-        """Masses near the float maximum are finite: they are accepted, and
-        a normalized vector of them is refused for its sum, with no overflow
-        warning from either."""
+        """Masses near the float maximum are refused, as a candidate and as
+        an empirical distribution, for their size rather than their sum,
+        with no overflow warning.  At the bound a candidate is accepted, and
+        an empirical distribution is refused for its sum, which is finite."""
         huge = np.full(4, 1e308)
-        assert Candidate("f", huge).mass.tolist() == huge.tolist()
-        with pytest.raises(NormalizationError, match="must sum to 1, got inf"):
+        with pytest.raises(ValueError, match="^candidate 'f' has mass entries too large"):
+            Candidate("f", huge)
+        with pytest.raises(ValueError, match="^empirical distribution has mass entries too large") as refused:
             EmpiricalDistribution(huge)
+        assert type(refused.value) is ValueError
+        edge = np.full(4, MASS_BOUND / 4)
+        assert Candidate("f", edge).mass.tolist() == edge.tolist()
+        with pytest.raises(NormalizationError) as refused:
+            EmpiricalDistribution(edge)
+        assert str(refused.value) == f"empirical distribution must sum to 1, got {MASS_BOUND!r}"
 
     def test_empty_vector(self):
         """An empty candidate is accepted until a family places it on a
@@ -1336,3 +1393,91 @@ class TestEmpiricalValidation:
         with pytest.raises(ValueError, match="non-finite"):
             efficient_min_loss_weight(preprocess(pair_instance.family), h, ledger)
         assert ledger.h_products == 0
+
+
+def bound_instances() -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Families (as rows) and raw h that a power of two scales up to the
+    mass check's bound.  In the random ones, on 8 and 64 atoms, the largest
+    entry is raised to the float just below a power of two, so that scaled,
+    k times it is the bound exactly; the draw constructions, on 4 and 6
+    atoms, are kept as they are."""
+    out = {}
+    for seed, k, m in ((0, 8, 6), (1, 8, 9), (2, 64, 12), (3, 64, 2)):
+        inst = random_instance(seed, k, m, noise=(0.0, 0.02, 0.1, 0.3)[seed])
+        rows, h = inst.family.matrix.copy(), inst.empirical.mass.copy()
+        top = max(rows.max(), h.max())
+        edge = np.nextafter(math.ldexp(1.0, math.frexp(top)[1]), 0.0)
+        rows[rows == top] = edge
+        h[h == top] = edge
+        out[f"random-{seed}-k{k}-m{m}"] = (rows, h)
+    for eps in (1e-2, 1e-3):
+        for name, inst in (
+            ("pair", lower_bound_pair(eps)),
+            ("swap_pair", swap_pair(lower_bound_pair(eps))),
+            ("tournament", lower_bound_tournament(eps)),
+        ):
+            out[f"{name}-{eps}"] = (inst.family.matrix, inst.empirical.mass)
+    return out
+
+
+BOUND_INSTANCES = bound_instances()
+
+
+class TestMassBound:
+    """The mass check's bound leaves no sum room to overflow: a family and a
+    raw h scaled by a power of two up to the bound select, trace and charge
+    exactly as unscaled, with every distance, threshold, loss-weight and
+    margin scaled exactly and no warning (the suite makes a RuntimeWarning
+    an error).  One ulp past the bound is refused."""
+
+    @pytest.mark.parametrize("name", sorted(BOUND_INSTANCES))
+    def test_scaled_to_the_bound_selects_as_unscaled(self, name):
+        rows, h = BOUND_INSTANCES[name]
+        m, k = rows.shape
+        s = largest_accepted_exponent(k, rows, h)
+        big_rows, big_h = np.ldexp(rows, s), np.ldexp(h, s)
+        if name.startswith("random"):
+            assert k * max(big_rows.max(), big_h.max()) == MASS_BOUND
+        assert k * 2 * max(big_rows.max(), big_h.max()) > MASS_BOUND
+        family, big = make_family(rows), make_family(big_rows)
+        for algorithm, select in COLD_SELECTORS.items():
+            assert select(big, big_h, Ledger()) == select(family, h, Ledger()), algorithm
+            assert select(preprocess(make_family(big_rows)), big_h) == select(preprocess(family), h), algorithm
+        for i, j in itertools.permutations(range(m), 2):
+            assert compare(big, i, j, big_h, Ledger()) is compare(family, i, j, h, Ledger())
+        for i in range(m):
+            want = loss_weight(family, h, i)
+            assert loss_weight(big, big_h, i) == LossWeightValue(math.ldexp(want.value, s), want.witness)
+            for c, include_draws in itertools.product((1.0, 1.5, 2.0), (False, True)):
+                want = relaxed_selection_check(family, h, i, c, include_draws=include_draws)
+                got = relaxed_selection_check(big, big_h, i, c, include_draws=include_draws)
+                assert (got.passed, got.margin) == (want.passed, math.ldexp(want.margin, s))
+        if not np.array_equal(rows[0], rows[1]):
+            for seed in range(4):
+                want = randomized_two(rows[0], rows[1], h, seed)
+                assert randomized_two(big_rows[0], big_rows[1], big_h, seed) == want
+
+    @pytest.mark.parametrize("name", [name for name in sorted(BOUND_INSTANCES) if name.startswith("random")])
+    def test_one_ulp_past_the_bound_is_refused(self, name):
+        rows, h = BOUND_INSTANCES[name]
+        m, k = rows.shape
+        past = np.nextafter(MASS_BOUND / k, np.inf)
+        family = make_family(rows)
+        bad_rows = rows.copy()
+        bad_rows[m - 1, 0] = past
+        with pytest.raises(ValueError, match=f"^candidate 'f{m}' has mass entries too large"):
+            make_family(bad_rows)
+        with pytest.raises(ValueError, match="^mass matrix has mass entries too large"):
+            Family._from_matrix(family.support, family.names, bad_rows)
+        bad_h = h.copy()
+        bad_h[0] = past
+        queries = [
+            *COLD_SELECTORS.values(),
+            lambda family, h: compare(family, 0, m - 1, h, Ledger()),
+            lambda family, h: loss_weight(family, h, 0),
+            lambda family, h: relaxed_selection_check(family, h, 0),
+            lambda family, h: randomized_two(family[0], family[m - 1], h),
+        ]
+        for query in queries:
+            with pytest.raises(ValueError, match="^empirical distribution has mass entries too large"):
+                query(family, bad_h)
