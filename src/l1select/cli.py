@@ -146,17 +146,19 @@ def _evaluate_instance(inst: Instance, delta_mode: str, draw_flip: bool) -> dict
     for algorithm, (a, b, supports_restricted) in _BOUNDS.items():
         report = _run_selector(algorithm, family, h, 0, draw_flip=draw_flip)
         mode = "restricted" if (delta_mode == "restricted" and supports_restricted) else "full"
-        bound = check_bound(report.selected_index, family, g, h, a, b, mode, reference=reference)
+        bound = check_bound(
+            report.selected_index, family, reference.g, reference.h, a, b, mode, reference=reference
+        )
         result["bounds"][algorithm] = bound.margin
         if not bound.passed:
             fail("bound", {"algorithm": algorithm, "margin": bound.margin, "delta_mode": mode})
         if algorithm == "efficient":
             # Both readings come from one pass, which the reference keeps.
             strict_ok = check_elimination_invariant(
-                family, h, report.selected_index, 1.0, reference=reference
+                family, reference.h, report.selected_index, 1.0, reference=reference
             )
             draws_ok = check_elimination_invariant(
-                family, h, report.selected_index, 1.0, include_draws=True, reference=reference
+                family, reference.h, report.selected_index, 1.0, include_draws=True, reference=reference
             )
             result["invariant_ok"] = strict_ok
             result["invariant_draw_disagrees"] = strict_ok != draws_ok

@@ -129,6 +129,19 @@ def best_in_family(family: Family, g) -> tuple[int, float]:
     return idx, float(dists[idx])
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """``arr`` itself when neither it nor any array it views is writable,
+    otherwise a read-only copy of it."""
+    base = arr
+    while isinstance(base, np.ndarray):
+        if base.flags.writeable:
+            arr = arr.copy()
+            arr.flags.writeable = False
+            return arr
+        base = base.base
+    return arr
+
+
 class InstanceReference:
     """The oracle quantities of one instance (``family``, ``g``, ``h``), each
     computed once and shared by every :func:`check_bound` on that instance.
@@ -142,14 +155,17 @@ class InstanceReference:
     cached pair table or a :class:`~l1select.core.PreprocessedFamily`.  A
     reference describes one instance only and is dropped with it.  ``g``
     and ``h`` are both checked at construction, so a malformed one is
-    refused before any quantity is read.
+    refused before any quantity is read.  Both are kept read-only: an array
+    that nothing can write through is kept as it is, any other is copied,
+    so writing to the caller's array later changes no quantity, and the
+    checks refuse the changed array as another instance's.
     """
 
     def __init__(self, family: Family, g, h):
         self.family = family
-        self.g = _as_vector(g)
+        self.g = _read_only(_as_vector(g))
         self.best_index, self.d1 = best_in_family(family, self.g)
-        self.h = _checked_mass(h, "empirical distribution", family.support.size)
+        self.h = _read_only(_checked_mass(h, "empirical distribution", family.support.size))
         self._elimination_verdicts: dict[tuple[int, float], tuple[bool, bool]] = {}
 
     def elimination_verdicts(self, selected: int, c: float) -> tuple[bool, bool]:

@@ -29,7 +29,10 @@ The tournament, ``min_loss_weight``, ``loss_weight`` and
 ``relaxed_selection_check`` read their pair outcomes from one vectorised
 pass, bit-identical to :func:`~l1select.core.compare`: ``loss_weight`` over
 its candidate's m-1 pairs, the others over all P, ``relaxed_selection_check``
-charging no caller's ledger.  The elimination selector, whose cost the paper
+charging no caller's ledger.  The pass decides every pair from one matrix
+product and sums row by row, as ``compare`` does, only the pairs that the
+product's rounding bound leaves undecided; ``min_distance`` screens its
+candidates the same way.  The elimination selector, whose cost the paper
 counts one product at a time, compares pair by pair.
 
 Every mass vector is checked once per call as :mod:`l1select.core`
@@ -78,6 +81,9 @@ __all__ = [
     "randomized_two",
     "relaxed_selection_check",
 ]
+
+# The spacing of floats just above 1, twice the unit roundoff.
+_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -171,14 +177,50 @@ def _report(target, algorithm: str, selected: int, ledger: Ledger,
     )
 
 
-def _row_products(signs: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """v . T for every row T of ``signs``: row-wise sums of the elementwise
-    products, the reduction :func:`~l1select.core.compare` uses, taken over
-    blocks of pairs so that no temporary grows with the table."""
-    products = np.empty(signs.shape[0])
-    for block in _pair_blocks(signs.shape[0]):
-        products[block] = (signs[block] * v).sum(axis=1)
+def _row_products(signs: np.ndarray, v: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+    """v . T for every row T of ``signs``, or for the rows listed in
+    ``rows``: row-wise sums of the elementwise products, the reduction
+    :func:`~l1select.core.compare` uses, taken over blocks of pairs so that
+    no temporary grows with the table."""
+    count = signs.shape[0] if rows is None else rows.shape[0]
+    products = np.empty(count)
+    for block in _pair_blocks(count):
+        products[block] = (signs[block if rows is None else rows[block]] * v).sum(axis=1)
     return products
+
+
+def _rounding_slack(k: int, norm):
+    """A bound past which a matrix product decides a sign that row-wise sums
+    decide exactly: 4 k eps ``norm``, for products of vectors ``v`` with
+    ``norm`` the computed ||v||_1 and pair rows of ``k`` entries in
+    {-1, 0, +1}.
+
+    Every term s_x v_x is then exactly +-v_x or 0, so a product is a sum of
+    k exact terms, whatever the order.  Each rounded addition is exact to a
+    relative u = eps/2, with no underflow error (the exact sum of two floats
+    below the normal range is a float), so any summation tree over the k
+    terms, numpy's pairwise row sums as much as a BLAS kernel's blocked
+    accumulators, is within gamma_{k-1} ||v||_1 of the exact sum, where
+    gamma_n = n u / (1 - n u).  A fused multiply-add s_x v_x + acc rounds
+    once, so it is such an addition.  Two orders therefore differ by at
+    most 2 gamma_{k-1} ||v||_1, about (k - 1) eps ||v||_1.  The slack is
+    four times k eps times the computed norm, which covers that with room
+    for the rounding of the norm itself (a relative gamma_{k-1}), of the
+    slack's own product (a relative u), and of one subtraction or addition
+    of a threshold or the slack before the comparison (a relative u each),
+    as long as k eps is far below 1; the capacity guard keeps k below 2**27.
+    A value that clears the computed slack in a comparison therefore lies
+    on the same side for both orders, exact ties included.
+
+    The mass check keeps ||v||_1 at most a quarter of the float maximum
+    for v = h or f - h, so no partial sum overflows.  Subnormal-scale sums
+    are exact: every float is a multiple of 2**-1074 and every such multiple
+    below 2**-1021 is a float, so when ||v||_1 is below 2**-1021 both
+    orders give the exact sum and the slack, which may round to 0 there,
+    need not cover anything.  Above it the slack is at least k 2**-1071, so
+    its own underflow error, at most 2**-1075, is a sixteenth of it at most.
+    """
+    return (4.0 * k * _EPS) * norm
 
 
 def _pair_outcomes(target: Family | PreprocessedFamily, h, ledger: Ledger, candidate: int | None = None):
@@ -189,10 +231,14 @@ def _pair_outcomes(target: Family | PreprocessedFamily, h, ledger: Ledger, candi
     of ``candidate``'s rows of it in lexicographic order, which lists the
     rivals in index order too; and the masks over its rows.  A pair in
     neither mask is a draw.  ``h`` is checked before the layer is built.
-    The products are row-wise sums of the same elementwise terms
-    :func:`~l1select.core.compare` sums, so every outcome is bit-identical
-    to it (a matrix product would reduce in another order and could flip a
-    one-ulp draw).  Charges one data product per row.
+
+    One matrix product gives every row's margin h . T - threshold.  A
+    margin beyond :func:`_rounding_slack` of ||h||_1 decides its row: the
+    row-wise sum :func:`~l1select.core.compare` takes lies on the same
+    side of the threshold.  Only the rows within it are summed row-wise, as
+    ``compare`` sums them, and compared with their thresholds, so every
+    outcome is bit-identical to ``compare``'s, exact draws included.
+    Charges one data product per row, however it is decided.
     """
     family = _family_of(target)
     if family.size == 0:
@@ -202,9 +248,16 @@ def _pair_outcomes(target: Family | PreprocessedFamily, h, ledger: Ledger, candi
     if candidate is not None:
         rows = np.flatnonzero((pairs.pair_i == candidate) | (pairs.pair_j == candidate))
         pairs = _PairTable(*(arr[rows] for arr in pairs))
-    prods = _row_products(pairs.signs, hv)
-    ledger.add_h_products(prods.shape[0])
-    return pairs, prods > pairs.thresholds, prods < pairs.thresholds
+    ledger.add_h_products(pairs.signs.shape[0])
+    margins = pairs.signs @ hv - pairs.thresholds
+    slack = _rounding_slack(hv.shape[0], float(hv.sum()))
+    first, second = margins > slack, margins < -slack
+    near = np.flatnonzero(~(first | second))
+    if near.size:
+        prods = _row_products(pairs.signs, hv, near)
+        first[near] = prods > pairs.thresholds[near]
+        second[near] = prods < pairs.thresholds[near]
+    return pairs, first, second
 
 
 def _win_counts(m: int, layer: _PairTable, first: np.ndarray, second: np.ndarray) -> np.ndarray:
@@ -242,21 +295,18 @@ def _min_distance_shortlist(diffs: np.ndarray, signs: np.ndarray) -> np.ndarray:
     """Candidates whose exact min-distance score may be the smallest.
 
     Every candidate is screened at once with matrix products over blocks of
-    pairs: approx[c] = max over pairs of |diffs[c] . T|.  Each term of such a
-    product is an exact product (+-d or 0), so any two summation orders, the
-    BLAS one included, differ by at most 2 gamma_k ||d_c||_1 <= k eps
-    ||d_c||_1; ``slack`` is four times that.  A candidate with approx - slack above the smallest
-    approx + slack therefore scores strictly above the winner exactly, and is
-    dropped.  The bound holds because no partial sum can overflow: the mass
-    check keeps every ||d_c||_1 at most a quarter of the float maximum.
+    pairs: approx[c] = max over pairs of |diffs[c] . T|, each within
+    :func:`_rounding_slack` of ||diffs[c]||_1 of the row-wise sum it
+    stands for.  A candidate with approx - slack above the smallest
+    approx + slack therefore scores strictly above some other candidate
+    exactly, and is dropped.
     """
     m, k = diffs.shape
-    norms = np.abs(diffs).sum(axis=1)
     approx = np.zeros(m)
     for block in _pair_blocks(signs.shape[0]):
         products = diffs @ signs[block].T
         np.maximum(approx, np.abs(products, out=products).max(axis=1), out=approx)
-    slack = (4.0 * k * np.finfo(np.float64).eps) * norms
+    slack = _rounding_slack(k, np.abs(diffs).sum(axis=1))
     return np.flatnonzero(approx - slack <= (approx + slack).min())
 
 
@@ -271,10 +321,11 @@ def min_distance(target: Family | PreprocessedFamily, h, ledger: Ledger | None =
 
     The scores are computed in two steps.  Matrix products over blocks of
     pairs screen every candidate within a rigorous bound on their rounding
-    error and keep only those that may attain the minimum.  Those are scored
-    exactly, by row-wise sums over every pair, and the lowest-index minimum
-    wins.  A dropped candidate provably scores strictly above the winner, so
-    the selection is the one exact scoring of every candidate gives,
+    error and keep only those that may attain the minimum.  A lone survivor
+    is the selection.  Otherwise the survivors are scored exactly, by
+    row-wise sums over every pair, and the lowest-index minimum wins.  A
+    dropped candidate provably scores strictly above some other candidate,
+    so the selection is the one exact scoring of every candidate gives,
     whatever order the matrix product sums in, and whatever order the pairs
     are listed in.  The ledger still charges the full m^2(m-1).
 
@@ -293,8 +344,10 @@ def min_distance(target: Family | PreprocessedFamily, h, ledger: Ledger | None =
     if signs.shape[0]:
         diffs = family.matrix - hv
         shortlist = _min_distance_shortlist(diffs, signs)
-        scores = np.array([np.abs(_row_products(signs, diffs[c])).max() for c in shortlist])
-        selected = int(shortlist[np.argmin(scores)])
+        selected = int(shortlist[0])
+        if shortlist.size > 1:
+            scores = [np.abs(_row_products(signs, diffs[c])).max() for c in shortlist]
+            selected = int(shortlist[np.argmin(scores)])
     return _report(family, "mindist", selected, ledger, h0, t0)
 
 

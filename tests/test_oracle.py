@@ -529,6 +529,30 @@ class TestInstanceReference:
                 check_elimination_invariant(family, hv, 2)
             )
 
+    def test_writes_to_the_arrays_it_was_built_on_are_refused(self):
+        """A reference copies writable ``g`` and ``h``: overwriting the
+        caller's arrays in place changes nothing it computes, and the checks
+        refuse the changed arrays as another instance's.  Kept without a
+        copy, the overwritten truth graded margin 0.555, where the check
+        without a reference gives 2.012."""
+        inst, other = random_instance(0, 6, 8, 0.3), random_instance(1, 6, 8, 0.3)
+        family = inst.family
+        g, h = inst.truth.copy(), inst.empirical.mass.copy()
+        reference = InstanceReference(family, g, h)
+        assert not (reference.g.flags.writeable or reference.h.flags.writeable)
+        frozen_view = g.view()
+        frozen_view.flags.writeable = False
+        assert InstanceReference(family, frozen_view, h).g is not frozen_view
+        g[:] = other.truth
+        assert check_bound(0, family, g, h, 3.0, 2.0).margin == pytest.approx(2.0118249882137658)
+        with pytest.raises(ValueError, match="^reference was built for another truth$"):
+            check_bound(0, family, g, h, 3.0, 2.0, reference=reference)
+        h[:] = other.empirical.mass
+        with pytest.raises(ValueError, match="^reference was built for another empirical distribution$"):
+            check_elimination_invariant(family, h, 0, reference=reference)
+        alone = bound_bits(check_bound(0, family, inst.truth, inst.empirical, 3.0, 2.0))
+        assert bound_bits(check_bound(0, family, inst.truth, inst.empirical, 3.0, 2.0, reference=reference)) == alone
+
     def test_empty_family_rejected(self):
         family = Family(Support.default(2), [])
         with pytest.raises(EmptyFamilyError):

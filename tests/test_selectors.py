@@ -491,12 +491,46 @@ class TestDeterminismAndEquivariance:
         return len(set(lws)) == len(lws)
 
 
+@pytest.fixture
+def rechecked_rows(monkeypatch):
+    """A list that grows by the number of rows at every row-wise recheck of
+    the outcome screen: a ``_row_products`` call given the rows to sum."""
+    counts = []
+    row_products = selectors._row_products
+
+    def counted(signs, v, rows=None):
+        if rows is not None:
+            counts.append(rows.shape[0])
+        return row_products(signs, v, rows)
+
+    monkeypatch.setattr(selectors, "_row_products", counted)
+    return counts
+
+
+def reference_pair_outcomes(pairs, h) -> tuple[np.ndarray, np.ndarray]:
+    """Both outcome masks over the rows of a pair table, each row's h . T
+    summed on its own as :func:`compare` sums it."""
+    hv = np.asarray(getattr(h, "mass", h), dtype=np.float64)
+    prods = np.array([float((hv * row).sum()) for row in pairs.signs])
+    return prods > pairs.thresholds, prods < pairs.thresholds
+
+
+def assert_screen_matches_row_wise(family, h) -> None:
+    """The screened masks of the pass over every pair, and of each
+    candidate's pass over its m-1 pairs, equal the row-wise reference."""
+    for candidate in (None, *range(family.size)):
+        pairs, first, second = _pair_outcomes(family, h, Ledger(), candidate)
+        want_first, want_second = reference_pair_outcomes(pairs, h)
+        assert np.array_equal(first, want_first) and np.array_equal(second, want_second), candidate
+
+
 def assert_matches_compare_path(prep, h) -> int:
     """Check the vectorised pair outcomes, wins, loss-weights and selections
     against per-pair :func:`compare` calls; return the number of draws."""
     m = prep.size
     wins = [0] * m
     draws = 0
+    assert_screen_matches_row_wise(prep.family, h)
     outcomes = _pair_outcomes(prep, h, Ledger())
     layer, first, second = outcomes
     assert layer is prep.family._lex_pairs
@@ -544,21 +578,71 @@ class TestVectorisedPairOutcomes:
         h = inst.empirical if n is None else sample_empirical(inst.truth, n, seed)
         assert_matches_compare_path(preprocess(make_family(rows)), h)
 
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 9),
+        st.integers(1, 200),
+        st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=4),
+        st.sampled_from(["empirical", "truth", "member", "sample"]),
+    )
+    def test_screen_on_copied_rows_and_large_supports(self, seed, m, k, copies, data):
+        """Copied rows make exact draws, which the screen leaves to the
+        row-wise recheck; k ranges past numpy's 128-term pairwise summation
+        block."""
+        inst = random_instance(seed, k, m, noise=0.1)
+        rows = inst.family.matrix.copy()
+        for src, dst in copies:
+            rows[dst % m] = rows[src % m]
+        h = {
+            "empirical": inst.empirical,
+            "truth": inst.truth,
+            "member": rows[seed % m],
+            "sample": sample_empirical(inst.truth, 100, seed),
+        }[data]
+        assert_matches_compare_path(preprocess(make_family(rows)), h)
+
     @pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4, 1.5e-2])
     @pytest.mark.parametrize(
         "build", [lower_bound_pair, lambda e: swap_pair(lower_bound_pair(e)), lower_bound_tournament],
         ids=["pair", "swap_pair", "tournament"],
     )
-    def test_draw_constructions(self, build, eps):
+    def test_draw_constructions(self, build, eps, rechecked_rows):
         inst = build(eps)
         prep = preprocess(inst.family)
         draws = sum(assert_matches_compare_path(prep, h) for h in (inst.empirical, inst.truth))
         assert draws > 0
+        assert sum(rechecked_rows) > 0
 
-    def test_one_ulp_draws_on_a_large_support(self):
+    @pytest.mark.parametrize("seed", range(6))
+    def test_scaling_by_a_power_of_two_keeps_every_outcome(self, seed):
+        """Rows and h scaled by one power of two give the unscaled masks:
+        at the largest scale the mass check accepts, where the slack must
+        neither overflow nor decide a near row, and at 2**-1060, where the
+        masses are subnormal and the slack rounds to (almost) nothing.
+        Small integer masses keep the subnormal scaling, and every sum,
+        exact; h on a member or on the midpoint of two rows puts pairs on
+        or near their thresholds."""
+        rng = np.random.default_rng(seed)
+        unit = random_instance(seed, 64, 6, noise=0.1).family.matrix.copy()
+        counts = rng.integers(0, 64, size=(6, 64)).astype(float)
+        for rows, generic, tiny in (
+            (unit, rng.dirichlet(np.ones(64)), []),
+            (counts, rng.integers(0, 64, size=64).astype(float), [-1060]),
+        ):
+            rows[3] = rows[1]
+            for h in (rows[1], (rows[0] + rows[2]) / 2, generic):
+                unscaled = _pair_outcomes(make_family(rows), h, Ledger())[1:]
+                for s in (largest_accepted_exponent(64, rows, h), *tiny):
+                    family, hs = make_family(np.ldexp(rows, s)), np.ldexp(h, s)
+                    scaled = _pair_outcomes(family, hs, Ledger())[1:]
+                    assert all(map(np.array_equal, scaled, unscaled)), s
+                    assert_screen_matches_row_wise(family, hs)
+
+    def test_one_ulp_draws_on_a_large_support(self, rechecked_rows):
         """Nudge one atom of h an ulp at a time until compare calls the pair
         an exact draw, on k=64 where the reduction order matters: a matrix
-        product sums in another order and misses most of these draws."""
+        product sums in another order and misses most of these draws, so
+        the screen leaves them to the row-wise recheck."""
         draws = 0
         for seed in range(20):
             inst = random_instance(seed, 64, 2, noise=0.1)
@@ -572,6 +656,7 @@ class TestVectorisedPairOutcomes:
                     break
                 h[x] = np.nextafter(h[x], -np.inf if outcome is Outcome.FIRST_WINS else np.inf)
         assert draws >= 10
+        assert sum(rechecked_rows) > 0
 
 
 def reference_loss_weight(prep, h, i: int):
@@ -629,19 +714,24 @@ class TestLossWeightAgainstCompare:
     @given(
         st.integers(0, 2**32 - 1),
         st.integers(1, 8),
-        st.integers(1, 12),
+        st.integers(1, 200),
         st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=4),
-        st.sampled_from(["empirical", "truth", "member"]),
+        st.sampled_from(["empirical", "truth", "member", "sample"]),
     )
     def test_random_families_with_copied_rows(self, seed, m, k, copies, data):
         """Copied rows make draws, zero distances and tied loss-weights;
         ``member`` puts h on a candidate, which draws every pair of its
-        copies."""
+        copies.  k ranges past numpy's 128-term pairwise summation block."""
         inst = random_instance(seed, k, m, noise=0.1)
         rows = inst.family.matrix.copy()
         for src, dst in copies:
             rows[dst % m] = rows[src % m]
-        h = {"empirical": inst.empirical, "truth": inst.truth, "member": rows[seed % m]}[data]
+        h = {
+            "empirical": inst.empirical,
+            "truth": inst.truth,
+            "member": rows[seed % m],
+            "sample": sample_empirical(inst.truth, 100, seed),
+        }[data]
         assert_loss_weights_match_reference(preprocess(make_family(rows)), h)
 
     @pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4, 1.5e-2])
@@ -649,13 +739,14 @@ class TestLossWeightAgainstCompare:
         "build", [lower_bound_pair, lambda e: swap_pair(lower_bound_pair(e)), lower_bound_tournament],
         ids=["pair", "swap_pair", "tournament"],
     )
-    def test_draw_constructions(self, build, eps):
+    def test_draw_constructions(self, build, eps, rechecked_rows):
         inst = build(eps)
         prep = preprocess(inst.family)
         for h in (inst.empirical, inst.truth):
             assert_loss_weights_match_reference(prep, h)
+        assert sum(rechecked_rows) > 0
 
-    def test_one_ulp_draws_on_a_large_support(self):
+    def test_one_ulp_draws_on_a_large_support(self, rechecked_rows):
         """Walk one atom of h an ulp at a time until compare calls the pair
         (0, 1) an exact draw, on k=64 where the reduction order matters."""
         draws = 0
@@ -672,6 +763,7 @@ class TestLossWeightAgainstCompare:
                     break
                 h[x] = np.nextafter(h[x], -np.inf if outcome is Outcome.FIRST_WINS else np.inf)
         assert draws >= 10
+        assert sum(rechecked_rows) > 0
 
     def test_singleton(self):
         prep = preprocess(singleton_family())
@@ -769,6 +861,30 @@ class TestMinDistanceScreen:
             signs = _pair_signs(rows).signs
             shortlist = _min_distance_shortlist(rows - inst.empirical.mass, signs)
             assert shortlist.tolist() == [int(np.argmin(reference_min_distance_scores(rows, inst.empirical)))]
+
+    def test_only_a_shortlist_of_several_is_rescored(self, monkeypatch):
+        """A lone survivor of the screen is the selection, with no exact
+        rescoring.  A copy of the winner ties with it exactly, so both
+        survive and are rescored, and the lower index wins."""
+        rescored = []
+        row_products = selectors._row_products
+
+        def counted(signs, v, rows=None):
+            rescored.append(rows)
+            return row_products(signs, v, rows)
+
+        monkeypatch.setattr(selectors, "_row_products", counted)
+        for seed in range(8):
+            inst = random_instance(seed, 64, 32, noise=(0.0, 0.02, 0.1, 0.3)[seed % 4])
+            rows, h = inst.family.matrix.copy(), inst.empirical
+            for rescorings in ([], [None, None]):
+                scores = reference_min_distance_scores(rows, h)
+                assert np.count_nonzero(scores == scores.min()) == max(len(rescorings), 1)
+                rescored.clear()
+                assert min_distance(make_family(rows), h, Ledger()).selected_index == int(np.argmin(scores))
+                assert rescored == rescorings
+                winner = int(np.argmin(scores))
+                rows[(winner + 13) % 32] = rows[winner]
 
     @pytest.mark.parametrize("seed", range(6))
     def test_masses_near_the_float_max_recheck_everyone(self, seed):
