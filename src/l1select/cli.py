@@ -74,8 +74,7 @@ _NOISE_CYCLE = (0.0, 0.02, 0.1, 0.3)
 
 
 def _run_selector(algorithm: str, family, empirical, seed: int, *, draw_flip: bool = False):
-    """Run one selector on ``family`` with a fresh ledger.  Each reads the
-    pair layer the family keeps, built on first need.  The elimination
+    """Run one selector on ``family`` with a fresh ledger.  The elimination
     selector is handed the family preprocessed rather than the family:
     the benchmark's tracer reads the distance order (``pair_position``) of
     its argument."""
@@ -133,8 +132,8 @@ def _evaluate_instance(inst: Instance, delta_mode: str, draw_flip: bool) -> dict
     the first failure (if any).  The bound checks and both readings of the
     elimination invariant share one reference, so ``d1``, each deviation and
     the invariant's outcomes and loss-weights are computed once per
-    instance.  The tournament runs first and builds the family's outcome
-    layer, which every later selector reads."""
+    instance.  The tournament runs first and builds the family's pair
+    table, which every later selector reads."""
     family, g, h = inst.family, inst.truth, inst.empirical
     reference = InstanceReference(family, g, h)
     result = {"bounds": {}, "failure": None}
@@ -225,8 +224,8 @@ def _cmd_verify(args) -> int:
     if args.max_omega < 1 or args.max_family < 1:
         raise _ParameterError("--max-omega and --max-family must be >= 1")
     # Refuse, before any trial runs, a sweep whose largest family could not
-    # get the outcome layer every instance builds.
-    _check_pair_table_capacity(args.max_family, args.max_omega, "outcomes")
+    # get the pair table every instance builds.
+    _check_pair_table_capacity(args.max_family, args.max_omega)
 
     # Each instance is generated, evaluated and dropped before the next, so
     # the sweep holds one family (and its pair table) at a time; only the
@@ -372,8 +371,8 @@ def _cmd_bench(args) -> int:
         inst = random_instance(args.seed + m, args.omega, m, noise=0.1)
         algorithms = list(_BOUNDS) + (["randomized"] if m == 2 else [])
         for algorithm in algorithms:
-            # A family of its own per row, so no row reuses a pair table an
-            # earlier row built and every wall time includes the build.
+            # A family of its own per row, so no row reads a pair table an
+            # earlier row built: every wall time includes computing the signs.
             family = Family(inst.family.support, inst.family.candidates)
             start = time.perf_counter_ns()
             report = _run_selector(algorithm, family, inst.empirical, args.seed)

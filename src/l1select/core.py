@@ -28,22 +28,18 @@ unnormalized ``h``; the selectors' guarantees assume a normalized one.
 
 The pair table of a family (every unordered pair's endpoints, test function,
 L1 distance and comparison threshold) lists the pairs in lexicographic
-(i, j) order, in one of two layers built on first need and kept read-only
-on the :class:`Family`:
-
-* the sign layer: the P x k test functions, all that the distance
-  selectors read;
-* the outcome layer: the signs with the distances and thresholds, from one
-  fused pass, all that :func:`compare` and the tournament, min-loss-weight
-  and elimination selectors read.
-
-A family keeps one layer: the outcome layer replaces the sign layer.  A
-pair is found in it by its closed-form lexicographic index.
+(i, j) order.  It is built from one fused blocked pass on first need and
+kept read-only on the :class:`Family`; it is all that :func:`compare` and
+the tournament, min-loss-weight and elimination selectors read.  A pair is
+found in it by its closed-form lexicographic index.  Readers of the test
+functions alone (the distance selectors and :func:`empirical_deviation`)
+walk them in blocks of pairs instead, as slices of the kept table or as
+signs of each block's raw rows, dropped after use, so they keep nothing.
 :func:`preprocess` adds only the distance order, one stable argsort of the
-outcome layer's distances, and the pair endpoints gathered through it; only
-the elimination selector reads them.  Each layer has its own byte budget,
-counted from the arrays it holds, and a layer over ``_PAIR_TABLE_MAX_BYTES``
-is refused with :class:`CapacityError` before anything is allocated.
+table's distances, and the pair endpoints gathered through it; only the
+elimination selector reads them.  A table over ``_PAIR_TABLE_MAX_BYTES``,
+counted from the arrays it holds, is refused with :class:`CapacityError`
+before anything is allocated.
 """
 
 from __future__ import annotations
@@ -52,7 +48,7 @@ import enum
 import functools
 import types
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -88,16 +84,12 @@ NORMALIZATION_TOL = 1e-9
 # Largest accepted length times largest entry of a mass vector (see _checked_mass).
 _MASS_BOUND = float(np.finfo(np.float64).max) / 8
 
-# Largest layer of a pair table that a family builds; larger families fail
-# fast with CapacityError instead of exhausting memory.
+# Largest pair table that a family builds; larger families fail fast with
+# CapacityError instead of exhausting memory.
 _PAIR_TABLE_MAX_BYTES = 1 << 30
-# Bytes per pair that each layer holds besides its k signs: two endpoints,
-# then a distance and a threshold.
-_INDEX_BYTES = np.dtype(np.intp).itemsize
-_LAYER_PAIR_BYTES = {
-    "signs": 2 * _INDEX_BYTES,
-    "outcomes": 2 * _INDEX_BYTES + 2 * 8,
-}
+# Bytes per pair that the table holds besides its k signs: two endpoints, a
+# distance and a threshold.
+_PAIR_BYTES = 2 * np.dtype(np.intp).itemsize + 2 * 8
 # Families of up to this many candidates share cached read-only triu index
 # arrays, 16 bytes per pair: at most 2.7 MB over every m up to the bound.
 _TRIU_CACHE_MAX_M = 100
@@ -293,8 +285,8 @@ class Family:
 
     Candidate names must be distinct so selection reports are unambiguous.
     The stacked mass matrix (one row per candidate) is precomputed and frozen.
-    One layer of the pair table (see the module docstring), the sign or the
-    outcome layer, is built on first need and kept read-only.
+    The pair table (see the module docstring) is built on first need and
+    kept read-only.
     """
 
     __slots__ = ("support", "candidates", "matrix", "_lex_pairs")
@@ -454,16 +446,16 @@ def compare(target: "Family | PreprocessedFamily", i: int, j: int, h, ledger: Le
     Exactly one ``h_products`` ledger increment per call.  The outcome is
     antisymmetric: swapping i and j flips FIRST_WINS and SECOND_WINS.
     ``target`` is a family or a preprocessed one; either way the pair is read
-    from the family's outcome layer, built on first need.
+    from the family's pair table, built on first need.
     """
     family = _family_of(target)
     hvec = _checked_mass(h, "empirical distribution", family.support.size)
-    outcome = _outcome_at(_pair_layer(family, outcomes=True), _pair_index(family.size, i, j), hvec, ledger)
+    outcome = _outcome_at(_pair_layer(family), _pair_index(family.size, i, j), hvec, ledger)
     return outcome if i < j else outcome.flipped()
 
 
 def _outcome_at(layer: "_PairTable", lex: int, hvec: np.ndarray, ledger: Ledger) -> Outcome:
-    """Outcome of the pair at lexicographic index ``lex`` of an outcome
+    """Outcome of the pair at lexicographic index ``lex`` of a pair table
     ``layer``, its lower index first, for an ``hvec`` already checked to
     match the support."""
     h_dot_t = float((hvec * layer.signs[lex]).sum())
@@ -508,16 +500,14 @@ def scheffe_win(fi, fj, h) -> Outcome:
 
 
 class _PairTable(NamedTuple):
-    """One layer of a family's pair table, over every unordered pair (i < j)
-    of its candidates in lexicographic order; its endpoints are the triu
-    indices.  The sign layer has no distances or thresholds.
-    """
+    """A family's pair table, over every unordered pair (i < j) of its
+    candidates in lexicographic order; its endpoints are the triu indices."""
 
     pair_i: np.ndarray
     pair_j: np.ndarray
     signs: np.ndarray  # P x k test functions sign(f_i - f_j)
-    distances: np.ndarray | None
-    thresholds: np.ndarray | None  # (f_i . T + f_j . T) / 2
+    distances: np.ndarray
+    thresholds: np.ndarray  # (f_i . T + f_j . T) / 2
 
 
 def _pair_index(m: int, i: int, j: int) -> int:
@@ -531,16 +521,15 @@ def _pair_index(m: int, i: int, j: int) -> int:
     return a * (2 * m - a - 1) // 2 + (b - a - 1)
 
 
-def _check_pair_table_capacity(m: int, k: int, layer: str) -> None:
-    """Raise :class:`CapacityError` when ``layer`` ("signs" or "outcomes")
-    of the pair table of ``m`` candidates on ``k`` atoms would hold more
-    than ``_PAIR_TABLE_MAX_BYTES``: P x k signs plus the P-long arrays of
-    that layer."""
+def _check_pair_table_capacity(m: int, k: int) -> None:
+    """Raise :class:`CapacityError` when the pair table of ``m`` candidates
+    on ``k`` atoms would hold more than ``_PAIR_TABLE_MAX_BYTES``: P x k
+    signs plus its four P-long arrays."""
     pairs = m * (m - 1) // 2
-    layer_bytes = pairs * (k * 8 + _LAYER_PAIR_BYTES[layer])
-    if layer_bytes > _PAIR_TABLE_MAX_BYTES:
+    table_bytes = pairs * (k * 8 + _PAIR_BYTES)
+    if table_bytes > _PAIR_TABLE_MAX_BYTES:
         raise CapacityError(
-            f"pair table ({layer} layer) of {pairs} pairs on {k} atoms needs {layer_bytes} bytes, "
+            f"pair table of {pairs} pairs on {k} atoms needs {table_bytes} bytes, "
             f"over the guard of {_PAIR_TABLE_MAX_BYTES}"
         )
 
@@ -559,26 +548,8 @@ def _triu_indices(m: int) -> tuple[np.ndarray, np.ndarray]:
     return _cached_triu_indices(m) if m <= _TRIU_CACHE_MAX_M else np.triu_indices(m, k=1)
 
 
-def _pair_signs(matrix: np.ndarray) -> _PairTable:
-    """The sign layer of the rows of ``matrix``: every pair's test function,
-    in lexicographic order, built in blocks of pairs from the raw rows.
-
-    Raises :class:`CapacityError`, before allocating anything, when the
-    layer would exceed ``_PAIR_TABLE_MAX_BYTES``.
-    """
-    m, k = matrix.shape
-    _check_pair_table_capacity(m, k, "signs")
-    idx_i, idx_j = _triu_indices(m)
-    signs = np.empty((idx_i.shape[0], k))
-    for block in _pair_blocks(idx_i.shape[0]):
-        diffs = matrix.take(idx_i[block], axis=0)
-        diffs -= matrix.take(idx_j[block], axis=0)
-        np.sign(diffs, out=signs[block])
-    return _PairTable(idx_i, idx_j, signs, None, None)
-
-
 def _pair_outcome_arrays(matrix: np.ndarray) -> _PairTable:
-    """The outcome layer of the rows of ``matrix``: every pair's test
+    """The pair table of the rows of ``matrix``: every pair's test
     function, distance and threshold, in lexicographic order, in one fused
     blocked pass.
 
@@ -587,10 +558,10 @@ def _pair_outcome_arrays(matrix: np.ndarray) -> _PairTable:
     bit-identical to 0.5 * (inner_product(fi, T) + inner_product(fj, T)).
 
     Raises :class:`CapacityError`, before allocating anything, when the
-    layer would exceed ``_PAIR_TABLE_MAX_BYTES``.
+    table would exceed ``_PAIR_TABLE_MAX_BYTES``.
     """
     m, k = matrix.shape
-    _check_pair_table_capacity(m, k, "outcomes")
+    _check_pair_table_capacity(m, k)
     idx_i, idx_j = _triu_indices(m)
     pairs = idx_i.shape[0]
     signs = np.empty((pairs, k))
@@ -607,22 +578,54 @@ def _pair_outcome_arrays(matrix: np.ndarray) -> _PairTable:
     return _PairTable(idx_i, idx_j, signs, distances, thresholds)
 
 
-def _pair_layer(family: Family, *, outcomes: bool) -> _PairTable:
-    """The pair arrays a selection reads: the family's layer, built on first
-    need and kept.
-
-    That is the sign layer, or with ``outcomes`` the outcome layer, whose
-    signs, distances and thresholds come from one fused pass and replace a
-    kept sign layer.  A refused build keeps nothing.
-    """
+def _pair_layer(family: Family) -> _PairTable:
+    """The family's pair table, built on first need and kept read-only.  A
+    refused build keeps nothing."""
     layer = family._lex_pairs
-    if layer is None or (outcomes and layer.thresholds is None):
-        layer = (_pair_outcome_arrays if outcomes else _pair_signs)(family.matrix)
+    if layer is None:
+        layer = _pair_outcome_arrays(family.matrix)
         for arr in layer:
-            if arr is not None:
-                arr.flags.writeable = False
+            arr.flags.writeable = False
         family._lex_pairs = layer
     return layer
+
+
+def _sign_blocks(family: Family) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(pair_i, pair_j, signs) for each block of the family's pairs in
+    lexicographic order: slices of the pair table the family keeps, or
+    :func:`_raw_sign_blocks` when it keeps none."""
+    layer = family._lex_pairs
+    if layer is None:
+        return _raw_sign_blocks(family.matrix)
+    return ((layer.pair_i[b], layer.pair_j[b], layer.signs[b]) for b in _pair_blocks(layer.signs.shape[0]))
+
+
+def _raw_sign_blocks(matrix: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(pair_i, pair_j, signs) for each block of the pairs of the rows of
+    ``matrix``, the signs computed from its raw rows, dropped after use."""
+    for pair_i, pair_j in _endpoint_blocks(matrix.shape[0]):
+        diffs = matrix.take(pair_i, axis=0)
+        diffs -= matrix.take(pair_j, axis=0)
+        # Not in place: np.sign over its own input ran 2.7x slower (numpy 2.4.6).
+        yield pair_i, pair_j, np.sign(diffs)
+
+
+def _endpoint_blocks(m: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Endpoints of each block of at most ``_PAIR_BLOCK`` pairs of ``m``
+    candidates in lexicographic order: cached triu slices, or past
+    ``_TRIU_CACHE_MAX_M`` from each row's first lexicographic index, so
+    that no P-long array is built."""
+    pairs = m * (m - 1) // 2
+    if m <= _TRIU_CACHE_MAX_M:
+        idx_i, idx_j = _cached_triu_indices(m)
+        yield from ((idx_i[block], idx_j[block]) for block in _pair_blocks(pairs))
+        return
+    rows = np.arange(m)
+    firsts = rows * (2 * m - rows - 1) // 2
+    for block in _pair_blocks(pairs):
+        lex = np.arange(block.start, min(block.stop, pairs))
+        pair_i = np.searchsorted(firsts, lex, side="right") - 1
+        yield pair_i, lex - firsts[pair_i] + pair_i + 1
 
 
 def _check_candidate_index(family: Family, i: int) -> None:
@@ -636,9 +639,9 @@ def _family_of(target: "Family | PreprocessedFamily") -> Family:
     return target.family if isinstance(target, PreprocessedFamily) else target
 
 
-def _pair_blocks(pairs: int) -> list[slice]:
+def _pair_blocks(pairs: int) -> Iterator[slice]:
     """Consecutive slices of at most ``_PAIR_BLOCK`` pairs covering ``pairs``."""
-    return [slice(start, start + _PAIR_BLOCK) for start in range(0, pairs, _PAIR_BLOCK)]
+    return (slice(start, start + _PAIR_BLOCK) for start in range(0, pairs, _PAIR_BLOCK))
 
 
 def empirical_deviation(g, h, family: Family) -> float:
@@ -646,15 +649,13 @@ def empirical_deviation(g, h, family: Family) -> float:
 
     Equals max over unordered candidate pairs of |(g - h) . T_ij|; zero for
     families with fewer than two members (their only test function is 0).
-    The test functions come from a sign layer built from ``family.matrix``
-    on every call, never from a layer the family keeps.
+    The test functions come from ``family.matrix`` in blocks of pairs on
+    every call, never from a table the family keeps.
     """
     gv = _checked_mass(g, "truth", family.support.size)
     hv = _checked_mass(h, "empirical distribution", family.support.size)
-    if family.size < 2:
-        return 0.0
-    signs = _pair_signs(family.matrix).signs
-    return float(np.abs((signs * (gv - hv)).sum(axis=1)).max())
+    terms = (np.abs((signs * (gv - hv)).sum(axis=1)).max() for _, _, signs in _raw_sign_blocks(family.matrix))
+    return float(max(terms, default=0.0))
 
 
 def empirical_deviation_restricted(g, h, family: Family, i: int) -> float:
@@ -681,7 +682,7 @@ class PreprocessedFamily:
     L1 distance, ties broken lexicographically by (i, j); ``pair_i`` and
     ``pair_j`` are the pairs' endpoints gathered through it.  Everything
     else about a pair, its test function, distance and threshold, stays in
-    the family's outcome layer, in lexicographic order.  Building takes
+    the family's pair table, in lexicographic order.  Building takes
     O(m^2 k) time and memory and touches no empirical data, so it charges
     nothing to any ledger.
     """
@@ -691,8 +692,8 @@ class PreprocessedFamily:
     def __init__(self, family: Family):
         if family.size == 0:
             raise EmptyFamilyError("cannot preprocess an empty family")
-        layer = _pair_layer(family, outcomes=True)
-        # Stable, so equal distances keep the layer's lexicographic order.
+        layer = _pair_layer(family)
+        # Stable, so equal distances keep the table's lexicographic order.
         order = np.argsort(-layer.distances, kind="stable")
         arrays = (order, layer.pair_i[order], layer.pair_j[order])
         for arr in arrays:
@@ -727,11 +728,11 @@ class PreprocessedFamily:
 def preprocess(family: Family) -> PreprocessedFamily:
     """The distance order of a family's pairs, in O(m^2 k) time and memory.
 
-    Builds the family's outcome layer, P * (8k + 32) bytes, unless it keeps
+    Builds the family's pair table, P * (8k + 32) bytes, unless it keeps
     one; the order and the two gathered endpoint arrays add 24 bytes a pair,
     P * (8k + 56) in all.  Only
     :func:`~l1select.selectors.efficient_min_loss_weight` reads the order,
-    and it preprocesses a :class:`Family` itself.  An outcome layer over
+    and it preprocesses a :class:`Family` itself.  A pair table over
     ``_PAIR_TABLE_MAX_BYTES`` is refused (:class:`CapacityError`).
     """
     return PreprocessedFamily(family)

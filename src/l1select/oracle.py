@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,19 +130,6 @@ def best_in_family(family: Family, g) -> tuple[int, float]:
     return idx, float(dists[idx])
 
 
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    """``arr`` itself when neither it nor any array it views is writable,
-    otherwise a read-only copy of it."""
-    base = arr
-    while isinstance(base, np.ndarray):
-        if base.flags.writeable:
-            arr = arr.copy()
-            arr.flags.writeable = False
-            return arr
-        base = base.base
-    return arr
-
-
 class InstanceReference:
     """The oracle quantities of one instance (``family``, ``g``, ``h``), each
     computed once and shared by every :func:`check_bound` on that instance.
@@ -155,17 +143,17 @@ class InstanceReference:
     cached pair table or a :class:`~l1select.core.PreprocessedFamily`.  A
     reference describes one instance only and is dropped with it.  ``g``
     and ``h`` are both checked at construction, so a malformed one is
-    refused before any quantity is read.  Both are kept read-only: an array
-    that nothing can write through is kept as it is, any other is copied,
-    so writing to the caller's array later changes no quantity, and the
-    checks refuse the changed array as another instance's.
+    refused before any quantity is read.  Both are kept as read-only
+    copies, so writing to the caller's array later changes no quantity, and
+    the checks refuse the changed array as another instance's.
     """
 
     def __init__(self, family: Family, g, h):
         self.family = family
-        self.g = _read_only(_as_vector(g))
+        self.g = _as_vector(g).copy()
         self.best_index, self.d1 = best_in_family(family, self.g)
-        self.h = _read_only(_checked_mass(h, "empirical distribution", family.support.size))
+        self.h = _checked_mass(h, "empirical distribution", family.support.size).copy()
+        self.g.flags.writeable = self.h.flags.writeable = False
         self._elimination_verdicts: dict[tuple[int, float], tuple[bool, bool]] = {}
 
     def elimination_verdicts(self, selected: int, c: float) -> tuple[bool, bool]:
@@ -210,10 +198,13 @@ def check_bound(
 
     ``reference``, when given, supplies ``d1`` and the deviation; it must
     have been built from this ``family``, ``g`` and ``h`` (ValueError
-    otherwise).  Without it the check builds its own: the same result.
+    otherwise).  Without it the check builds its own: the same result.  A
+    NaN or infinite coefficient raises ValueError.
     """
     if delta_mode not in ("full", "restricted"):
         raise ValueError(f"delta_mode must be 'full' or 'restricted', got {delta_mode!r}")
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"bound coefficients must be finite, got {a!r} and {b!r}")
     _check_candidate_index(family, selected)
     if reference is None:
         reference = InstanceReference(family, g, h)
@@ -358,13 +349,15 @@ def check_quadruple(fi, fj, fk, fl) -> float:
 
     The product of a difference with its own sign vector dominates its product
     with any other sign vector, so the value is >= 0 up to roundoff; a value
-    below ``-QUADRUPLE_TOL`` raises.  The vectors may be any real vectors of
-    one length; vectors of different lengths raise
-    :class:`~l1select.core.SupportMismatchError`.
+    below ``-QUADRUPLE_TOL`` raises.  The vectors may be any finite real
+    vectors of one length: a NaN or infinite entry raises ValueError,
+    different lengths :class:`~l1select.core.SupportMismatchError`.
     """
     a, b = _as_vector(fi), _as_vector(fj)
     k, l = _as_vector(fk), _as_vector(fl)
     _check_same_length(a, b, k, l)
+    if not all(np.isfinite(v).all() for v in (a, b, k, l)):
+        raise ValueError("quadruple has non-finite entries")
     diff = a - b
     t_own = np.sign(diff)
     t_other = np.sign(k - l)

@@ -20,10 +20,10 @@ ties by lowest candidate index.
 
 Every deterministic selector, ``loss_weight`` and ``relaxed_selection_check``
 take a :class:`~l1select.core.Family` or a
-:class:`~l1select.core.PreprocessedFamily` and read the pair table's layer
-they need (see :mod:`l1select.core`): the distance selectors its signs, the
-others its signs, distances and thresholds.  ``efficient_min_loss_weight``
-also reads the distance order, and preprocesses a family it is given.
+:class:`~l1select.core.PreprocessedFamily`.  The distance selectors stream
+the test functions block by block, the others read the pair table (see
+:mod:`l1select.core`); ``efficient_min_loss_weight`` also reads the
+distance order, and preprocesses a family it is given.
 
 The tournament, ``min_loss_weight``, ``loss_weight`` and
 ``relaxed_selection_check`` read their pair outcomes from one vectorised
@@ -62,6 +62,7 @@ from .core import (
     _outcome_at,
     _pair_blocks,
     _pair_layer,
+    _sign_blocks,
     compare,  # re-exported: callers reach the pairwise compare as selectors.compare too
     preprocess,
     test_function,
@@ -177,15 +178,14 @@ def _report(target, algorithm: str, selected: int, ledger: Ledger,
     )
 
 
-def _row_products(signs: np.ndarray, v: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
-    """v . T for every row T of ``signs``, or for the rows listed in
-    ``rows``: row-wise sums of the elementwise products, the reduction
-    :func:`~l1select.core.compare` uses, taken over blocks of pairs so that
+def _row_products(signs: np.ndarray, v: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """v . T for the rows T of ``signs`` listed in ``rows``: row-wise sums
+    of the elementwise products, the reduction
+    :func:`~l1select.core.compare` uses, taken over blocks of rows so that
     no temporary grows with the table."""
-    count = signs.shape[0] if rows is None else rows.shape[0]
-    products = np.empty(count)
-    for block in _pair_blocks(count):
-        products[block] = (signs[block if rows is None else rows[block]] * v).sum(axis=1)
+    products = np.empty(rows.shape[0])
+    for block in _pair_blocks(rows.shape[0]):
+        products[block] = (signs[rows[block]] * v).sum(axis=1)
     return products
 
 
@@ -208,7 +208,7 @@ def _rounding_slack(k: int, norm):
     for the rounding of the norm itself (a relative gamma_{k-1}), of the
     slack's own product (a relative u), and of one subtraction or addition
     of a threshold or the slack before the comparison (a relative u each),
-    as long as k eps is far below 1; the capacity guard keeps k below 2**27.
+    as long as k eps is far below 1, as for any k that fits in memory.
     A value that clears the computed slack in a comparison therefore lies
     on the same side for both orders, exact ties included.
 
@@ -224,13 +224,13 @@ def _rounding_slack(k: int, norm):
 
 
 def _pair_outcomes(target: Family | PreprocessedFamily, h, ledger: Ledger, candidate: int | None = None):
-    """The pairs of the family's outcome layer, every pair or only the m-1
-    of ``candidate``, and their outcomes, in one vectorised pass.
+    """The pairs of the family's pair table, every pair or only the m-1 of
+    ``candidate``, and their outcomes, in one vectorised pass.
 
-    Returns (pairs, first_wins, second_wins): the layer itself, or a table
+    Returns (pairs, first_wins, second_wins): the table itself, or a table
     of ``candidate``'s rows of it in lexicographic order, which lists the
     rivals in index order too; and the masks over its rows.  A pair in
-    neither mask is a draw.  ``h`` is checked before the layer is built.
+    neither mask is a draw.  ``h`` is checked before the table is built.
 
     One matrix product gives every row's margin h . T - threshold.  A
     margin beyond :func:`_rounding_slack` of ||h||_1 decides its row: the
@@ -244,7 +244,7 @@ def _pair_outcomes(target: Family | PreprocessedFamily, h, ledger: Ledger, candi
     if family.size == 0:
         raise EmptyFamilyError("cannot preprocess an empty family")
     hv = _checked_mass(h, "empirical distribution", family.support.size)
-    pairs = _pair_layer(family, outcomes=True)
+    pairs = _pair_layer(family)
     if candidate is not None:
         rows = np.flatnonzero((pairs.pair_i == candidate) | (pairs.pair_j == candidate))
         pairs = _PairTable(*(arr[rows] for arr in pairs))
@@ -283,7 +283,7 @@ def scheffe_tournament(
     Every unordered pair is compared exactly once (m(m-1)/2 data products);
     a draw awards no win to either side.  Ties in the win count go to the
     lowest index, so a single-candidate family selects its only member with
-    zero products.  Reads the family's outcome layer.
+    zero products.  Reads the family's pair table.
     """
     ledger = _ensure_ledger(ledger)
     h0, t0 = ledger.h_products, ledger.term_evaluations
@@ -291,23 +291,33 @@ def scheffe_tournament(
     return _report(target, "tournament", selected, ledger, h0, t0)
 
 
-def _min_distance_shortlist(diffs: np.ndarray, signs: np.ndarray) -> np.ndarray:
+def _min_distance_shortlist(diffs: np.ndarray, blocks) -> np.ndarray:
     """Candidates whose exact min-distance score may be the smallest.
 
-    Every candidate is screened at once with matrix products over blocks of
-    pairs: approx[c] = max over pairs of |diffs[c] . T|, each within
-    :func:`_rounding_slack` of ||diffs[c]||_1 of the row-wise sum it
-    stands for.  A candidate with approx - slack above the smallest
-    approx + slack therefore scores strictly above some other candidate
-    exactly, and is dropped.
+    Every candidate is screened at once with a matrix product per block of
+    ``blocks`` (see :func:`~l1select.core._sign_blocks`): approx[c] = max
+    over pairs of |diffs[c] . T|, each within :func:`_rounding_slack` of
+    ||diffs[c]||_1 of the row-wise sum it stands for.  A candidate with
+    approx - slack above the smallest approx + slack therefore scores
+    strictly above some other candidate exactly, and is dropped.
     """
     m, k = diffs.shape
     approx = np.zeros(m)
-    for block in _pair_blocks(signs.shape[0]):
-        products = diffs @ signs[block].T
+    for _, _, signs in blocks:
+        products = diffs @ signs.T
         np.maximum(approx, np.abs(products, out=products).max(axis=1), out=approx)
     slack = _rounding_slack(k, np.abs(diffs).sum(axis=1))
     return np.flatnonzero(approx - slack <= (approx + slack).min())
+
+
+def _exact_scores(diffs: np.ndarray, blocks) -> np.ndarray:
+    """max over the pairs in ``blocks`` of |d . T| for every row d of
+    ``diffs``, each product a row-wise sum, as
+    :func:`~l1select.core.compare` sums it."""
+    scores = np.zeros(diffs.shape[0])
+    for _, _, signs in blocks:
+        np.maximum(scores, [np.abs((signs * d).sum(axis=1)).max() for d in diffs], out=scores)
+    return scores
 
 
 def min_distance(target: Family | PreprocessedFamily, h, ledger: Ledger | None = None) -> SelectionReport:
@@ -329,8 +339,8 @@ def min_distance(target: Family | PreprocessedFamily, h, ledger: Ledger | None =
     whatever order the matrix product sums in, and whatever order the pairs
     are listed in.  The ledger still charges the full m^2(m-1).
 
-    Only the test functions are read, from the family's kept layer (the
-    sign layer, built on first use, or an outcome layer).
+    Only the test functions are read, block by block: from the pair table
+    the family keeps, or from the raw rows, once more for a rescoring.
     """
     family = _family_of(target)
     if family.size == 0:
@@ -338,16 +348,12 @@ def min_distance(target: Family | PreprocessedFamily, h, ledger: Ledger | None =
     ledger = _ensure_ledger(ledger)
     h0, t0 = ledger.h_products, ledger.term_evaluations
     hv = _checked_mass(h, "empirical distribution", family.support.size)
-    signs = _pair_layer(family, outcomes=False).signs
-    ledger.add_term_evaluations(2 * family.size * signs.shape[0])
-    selected = 0
-    if signs.shape[0]:
-        diffs = family.matrix - hv
-        shortlist = _min_distance_shortlist(diffs, signs)
-        selected = int(shortlist[0])
-        if shortlist.size > 1:
-            scores = [np.abs(_row_products(signs, diffs[c])).max() for c in shortlist]
-            selected = int(shortlist[np.argmin(scores)])
+    ledger.add_term_evaluations(family.size * family.size * (family.size - 1))
+    diffs = family.matrix - hv
+    shortlist = _min_distance_shortlist(diffs, _sign_blocks(family))
+    selected = int(shortlist[0])
+    if shortlist.size > 1:
+        selected = int(shortlist[np.argmin(_exact_scores(diffs[shortlist], _sign_blocks(family)))])
     return _report(family, "mindist", selected, ledger, h0, t0)
 
 
@@ -359,9 +365,9 @@ def modified_min_distance(
     Candidate i is scored by max over j != i of |(f_i - h) . T_ij| only, so
     the scan costs m(m-1) term evaluations instead of m^2(m-1), with the same
     error guarantee.  Both endpoints of every unordered pair are scored from
-    one pass over the test functions of the family's kept layer; T_ji =
-    -T_ij only negates the row sum, so the scores are those of scanning each
-    candidate's own pairs.
+    one pass over the test functions, block by block as
+    :func:`min_distance` reads them; T_ji = -T_ij only negates the row sum,
+    so the scores are those of scanning each candidate's own pairs.
     """
     family = _family_of(target)
     if family.size == 0:
@@ -369,13 +375,12 @@ def modified_min_distance(
     ledger = _ensure_ledger(ledger)
     h0, t0 = ledger.h_products, ledger.term_evaluations
     hv = _checked_mass(h, "empirical distribution", family.support.size)
-    idx_i, idx_j, signs = _pair_layer(family, outcomes=False)[:3]
     diffs = family.matrix - hv
     scores = np.zeros(family.size)
-    for block in _pair_blocks(signs.shape[0]):
-        for endpoint in (idx_i[block], idx_j[block]):
-            np.maximum.at(scores, endpoint, np.abs((diffs[endpoint] * signs[block]).sum(axis=1)))
-    ledger.add_term_evaluations(2 * signs.shape[0])
+    for pair_i, pair_j, signs in _sign_blocks(family):
+        for endpoint in (pair_i, pair_j):
+            np.maximum.at(scores, endpoint, np.abs((diffs[endpoint] * signs).sum(axis=1)))
+    ledger.add_term_evaluations(family.size * (family.size - 1))
     selected = int(np.argmin(scores))
     return _report(family, "modified", selected, ledger, h0, t0)
 
@@ -388,7 +393,7 @@ def loss_weight(
 
     Compares ``i`` against each of the other m-1 candidates, charging m-1
     data products: the outcomes of ``i``'s m-1 pairs of the family's
-    outcome layer, from the same vectorised pass as the tournament and
+    pair table, from the same vectorised pass as the tournament and
     :func:`min_loss_weight`.  Returns -inf with no witness when ``i`` beats
     everyone; otherwise the witness is the lowest-index rival attaining the
     maximum.
@@ -414,7 +419,7 @@ def min_loss_weight(
     directions, so the run charges m(m-1)/2 data products rather than the
     m(m-1) of calling :func:`loss_weight` per candidate.  An undefeated
     candidate has loss-weight -inf and therefore wins; ties go to the lowest
-    index.  Reads the family's outcome layer.
+    index.  Reads the family's pair table.
     """
     ledger = _ensure_ledger(ledger)
     h0, t0 = ledger.h_products, ledger.term_evaluations
@@ -439,7 +444,7 @@ def efficient_min_loss_weight(
     :class:`~l1select.core.Family` is preprocessed first, after ``h`` is
     checked; a :class:`~l1select.core.PreprocessedFamily` is walked as it
     is.  Each compared pair's signs and threshold are read from the
-    family's outcome layer.  The survivor satisfies the same 3-vs-2
+    family's pair table.  The survivor satisfies the same 3-vs-2
     guarantee as :func:`min_loss_weight`: whenever it fails to beat a rival
     f', its distance to f' is at most the rival's loss-weight.
 
@@ -454,7 +459,7 @@ def efficient_min_loss_weight(
     alive = [True] * prep.size
     remaining = prep.size
     trace: list[TraceEvent] = []
-    layer = _pair_layer(prep.family, outcomes=True)
+    layer = _pair_layer(prep.family)
     for lex, i, j in zip(prep.order.tolist(), prep.pair_i.tolist(), prep.pair_j.tolist()):
         if remaining == 1:
             break
@@ -534,7 +539,7 @@ def relaxed_selection_check(
 
     Every rival's loss-weight, and the selected candidate's wins and
     losses, come from one vectorised pass over all P pairs of the family's
-    outcome layer, the pass :func:`min_loss_weight` makes; its P data
+    pair table, the pass :func:`min_loss_weight` makes; its P data
     products are charged to no caller's ledger.
     """
     if not c >= 1.0:

@@ -87,18 +87,16 @@ def uniform_empirical():
     return EmpiricalDistribution([0.25, 0.25, 0.25, 0.25])
 
 
-# The builder of each layer of a family's pair table, by layer name.
+# The builder of a family's pair table, by the name its builds are logged under.
 PAIR_LAYER_BUILDERS = {
-    "signs": "_pair_signs",
     "outcomes": "_pair_outcome_arrays",
 }
 
 
 @pytest.fixture
 def pair_table_builds(monkeypatch):
-    """A list that grows by (layer, matrix shape) at every build of a layer
-    of a pair table: "signs" (the test functions) or "outcomes" (those with
-    distances and thresholds)."""
+    """A list that grows by ("outcomes", matrix shape) at every build of a
+    pair table: the test functions with their distances and thresholds."""
     builds = []
 
     def counting(layer, build):

@@ -59,7 +59,7 @@ def random_mass_vectors(k: int, count: int, seed: int) -> np.ndarray:
 
 def ordered_distances(prep) -> np.ndarray:
     """The family's pair distances in the preprocessed distance order."""
-    return _pair_layer(prep.family, outcomes=True).distances[prep.order]
+    return _pair_layer(prep.family).distances[prep.order]
 
 
 class TestSupport:
@@ -356,7 +356,7 @@ class TestPreprocess:
         with the pair's test function, computed from the raw vectors."""
         rows = random_mass_vectors(k, m, seed)
         prep = preprocess(make_family(rows))
-        thresholds = _pair_layer(prep.family, outcomes=True).thresholds
+        thresholds = _pair_layer(prep.family).thresholds
         for pos, (i, j) in enumerate(prep.pairs):
             t = make_test_function(rows[i], rows[j])
             expected = 0.5 * (inner_product(rows[i], t) + inner_product(rows[j], t))
@@ -381,7 +381,7 @@ class TestPreprocess:
 
     @pytest.mark.parametrize("m, k", [(7, 5), (96, 64)])
     def test_holds_one_pair_by_atom_array(self, m, k):
-        """The test functions are kept once, in the family's outcome layer:
+        """The test functions are kept once, in the family's pair table:
         neither the preprocessed family nor the family holds another P x k
         array, and a preprocess of a cold family retains that array, the
         P-long arrays and nothing of its size besides."""
@@ -414,17 +414,17 @@ class TestPreprocess:
 
     def test_oversized_pair_table_fails_before_allocating(self):
         """m=20000 on 6 atoms needs a 12.8 GB pair table: every builder of
-        any layer of it raises CapacityError instead of allocating it."""
+        it raises CapacityError instead of allocating it.  The distance
+        selectors and the deviation oracle, which stream the test functions
+        and build no table, are not refused; at this size they would scan
+        2*10**8 pairs."""
         family = make_family(np.full((20000, 6), 1 / 6))
         h = np.full(6, 1 / 6)
         builders = [
             preprocess,
             lambda fam: efficient_min_loss_weight(fam, h),
-            lambda fam: min_distance(fam, h),
-            lambda fam: modified_min_distance(fam, h),
             lambda fam: scheffe_tournament(fam, h),
             lambda fam: min_loss_weight(fam, h),
-            lambda fam: empirical_deviation(h, h, fam),
         ]
         tracemalloc.start()
         try:
@@ -438,32 +438,59 @@ class TestPreprocess:
 
     def test_oversized_pair_table_is_never_cached(self, pair_table_builds):
         """A refused build keeps nothing: every later call reaches the guard
-        of its layer again and raises again."""
+        again and raises again."""
         family = make_family(np.full((20000, 6), 1 / 6))
         h = np.full(6, 1 / 6)
         builders = [
-            ("outcomes", preprocess),
-            ("outcomes", lambda fam: efficient_min_loss_weight(fam, h)),
-            ("signs", lambda fam: min_distance(fam, h)),
-            ("signs", lambda fam: modified_min_distance(fam, h)),
-            ("outcomes", lambda fam: scheffe_tournament(fam, h)),
-            ("outcomes", lambda fam: min_loss_weight(fam, h)),
+            preprocess,
+            lambda fam: efficient_min_loss_weight(fam, h),
+            lambda fam: scheffe_tournament(fam, h),
+            lambda fam: min_loss_weight(fam, h),
         ]
         for _ in range(2):
-            for _, build in builders:
+            for build in builders:
                 with pytest.raises(CapacityError, match="pair table"):
                     build(family)
-        assert pair_table_builds == [(layer, (20000, 6)) for layer, _ in builders] * 2
+        assert pair_table_builds == [("outcomes", (20000, 6))] * len(builders) * 2
         assert family._lex_pairs is None
 
-    def test_each_layer_has_its_own_budget(self):
-        """Guard arithmetic alone, nothing allocated: on one atom, m=8000
-        gives 31,996,000 pairs, whose sign layer (24 bytes a pair) passes the
-        1 GiB guard while the outcome layer (40), which preprocess builds,
-        is refused."""
-        core._check_pair_table_capacity(8000, 1, "signs")
-        with pytest.raises(CapacityError, match="pair table \\(outcomes layer\\)"):
-            core._check_pair_table_capacity(8000, 1, "outcomes")
+    def test_one_budget_counts_the_whole_table(self):
+        """Guard arithmetic alone, nothing allocated: the table holds 8k + 32
+        bytes a pair, so on 64 atoms m=1987 (1,961,191 pairs, 1,073,361,504
+        bytes) passes the 1 GiB guard and m=1988 is refused; on one atom
+        the ceiling is m=7327."""
+        for k, m in ((64, 1987), (1, 7327)):
+            core._check_pair_table_capacity(m, k)
+            with pytest.raises(CapacityError, match="^pair table of"):
+                core._check_pair_table_capacity(m + 1, k)
+
+
+class TestSignBlocks:
+    """The test functions read block by block are every pair's
+    sign(f_i - f_j) with its endpoints, in lexicographic order, whether
+    sliced from the table a family keeps or computed from its raw rows."""
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 100, 101, 150])
+    def test_blocks_list_every_pair_in_lexicographic_order(self, m):
+        """m=101 and m=150 take the endpoints of each block from the first
+        index of each row, not from cached triu indices."""
+        rows = random_mass_vectors(6, m, m)
+        if m > 3:
+            rows[3] = rows[1]
+        idx_i, idx_j = np.triu_indices(m, k=1)
+        want = (idx_i, idx_j, np.sign(rows[idx_i] - rows[idx_j]))
+        pairs = idx_i.shape[0]
+        family = make_family(rows)
+        raw = list(core._sign_blocks(family))
+        assert family._lex_pairs is None
+        preprocess(family)
+        kept = list(core._sign_blocks(family))
+        for blocks in (raw, kept):
+            sizes = [signs.shape[0] for _, _, signs in blocks]
+            assert sizes == [min(core._PAIR_BLOCK, pairs - s) for s in range(0, pairs, core._PAIR_BLOCK)]
+            for part, whole in zip(zip(*blocks), want):
+                assert_array_equal(np.concatenate(part), whole)
+        assert all(np.shares_memory(signs, family._lex_pairs.signs) for _, _, signs in kept)
 
 
 def reference_pair_table(rows: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -484,12 +511,12 @@ def reference_pair_table(rows: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def assert_table_matches_reference(rows: np.ndarray) -> None:
-    """The outcome layer of ``rows``, gathered through the distance order
+    """The pair table of ``rows``, gathered through the distance order
     of its preprocessed family, is the reference table bit for bit, with
     the preprocessed endpoints; and the order is the lexicographic index of
     each listed pair."""
     prep = preprocess(make_family(rows))
-    gathered = tuple(arr[prep.order] for arr in _pair_layer(prep.family, outcomes=True))
+    gathered = tuple(arr[prep.order] for arr in _pair_layer(prep.family))
     for built, want in zip(gathered, reference_pair_table(rows)):
         assert np.array_equal(built, want)
     assert np.array_equal(prep.pair_i, gathered[0]) and np.array_equal(prep.pair_j, gathered[1])
@@ -499,7 +526,7 @@ def assert_table_matches_reference(rows: np.ndarray) -> None:
 
 
 class TestPairTable:
-    """The outcome layer, gathered through the distance order, equals the
+    """The pair table, gathered through the distance order, equals the
     table the old lexicographic build sorted."""
 
     @given(
@@ -545,7 +572,7 @@ class TestPairTable:
         for src, dst in copies:
             rows[dst % m] = rows[src % m]
         prep = preprocess(make_family(rows))
-        layer = _pair_layer(prep.family, outcomes=True)
+        layer = _pair_layer(prep.family)
         h = inst.empirical.mass
         for i in range(m):
             for j in range(m):
@@ -605,7 +632,7 @@ class TestPairTable:
         with pytest.raises(ValueError, match="^mass matrix has mass entries too large"):
             Family._from_matrix(Support.default(8), [f"f{i}" for i in range(5)], rows)
         s = largest_accepted_exponent(8, unit)
-        scaled = _pair_layer(make_family(np.ldexp(unit, s)), outcomes=True)
+        scaled = _pair_layer(make_family(np.ldexp(unit, s)))
         table = _pair_outcome_arrays(unit)
         assert_array_equal(scaled.signs, table.signs)
         assert_array_equal(scaled.distances, np.ldexp(table.distances, s))

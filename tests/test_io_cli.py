@@ -588,11 +588,10 @@ class TestVerifyCommand:
     def test_each_instance_builds_one_outcome_layer_and_sorts_it_once(
         self, capsys, tmp_path, monkeypatch, pair_table_builds
     ):
-        """The tournament runs first and builds each sweep family's outcome
-        layer, which every later selector reads: no selector builds a sign
-        layer (only the oracle's deviation builds one, which it does not
-        keep), and the elimination selector's preprocess sorts the layer
-        once."""
+        """The tournament runs first and builds each sweep family's pair
+        table, which every later selector reads; the oracle's deviation
+        builds nothing, and the elimination selector's preprocess sorts the
+        table once."""
         monkeypatch.chdir(tmp_path)
         deviation = oracle.empirical_deviation
 
@@ -626,8 +625,7 @@ class TestVerifyCommand:
         assert len(per_instance) == 28
         for family, built, sorted_ in per_instance:
             shape = family.matrix.shape
-            want = [("outcomes", shape), ("deviation", shape)]
-            assert built == want + ([("signs", shape)] if family.size >= 2 else [])
+            assert built == [("outcomes", shape), ("deviation", shape)]
             assert len(sorted_) == 1 and sorted_[0] is family
 
     @pytest.mark.parametrize("delta_mode", ["full", "restricted"])
@@ -695,14 +693,15 @@ class TestBenchCommand:
         assert main(["bench", "--sizes", sizes]) == 3
         capsys.readouterr()
 
-    def test_every_row_builds_its_own_pair_table(self, capsys, pair_table_builds):
-        """No row reuses a layer an earlier row built, so every row's wall
-        time includes the build of the one layer its selector reads."""
+    def test_no_row_reuses_a_pair_table(self, capsys, pair_table_builds):
+        """No row reuses a table an earlier row built: the tournament,
+        min-loss-weight and elimination rows each build their own, so their
+        wall times include the build, and the distance selectors' rows
+        build none."""
         assert main(["bench", "--sizes", "4", "--omega", "5"]) == 0
         rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
         assert [r["algorithm"] for r in rows] == ["tournament", "mindist", "modified", "minloss", "efficient"]
-        layers = ["outcomes", "signs", "signs", "outcomes", "outcomes"]
-        assert pair_table_builds == [(layer, (4, 5)) for layer in layers]
+        assert pair_table_builds == [("outcomes", (4, 5))] * 3
 
     def test_family_too_large_for_the_pair_table_exits_three(self, capsys):
         assert main(["bench", "--sizes", "20000"]) == 3

@@ -145,6 +145,19 @@ class TestCheckBound:
                 3.0, 2.0, "bogus",
             )
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("which", ["a", "b"])
+    def test_non_finite_coefficient_rejected(self, pair_instance, bad, which):
+        """A NaN coefficient made a NaN margin, reported as a failure with
+        nothing wrong; an infinite one passes or fails every instance.  Each
+        is refused with and without a reference."""
+        inst = pair_instance
+        a, b = (bad, 2.0) if which == "a" else (3.0, bad)
+        reference = InstanceReference(inst.family, inst.truth, inst.empirical)
+        for kwargs in ({}, {"reference": reference}):
+            with pytest.raises(ValueError, match="^bound coefficients must be finite"):
+                check_bound(0, inst.family, inst.truth, inst.empirical, a, b, **kwargs)
+
     def test_restricted_mode_never_loosens(self):
         for seed in range(20):
             inst = random_instance(seed, 5, 6, noise=0.2)
@@ -305,6 +318,16 @@ class TestQuadruple:
         """Numpy would broadcast the short vectors and return 1.0."""
         with pytest.raises(SupportMismatchError):
             check_quadruple([0.5, 0.5], [1.0, 0.0], [0.2], [0.3])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("position", range(4))
+    def test_non_finite_entries_rejected(self, bad, position):
+        """A NaN entry made the value NaN, and NaN < -QUADRUPLE_TOL is false,
+        so the check passed; an infinite one can make it NaN too."""
+        vectors = [[0.5, 0.5], [0.5, 0.5], [0.2, 0.8], [0.8, 0.2]]
+        vectors[position] = [bad, 0.5]
+        with pytest.raises(ValueError, match="^quadruple has non-finite entries$"):
+            check_quadruple(*vectors)
 
     def test_signed_vectors_accepted(self):
         """The inequality holds for any real vectors of one length."""
@@ -521,7 +544,8 @@ class TestInstanceReference:
         inst = random_instance(0, 6, 8, 0.3)
         family, g, h = inst.family, inst.truth, inst.empirical
         reference = InstanceReference(family, g, h)
-        assert reference.g is g and reference.h is h.mass
+        for kept, given_ in ((reference.g, g), (reference.h, h.mass)):
+            assert kept is not given_ and np.array_equal(kept, given_) and not kept.flags.writeable
         alone = bound_bits(check_bound(2, family, g, h, 3.0, 2.0))
         for gv, hv in ((g, h), (g.tolist(), h.mass.copy()), (g.copy(), EmpiricalDistribution(h.mass))):
             assert bound_bits(check_bound(2, family, gv, hv, 3.0, 2.0, reference=reference)) == alone
