@@ -87,25 +87,16 @@ def uniform_empirical():
     return EmpiricalDistribution([0.25, 0.25, 0.25, 0.25])
 
 
-# The builder of a family's pair table, by the name its builds are logged under.
-PAIR_LAYER_BUILDERS = {
-    "outcomes": "_pair_outcome_arrays",
-}
-
-
 @pytest.fixture
 def pair_table_builds(monkeypatch):
-    """A list that grows by ("outcomes", matrix shape) at every build of a
-    pair table: the test functions with their distances and thresholds."""
+    """A list that grows by the matrix shape at every build of a pair table:
+    the test functions with their distances and thresholds."""
     builds = []
+    build = core._pair_outcome_arrays
 
-    def counting(layer, build):
-        def counted(matrix):
-            builds.append((layer, matrix.shape))
-            return build(matrix)
+    def counted(matrix):
+        builds.append(matrix.shape)
+        return build(matrix)
 
-        return counted
-
-    for layer, name in PAIR_LAYER_BUILDERS.items():
-        monkeypatch.setattr(core, name, counting(layer, getattr(core, name)))
+    monkeypatch.setattr(core, "_pair_outcome_arrays", counted)
     return builds

@@ -451,7 +451,7 @@ class TestPreprocess:
             for build in builders:
                 with pytest.raises(CapacityError, match="pair table"):
                     build(family)
-        assert pair_table_builds == [("outcomes", (20000, 6))] * len(builders) * 2
+        assert pair_table_builds == [(20000, 6)] * len(builders) * 2
         assert family._lex_pairs is None
 
     def test_one_budget_counts_the_whole_table(self):
@@ -472,8 +472,7 @@ class TestSignBlocks:
 
     @pytest.mark.parametrize("m", [1, 2, 5, 100, 101, 150])
     def test_blocks_list_every_pair_in_lexicographic_order(self, m):
-        """m=101 and m=150 take the endpoints of each block from the first
-        index of each row, not from cached triu indices."""
+        """m=101 and m=150 slice the blocks from uncached triu indices."""
         rows = random_mass_vectors(6, m, m)
         if m > 3:
             rows[3] = rows[1]

@@ -596,7 +596,7 @@ class TestVerifyCommand:
         deviation = oracle.empirical_deviation
 
         def deviating(g, h, family):
-            pair_table_builds.append(("deviation", family.matrix.shape))
+            pair_table_builds.append("deviation")
             return deviation(g, h, family)
 
         monkeypatch.setattr(oracle, "empirical_deviation", deviating)
@@ -625,7 +625,7 @@ class TestVerifyCommand:
         assert len(per_instance) == 28
         for family, built, sorted_ in per_instance:
             shape = family.matrix.shape
-            assert built == [("outcomes", shape), ("deviation", shape)]
+            assert built == [shape, "deviation"]
             assert len(sorted_) == 1 and sorted_[0] is family
 
     @pytest.mark.parametrize("delta_mode", ["full", "restricted"])
@@ -701,7 +701,7 @@ class TestBenchCommand:
         assert main(["bench", "--sizes", "4", "--omega", "5"]) == 0
         rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
         assert [r["algorithm"] for r in rows] == ["tournament", "mindist", "modified", "minloss", "efficient"]
-        assert pair_table_builds == [("outcomes", (4, 5))] * 3
+        assert pair_table_builds == [(4, 5)] * 3
 
     def test_family_too_large_for_the_pair_table_exits_three(self, capsys):
         assert main(["bench", "--sizes", "20000"]) == 3

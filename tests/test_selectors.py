@@ -995,7 +995,7 @@ class TestSharedPairTable:
         min_loss_weight(family, inst.empirical)
         min_distance(family, inst.empirical)
         modified_min_distance(family, inst.empirical)
-        assert pair_table_builds == [("outcomes", (12, 16))]
+        assert pair_table_builds == [(12, 16)]
 
     def test_the_table_is_built_at_most_once(self, pair_table_builds):
         """Repeated distance queries on a cold family build nothing; the
@@ -1009,7 +1009,7 @@ class TestSharedPairTable:
             scheffe_tournament(family, inst.empirical)
             min_loss_weight(family, inst.empirical)
         assert [select(family, inst.empirical) for select in (min_distance, modified_min_distance) * 2] == cold
-        assert pair_table_builds == [("outcomes", (12, 16))]
+        assert pair_table_builds == [(12, 16)]
         for arr in family._lex_pairs:
             assert not arr.flags.writeable
 
@@ -1067,7 +1067,7 @@ class TestSharedPairTable:
         inst.family._lex_pairs = layer._replace(signs=np.zeros_like(layer.signs))
         deviation = empirical_deviation(inst.truth, inst.empirical, inst.family)
         assert deviation == float(np.abs(terms).max()) > 0.0
-        assert pair_table_builds == [("outcomes", (6, 8))]
+        assert pair_table_builds == [(6, 8)]
 
 
 class TestStreamedScansPastTheGuard:
@@ -1078,10 +1078,10 @@ class TestStreamedScansPastTheGuard:
     def test_guard_refuses_the_table_not_the_scans(self, monkeypatch, m):
         """With the guard below this family's 2.5 or 6.1 MB table, the
         tournament and preprocess refuse it.  Both distance selectors and
-        a bound check still complete in block-sized memory, pick and
+        a bound check still complete in block-sized temporaries, pick and
         compute what the row-wise references do, and leave the family
-        keeping no table.  At m=150 each block's endpoints come from the
-        first index of each row, not from cached triu indices."""
+        keeping no table.  At m=150, past the triu cache, each call also
+        holds the 179 kB of triu indices it slices the blocks from."""
         monkeypatch.setattr(core, "_PAIR_TABLE_MAX_BYTES", 100_000)
         inst = random_instance(m, 64, m, noise=0.1)
         rows = inst.family.matrix.copy()
@@ -1243,7 +1243,7 @@ class TestColdFamilyLayers:
         with pytest.raises(EmptyFamilyError, match=f"^{message}$"):
             select(Family(Support.default(4), []), np.full(4, 0.25), Ledger())
         streams = name in ("mindist", "modified")
-        assert pair_table_builds == ([] if streams else [("outcomes", (1, 4))])
+        assert pair_table_builds == ([] if streams else [(1, 4)])
 
     def test_cold_family_with_overflowing_values_is_refused(self):
         """Masses near the float maximum, whose distances or thresholds
