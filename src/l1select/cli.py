@@ -303,9 +303,10 @@ def _cmd_verify(args) -> int:
     )
     if first_failure:
         inst, failure = first_failure
-        counterexample_path = str(Path.cwd() / "counterexample.json")
-        Path(counterexample_path).write_text(
-            json.dumps(_instance_record(inst, failure), indent=2) + "\n", encoding="utf-8"
+        counterexample_path = _written(
+            Path.cwd() / "counterexample.json",
+            lambda path, record: path.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8"),
+            _instance_record(inst, failure),
         )
 
     summary = {
@@ -425,9 +426,7 @@ def _cmd_gen(args) -> int:
     elif args.example == "vcdim":
         if args.n is None:
             raise _ParameterError("--example vcdim requires --n")
-        family = vc_gap_family(args.n)
-        write_family(outdir / "family.json", family)
-        files = {"family": str(outdir / "family.json")}
+        files = {"family": _written(outdir / "family.json", write_family, vc_gap_family(args.n))}
     elif args.example == "random":
         inst = random_instance(args.seed, args.k, args.m, args.noise)
         files = _write_instance(outdir, inst)
@@ -438,14 +437,21 @@ def _cmd_gen(args) -> int:
 
 
 def _write_instance(outdir: Path, inst: Instance) -> dict:
-    write_family(outdir / "family.json", inst.family)
-    write_empirical(outdir / "empirical.json", inst.empirical)
-    write_mass_vector(outdir / "truth.json", inst.truth)
     return {
-        "family": str(outdir / "family.json"),
-        "empirical": str(outdir / "empirical.json"),
-        "truth": str(outdir / "truth.json"),
+        "family": _written(outdir / "family.json", write_family, inst.family),
+        "empirical": _written(outdir / "empirical.json", write_empirical, inst.empirical),
+        "truth": _written(outdir / "truth.json", write_mass_vector, inst.truth),
     }
+
+
+def _written(path: Path, write, value) -> str:
+    """Write ``value`` to ``path`` with ``write(path, value)`` and return the
+    path; a file that cannot be written exits 3, naming it."""
+    try:
+        write(path, value)
+    except OSError as exc:
+        raise _ParameterError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    return str(path)
 
 
 # --------------------------------------------------------------------------

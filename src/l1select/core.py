@@ -35,11 +35,12 @@ found in it by its closed-form lexicographic index.  Readers of the test
 functions alone (the distance selectors and :func:`empirical_deviation`)
 walk them in blocks of pairs instead, as slices of the kept table or as
 signs of each block's raw rows, dropped after use, so they keep nothing.
-:func:`preprocess` adds only the distance order, one stable argsort of the
-table's distances, and the pair endpoints gathered through it; only the
-elimination selector reads them.  A table over ``_PAIR_TABLE_MAX_BYTES``,
-counted from the arrays it holds, is refused with :class:`CapacityError`
-before anything is allocated.
+:func:`preprocess` returns a :class:`Family` that also carries the distance
+order, one stable argsort of the table's distances, and the pair endpoints
+gathered through it; only the elimination selector reads them.  Every
+function that takes a family takes it too.  A table over
+``_PAIR_TABLE_MAX_BYTES``, counted from the arrays it holds, is refused
+with :class:`CapacityError` before anything is allocated.
 """
 
 from __future__ import annotations
@@ -307,10 +308,15 @@ class Family:
             else np.empty((0, support.size), dtype=np.float64)
         )
         matrix.flags.writeable = False
+        self._share(support, cands, matrix, None)
+
+    def _share(self, support: Support, candidates: tuple, matrix: np.ndarray, lex_pairs) -> None:
+        """Set what a family and its preprocessed form share: the support,
+        the candidates, the read-only matrix and the pair table."""
         self.support = support
-        self.candidates = cands
+        self.candidates = candidates
         self.matrix = matrix
-        self._lex_pairs = None
+        self._lex_pairs = lex_pairs
 
     @classmethod
     def _from_matrix(cls, support: Support, names: Sequence[str], matrix: np.ndarray) -> "Family":
@@ -326,10 +332,7 @@ class Family:
         _check_entries(matrix, "mass matrix", support.size)
         matrix.flags.writeable = False
         family = cls.__new__(cls)
-        family.support = support
-        family.candidates = tuple(map(Candidate._view, names, matrix))
-        family.matrix = matrix
-        family._lex_pairs = None
+        family._share(support, tuple(map(Candidate._view, names, matrix)), matrix, None)
         return family
 
     @property
@@ -431,7 +434,7 @@ def l1_distance(fi, fj) -> float:
     return float(np.abs(a - b).sum())
 
 
-def compare(target: "Family | PreprocessedFamily", i: int, j: int, h, ledger: Ledger) -> Outcome:
+def compare(family: Family, i: int, j: int, h, ledger: Ledger) -> Outcome:
     """Compare candidates ``i`` and ``j`` against the empirical mass ``h``.
 
     Candidate i wins when its signed excess over the data is smaller than
@@ -445,10 +448,8 @@ def compare(target: "Family | PreprocessedFamily", i: int, j: int, h, ledger: Le
 
     Exactly one ``h_products`` ledger increment per call.  The outcome is
     antisymmetric: swapping i and j flips FIRST_WINS and SECOND_WINS.
-    ``target`` is a family or a preprocessed one; either way the pair is read
-    from the family's pair table, built on first need.
+    The pair is read from the family's pair table, built on first need.
     """
-    family = _family_of(target)
     hvec = _checked_mass(h, "empirical distribution", family.support.size)
     outcome = _outcome_at(_pair_layer(family), _pair_index(family.size, i, j), hvec, ledger)
     return outcome if i < j else outcome.flipped()
@@ -618,11 +619,6 @@ def _check_candidate_index(family: Family, i: int) -> None:
         raise IndexError(f"candidate index {i} out of range for family of size {family.size}")
 
 
-def _family_of(target: "Family | PreprocessedFamily") -> Family:
-    """The family of a selection target, which may be either."""
-    return target.family if isinstance(target, PreprocessedFamily) else target
-
-
 def _pair_blocks(pairs: int) -> Iterator[slice]:
     """Consecutive slices of at most ``_PAIR_BLOCK`` pairs covering ``pairs``."""
     return (slice(start, start + _PAIR_BLOCK) for start in range(0, pairs, _PAIR_BLOCK))
@@ -659,20 +655,21 @@ def empirical_deviation_restricted(g, h, family: Family, i: int) -> float:
     return float(np.abs((signs * (gv - hv)).sum(axis=1)).max())
 
 
-class PreprocessedFamily:
-    """A family with the distance order of its pairs: the preprocessing the
-    elimination selector needs.
+class PreprocessedFamily(Family):
+    """A family that also carries the distance order of its pairs: the
+    preprocessing the elimination selector needs.
 
-    ``order`` lists the lexicographic indices of the pairs by nonincreasing
-    L1 distance, ties broken lexicographically by (i, j); ``pair_i`` and
-    ``pair_j`` are the pairs' endpoints gathered through it.  Everything
-    else about a pair, its test function, distance and threshold, stays in
-    the family's pair table, in lexicographic order.  Building takes
-    O(m^2 k) time and memory and touches no empirical data, so it charges
-    nothing to any ledger.
+    It shares the support, the candidates, the read-only matrix and the pair
+    table of the family it was built from, and adds ``order``, the
+    lexicographic indices of the pairs by nonincreasing L1 distance, ties
+    broken lexicographically by (i, j), and ``pair_i`` and ``pair_j``, the
+    pairs' endpoints gathered through it.  Everything else about a pair, its
+    test function, distance and threshold, stays in the pair table, in
+    lexicographic order.  Building takes O(m^2 k) time and memory and
+    touches no empirical data, so it charges nothing to any ledger.
     """
 
-    __slots__ = ("family", "order", "pair_i", "pair_j", "_pairs", "_pair_position")
+    __slots__ = ("order", "pair_i", "pair_j", "_pairs", "_pair_position")
 
     def __init__(self, family: Family):
         if family.size == 0:
@@ -683,14 +680,10 @@ class PreprocessedFamily:
         arrays = (order, layer.pair_i[order], layer.pair_j[order])
         for arr in arrays:
             arr.flags.writeable = False
-        self.family = family
+        self._share(family.support, family.candidates, family.matrix, layer)
         self.order, self.pair_i, self.pair_j = arrays
         self._pairs = None
         self._pair_position = None
-
-    @property
-    def size(self) -> int:
-        return self.family.size
 
     @property
     def pairs(self) -> tuple[tuple[int, int], ...]:
@@ -711,13 +704,14 @@ class PreprocessedFamily:
 
 
 def preprocess(family: Family) -> PreprocessedFamily:
-    """The distance order of a family's pairs, in O(m^2 k) time and memory.
+    """The family with the distance order of its pairs, in O(m^2 k) time and
+    memory: a :class:`Family` that every function taking one accepts.
 
     Builds the family's pair table, P * (8k + 32) bytes, unless it keeps
-    one; the order and the two gathered endpoint arrays add 24 bytes a pair,
-    P * (8k + 56) in all.  Only
+    one, and shares it; the order and the two gathered endpoint arrays add
+    24 bytes a pair, P * (8k + 56) in all.  Only
     :func:`~l1select.selectors.efficient_min_loss_weight` reads the order,
-    and it preprocesses a :class:`Family` itself.  A pair table over
+    and it preprocesses a family that lacks one itself.  A pair table over
     ``_PAIR_TABLE_MAX_BYTES`` is refused (:class:`CapacityError`).
     """
     return PreprocessedFamily(family)

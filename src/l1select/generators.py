@@ -232,13 +232,13 @@ def random_instance(seed: int, k: int, m: int, noise: float = 0.0) -> Instance:
         noise: perturbation bound, >= 0.
 
     Raises:
-        ValueError: on non-positive sizes or negative noise.
+        ValueError: on non-positive sizes or negative or NaN noise.
     """
     if k < 1:
         raise ValueError(f"support size must be >= 1, got {k}")
     if m < 1:
         raise ValueError(f"family size must be >= 1, got {m}")
-    if noise < 0.0:
+    if not noise >= 0.0:
         raise ValueError(f"noise must be >= 0, got {noise}")
     rng = np.random.default_rng(seed)
     alpha = np.ones(k)

@@ -39,6 +39,10 @@ def _load_json(path) -> dict:
             data = json.load(fh)
     except FileNotFoundError as exc:
         raise FileFormatError(f"{path}: file not found") from exc
+    except OSError as exc:
+        raise FileFormatError(f"{path}: cannot read ({exc.strerror or exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"{path}: not UTF-8 text ({exc})") from exc
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(data, dict):

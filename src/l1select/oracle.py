@@ -4,8 +4,8 @@ Everything here recomputes from raw mass vectors: distances by summing
 absolute differences, loss-weights by exhaustive comparison, and VC
 dimension by enumerating subsets.  None of it reuses the thresholds or
 distances of the pair table a :class:`~l1select.core.Family` keeps, or the
-distance order of a :class:`~l1select.core.PreprocessedFamily`, so
-agreement between a selector and these checks is evidence, not circularity.
+distance order a preprocessed one carries, so agreement between a selector
+and these checks is evidence, not circularity.
 
 One deliberate exception: pair *outcomes* are recomputed with the same
 threshold formula :func:`~l1select.core.compare` uses, evaluated in the same
@@ -50,13 +50,11 @@ from .core import (
     EmptyFamilyError,
     Family,
     Outcome,
-    PreprocessedFamily,
     Support,
     _as_vector,
     _check_candidate_index,
     _check_same_length,
     _checked_mass,
-    _family_of,
     compare,
     Ledger,
     empirical_deviation,
@@ -140,12 +138,13 @@ class InstanceReference:
     :func:`~l1select.core.empirical_deviation` and
     :func:`~l1select.core.empirical_deviation_restricted`.  Everything is
     derived from ``family.matrix``, ``g`` and ``h``: never from a family's
-    cached pair table or a :class:`~l1select.core.PreprocessedFamily`.  A
-    reference describes one instance only and is dropped with it.  ``g``
-    and ``h`` are both checked at construction, so a malformed one is
-    refused before any quantity is read.  Both are kept as read-only
-    copies, so writing to the caller's array later changes no quantity, and
-    the checks refuse the changed array as another instance's.
+    cached pair table or distance order.  A reference describes one
+    instance only, serves a family and its preprocessed form alike, and is
+    dropped with it.  ``g`` and ``h`` are both checked at construction, so
+    a malformed one is refused before any quantity is read.  Both are kept
+    as read-only copies, so writing to the caller's array later changes no
+    quantity, and the checks refuse the changed array as another
+    instance's.
     """
 
     def __init__(self, family: Family, g, h):
@@ -218,10 +217,11 @@ def check_bound(
 
 
 def _check_reference(reference: InstanceReference, family: Family, h, g=None) -> None:
-    """Refuse (ValueError) a ``reference`` not built from ``family``, ``h``
-    and ``g`` unless None: each must be the very array the reference keeps,
-    as ``verify`` passes it, or a mass vector equal to it entry for entry."""
-    if reference.family is not family:
+    """Refuse (ValueError) a ``reference`` not built from ``family``, or
+    its preprocessed form, ``h`` and ``g`` unless None: each must be the
+    very array the reference keeps, as ``verify`` passes it, or a mass
+    vector equal to it entry for entry."""
+    if reference.family.matrix is not family.matrix:
         raise ValueError("reference was built for another family")
     for noun, values, kept in (("truth", g, reference.g), ("empirical distribution", h, reference.h)):
         vec = _as_vector(values) if values is not None else kept
@@ -261,9 +261,7 @@ def _brute_loss_weight(matrix: np.ndarray, hv: np.ndarray, i: int) -> float:
     return worst
 
 
-def _elimination_verdicts(
-    prep_or_family: PreprocessedFamily | Family, h, selected: int, c: float = 1.0
-) -> tuple[bool, bool]:
+def _elimination_verdicts(family: Family, h, selected: int, c: float = 1.0) -> tuple[bool, bool]:
     """Both readings of :func:`check_elimination_invariant` from one pass:
     (strict, with draws).
 
@@ -274,7 +272,6 @@ def _elimination_verdicts(
     """
     if not c >= 1.0:
         raise ValueError(f"relaxation factor must be >= 1, got {c}")
-    family = _family_of(prep_or_family)
     _check_candidate_index(family, selected)
     matrix = family.matrix
     hv = _checked_mass(h, "empirical distribution", family.support.size)
@@ -295,7 +292,7 @@ def _elimination_verdicts(
 
 
 def check_elimination_invariant(
-    prep_or_family: PreprocessedFamily | Family,
+    family: Family,
     h,
     selected: int,
     c: float = 1.0,
@@ -318,9 +315,9 @@ def check_elimination_invariant(
     one pass.
     """
     if reference is None:
-        verdicts = _elimination_verdicts(prep_or_family, h, selected, c)
+        verdicts = _elimination_verdicts(family, h, selected, c)
     else:
-        _check_reference(reference, _family_of(prep_or_family), h)
+        _check_reference(reference, family, h)
         verdicts = reference.elimination_verdicts(selected, c)
     return verdicts[include_draws]
 

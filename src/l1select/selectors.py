@@ -19,11 +19,10 @@ the counts above are exact, not asymptotic.  Deterministic procedures break
 ties by lowest candidate index.
 
 Every deterministic selector, ``loss_weight`` and ``relaxed_selection_check``
-take a :class:`~l1select.core.Family` or a
-:class:`~l1select.core.PreprocessedFamily`.  The distance selectors stream
-the test functions block by block, the others read the pair table (see
-:mod:`l1select.core`); ``efficient_min_loss_weight`` also reads the
-distance order, and preprocesses a family it is given.
+take a :class:`~l1select.core.Family`, preprocessed or not.  The distance
+selectors stream the test functions block by block, the others read the
+pair table (see :mod:`l1select.core`); ``efficient_min_loss_weight`` also
+reads the distance order, and preprocesses a family that carries none.
 
 The tournament, ``min_loss_weight``, ``loss_weight`` and
 ``relaxed_selection_check`` read their pair outcomes from one vectorised
@@ -58,7 +57,6 @@ from .core import (
     _check_candidate_index,
     _PairTable,
     _checked_mass,
-    _family_of,
     _outcome_at,
     _pair_blocks,
     _pair_layer,
@@ -166,12 +164,12 @@ def _ensure_ledger(ledger: Ledger | None) -> Ledger:
     return ledger if ledger is not None else Ledger()
 
 
-def _report(target, algorithm: str, selected: int, ledger: Ledger,
+def _report(family: Family, algorithm: str, selected: int, ledger: Ledger,
             h0: int, t0: int, **extra) -> SelectionReport:
     return SelectionReport(
         algorithm=algorithm,
         selected_index=selected,
-        selected_name=_family_of(target).candidates[selected].name,
+        selected_name=family.candidates[selected].name,
         h_products=ledger.h_products - h0,
         term_evaluations=ledger.term_evaluations - t0,
         **extra,
@@ -223,7 +221,7 @@ def _rounding_slack(k: int, norm):
     return (4.0 * k * _EPS) * norm
 
 
-def _pair_outcomes(target: Family | PreprocessedFamily, h, ledger: Ledger, candidate: int | None = None):
+def _pair_outcomes(family: Family, h, ledger: Ledger, candidate: int | None = None):
     """The pairs of the family's pair table, every pair or only the m-1 of
     ``candidate``, and their outcomes, in one vectorised pass.
 
@@ -240,9 +238,7 @@ def _pair_outcomes(target: Family | PreprocessedFamily, h, ledger: Ledger, candi
     outcome is bit-identical to ``compare``'s, exact draws included.
     Charges one data product per row, however it is decided.
     """
-    family = _family_of(target)
-    if family.size == 0:
-        raise EmptyFamilyError("cannot preprocess an empty family")
+    _check_nonempty(family)
     hv = _checked_mass(h, "empirical distribution", family.support.size)
     pairs = _pair_layer(family)
     if candidate is not None:
@@ -260,6 +256,12 @@ def _pair_outcomes(target: Family | PreprocessedFamily, h, ledger: Ledger, candi
     return pairs, first, second
 
 
+def _check_nonempty(family: Family) -> None:
+    """Refuse an empty family, as every selector does before checking ``h``."""
+    if family.size == 0:
+        raise EmptyFamilyError("cannot select from an empty family")
+
+
 def _win_counts(m: int, layer: _PairTable, first: np.ndarray, second: np.ndarray) -> np.ndarray:
     """Pairwise wins of each of the ``m`` candidates from the outcomes of
     every pair; a draw awards no win."""
@@ -275,9 +277,7 @@ def _loss_weights(m: int, layer: _PairTable, first: np.ndarray, second: np.ndarr
     return values
 
 
-def scheffe_tournament(
-    target: Family | PreprocessedFamily, h, ledger: Ledger | None = None
-) -> SelectionReport:
+def scheffe_tournament(family: Family, h, ledger: Ledger | None = None) -> SelectionReport:
     """Select the candidate winning the most pairwise comparisons.
 
     Every unordered pair is compared exactly once (m(m-1)/2 data products);
@@ -287,8 +287,8 @@ def scheffe_tournament(
     """
     ledger = _ensure_ledger(ledger)
     h0, t0 = ledger.h_products, ledger.term_evaluations
-    selected = int(np.argmax(_win_counts(target.size, *_pair_outcomes(target, h, ledger))))
-    return _report(target, "tournament", selected, ledger, h0, t0)
+    selected = int(np.argmax(_win_counts(family.size, *_pair_outcomes(family, h, ledger))))
+    return _report(family, "tournament", selected, ledger, h0, t0)
 
 
 def _min_distance_shortlist(diffs: np.ndarray, blocks) -> np.ndarray:
@@ -320,7 +320,7 @@ def _exact_scores(diffs: np.ndarray, blocks) -> np.ndarray:
     return scores
 
 
-def min_distance(target: Family | PreprocessedFamily, h, ledger: Ledger | None = None) -> SelectionReport:
+def min_distance(family: Family, h, ledger: Ledger | None = None) -> SelectionReport:
     """Select the candidate whose worst term over every ordered pair's test
     function is smallest.
 
@@ -342,9 +342,7 @@ def min_distance(target: Family | PreprocessedFamily, h, ledger: Ledger | None =
     Only the test functions are read, block by block: from the pair table
     the family keeps, or from the raw rows, once more for a rescoring.
     """
-    family = _family_of(target)
-    if family.size == 0:
-        raise EmptyFamilyError("cannot select from an empty family")
+    _check_nonempty(family)
     ledger = _ensure_ledger(ledger)
     h0, t0 = ledger.h_products, ledger.term_evaluations
     hv = _checked_mass(h, "empirical distribution", family.support.size)
@@ -357,9 +355,7 @@ def min_distance(target: Family | PreprocessedFamily, h, ledger: Ledger | None =
     return _report(family, "mindist", selected, ledger, h0, t0)
 
 
-def modified_min_distance(
-    target: Family | PreprocessedFamily, h, ledger: Ledger | None = None
-) -> SelectionReport:
+def modified_min_distance(family: Family, h, ledger: Ledger | None = None) -> SelectionReport:
     """Select the candidate whose worst term over its own pairs is smallest.
 
     Candidate i is scored by max over j != i of |(f_i - h) . T_ij| only, so
@@ -369,9 +365,7 @@ def modified_min_distance(
     :func:`min_distance` reads them; T_ji = -T_ij only negates the row sum,
     so the scores are those of scanning each candidate's own pairs.
     """
-    family = _family_of(target)
-    if family.size == 0:
-        raise EmptyFamilyError("cannot select from an empty family")
+    _check_nonempty(family)
     ledger = _ensure_ledger(ledger)
     h0, t0 = ledger.h_products, ledger.term_evaluations
     hv = _checked_mass(h, "empirical distribution", family.support.size)
@@ -385,9 +379,7 @@ def modified_min_distance(
     return _report(family, "modified", selected, ledger, h0, t0)
 
 
-def loss_weight(
-    target: Family | PreprocessedFamily, h, i: int, ledger: Ledger | None = None
-) -> LossWeightValue:
+def loss_weight(family: Family, h, i: int, ledger: Ledger | None = None) -> LossWeightValue:
     """Loss-weight of candidate ``i``: the largest L1 distance to a rival that
     ``i`` fails to beat (draws count as failures to beat).
 
@@ -398,7 +390,6 @@ def loss_weight(
     everyone; otherwise the witness is the lowest-index rival attaining the
     maximum.
     """
-    family = _family_of(target)
     _check_candidate_index(family, i)
     pairs, first, second = _pair_outcomes(family, h, _ensure_ledger(ledger), candidate=i)
     # i is the second endpoint of its pairs with rivals 0..i-1, the first of the rest.
@@ -410,9 +401,7 @@ def loss_weight(
     return LossWeightValue(float(distances[rival]), rival + (rival >= i))
 
 
-def min_loss_weight(
-    target: Family | PreprocessedFamily, h, ledger: Ledger | None = None
-) -> SelectionReport:
+def min_loss_weight(family: Family, h, ledger: Ledger | None = None) -> SelectionReport:
     """Select the candidate with the smallest loss-weight.
 
     Each unordered pair is compared once and the outcome reused in both
@@ -423,12 +412,12 @@ def min_loss_weight(
     """
     ledger = _ensure_ledger(ledger)
     h0, t0 = ledger.h_products, ledger.term_evaluations
-    selected = int(np.argmin(_loss_weights(target.size, *_pair_outcomes(target, h, ledger))))
-    return _report(target, "minloss", selected, ledger, h0, t0)
+    selected = int(np.argmin(_loss_weights(family.size, *_pair_outcomes(family, h, ledger))))
+    return _report(family, "minloss", selected, ledger, h0, t0)
 
 
 def efficient_min_loss_weight(
-    target: Family | PreprocessedFamily,
+    family: Family,
     h,
     ledger: Ledger | None = None,
     *,
@@ -440,26 +429,27 @@ def efficient_min_loss_weight(
     Repeatedly take the first pair in the distance order (largest L1
     distance, lexicographic on ties) whose endpoints both survive, compare
     the pair, and remove the loser -- on a draw the second-listed candidate
-    is removed, keeping exactly one removal per comparison.  A
-    :class:`~l1select.core.Family` is preprocessed first, after ``h`` is
-    checked; a :class:`~l1select.core.PreprocessedFamily` is walked as it
-    is.  Each compared pair's signs and threshold are read from the
-    family's pair table.  The survivor satisfies the same 3-vs-2
-    guarantee as :func:`min_loss_weight`: whenever it fails to beat a rival
-    f', its distance to f' is at most the rival's loss-weight.
+    is removed, keeping exactly one removal per comparison.  A family
+    without the distance order is preprocessed first, after ``h`` is
+    checked; a preprocessed one is walked as it is.  Each compared pair's
+    signs and threshold are read from the family's pair table.  The
+    survivor satisfies the same 3-vs-2 guarantee as :func:`min_loss_weight`:
+    whenever it fails to beat a rival f', its distance to f' is at most the
+    rival's loss-weight.
 
     ``draw_removes_first`` flips which endpoint a draw removes; the guarantee
     holds either way, and the knob exists so verification can demonstrate
     that.
     """
-    hv = _checked_mass(h, "empirical distribution", _family_of(target).support.size)
-    prep = target if isinstance(target, PreprocessedFamily) else preprocess(target)
+    _check_nonempty(family)
+    hv = _checked_mass(h, "empirical distribution", family.support.size)
+    prep = family if isinstance(family, PreprocessedFamily) else preprocess(family)
     ledger = _ensure_ledger(ledger)
     h0, t0 = ledger.h_products, ledger.term_evaluations
     alive = [True] * prep.size
     remaining = prep.size
     trace: list[TraceEvent] = []
-    layer = _pair_layer(prep.family)
+    layer = _pair_layer(prep)
     for lex, i, j in zip(prep.order.tolist(), prep.pair_i.tolist(), prep.pair_j.tolist()):
         if remaining == 1:
             break
@@ -518,7 +508,7 @@ def randomized_two(f1, f2, h, rng_seed: int = 0) -> SelectionReport:
 
 
 def relaxed_selection_check(
-    target: Family | PreprocessedFamily,
+    family: Family,
     h,
     selected: int,
     c: float = 1.0,
@@ -544,7 +534,6 @@ def relaxed_selection_check(
     """
     if not c >= 1.0:
         raise ValueError(f"relaxation factor must be >= 1, got {c}")
-    family = _family_of(target)
     _check_candidate_index(family, selected)
     layer, first, second = _pair_outcomes(family, h, Ledger())
     loss_weights = _loss_weights(family.size, layer, first, second)

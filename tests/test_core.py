@@ -59,7 +59,7 @@ def random_mass_vectors(k: int, count: int, seed: int) -> np.ndarray:
 
 def ordered_distances(prep) -> np.ndarray:
     """The family's pair distances in the preprocessed distance order."""
-    return _pair_layer(prep.family).distances[prep.order]
+    return _pair_layer(prep).distances[prep.order]
 
 
 class TestSupport:
@@ -356,7 +356,7 @@ class TestPreprocess:
         with the pair's test function, computed from the raw vectors."""
         rows = random_mass_vectors(k, m, seed)
         prep = preprocess(make_family(rows))
-        thresholds = _pair_layer(prep.family).thresholds
+        thresholds = _pair_layer(prep).thresholds
         for pos, (i, j) in enumerate(prep.pairs):
             t = make_test_function(rows[i], rows[j])
             expected = 0.5 * (inner_product(rows[i], t) + inner_product(rows[j], t))
@@ -370,14 +370,20 @@ class TestPreprocess:
             assert not arr.flags.writeable
 
     def test_holds_the_distance_order_and_nothing_else(self, simple_family):
-        """A preprocessed family adds the order and the endpoints gathered
-        through it; the pair data stays in the family's layer."""
+        """A preprocessed family is a family that adds the order and the
+        endpoints gathered through it: it shares the family's rows and pair
+        table, with no second copy of either and no pointer back."""
         prep = preprocess(simple_family)
-        assert set(PreprocessedFamily.__slots__) == {
-            "family", "order", "pair_i", "pair_j", "_pairs", "_pair_position"
-        }
+        assert isinstance(prep, Family)
+        assert set(PreprocessedFamily.__slots__) == {"order", "pair_i", "pair_j", "_pairs", "_pair_position"}
+        assert prep.support is simple_family.support
+        assert prep.candidates is simple_family.candidates
+        assert prep.matrix is simple_family.matrix
+        assert prep._lex_pairs is simple_family._lex_pairs is not None
+        assert not hasattr(prep, "family")
         public = {name for name in dir(prep) if not name.startswith("_")}
-        assert public == {"family", "order", "pair_i", "pair_j", "size", "pairs", "pair_position"}
+        family_public = {name for name in dir(simple_family) if not name.startswith("_")}
+        assert public == family_public | {"order", "pair_i", "pair_j", "pairs", "pair_position"}
 
     @pytest.mark.parametrize("m, k", [(7, 5), (96, 64)])
     def test_holds_one_pair_by_atom_array(self, m, k):
@@ -515,7 +521,7 @@ def assert_table_matches_reference(rows: np.ndarray) -> None:
     the preprocessed endpoints; and the order is the lexicographic index of
     each listed pair."""
     prep = preprocess(make_family(rows))
-    gathered = tuple(arr[prep.order] for arr in _pair_layer(prep.family))
+    gathered = tuple(arr[prep.order] for arr in _pair_layer(prep))
     for built, want in zip(gathered, reference_pair_table(rows)):
         assert np.array_equal(built, want)
     assert np.array_equal(prep.pair_i, gathered[0]) and np.array_equal(prep.pair_j, gathered[1])
@@ -571,7 +577,7 @@ class TestPairTable:
         for src, dst in copies:
             rows[dst % m] = rows[src % m]
         prep = preprocess(make_family(rows))
-        layer = _pair_layer(prep.family)
+        layer = _pair_layer(prep)
         h = inst.empirical.mass
         for i in range(m):
             for j in range(m):

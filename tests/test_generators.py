@@ -241,9 +241,10 @@ class TestRandomInstance:
         with pytest.raises(ValueError):
             random_instance(0, noise=0.0, **kwargs)
 
-    def test_negative_noise_rejected(self):
-        with pytest.raises(ValueError):
-            random_instance(0, 3, 3, noise=-0.1)
+    @pytest.mark.parametrize("noise", [-0.1, float("nan")])
+    def test_negative_noise_rejected(self, noise):
+        with pytest.raises(ValueError, match=f"^noise must be >= 0, got {noise}$"):
+            random_instance(0, 3, 3, noise=noise)
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 8))
     def test_all_vectors_are_distributions(self, seed, k, m):

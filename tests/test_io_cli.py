@@ -708,6 +708,68 @@ class TestBenchCommand:
         assert "pair table" in capsys.readouterr().err
 
 
+class TestUnreadableAndUnwritablePaths:
+    """A path that cannot be read exits 2 and one that cannot be written
+    exits 3, each with a one-line message naming the path, never with a
+    traceback and exit 1, the code of a failed verification."""
+
+    @pytest.mark.parametrize("which", ["--family", "--empirical"])
+    @pytest.mark.parametrize("fault", ["directory", "not_utf8"])
+    def test_unreadable_input_exits_two(self, tmp_path, pair_files, capsys, which, fault):
+        bad = tmp_path / "bad.json"
+        if fault == "directory":
+            bad.mkdir()
+        else:
+            bad.write_bytes(b'{"mass": [0.5, \xff0.5]}')
+        paths = dict(zip(("--family", "--empirical"), pair_files))
+        paths[which] = str(bad)
+        argv = ["select", "--family", paths["--family"], "--empirical", paths["--empirical"]]
+        assert main([*argv, "--algorithm", "mindist"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+        assert ("cannot read" if fault == "directory" else "not UTF-8 text") in err
+
+    @pytest.mark.parametrize(
+        "argv, blocked",
+        [
+            (["gen", "--example", "three", "--eps", "0.001"], "family.json"),
+            (["gen", "--example", "random"], "empirical.json"),
+            (["gen", "--example", "nine", "--eps", "0.001"], "truth.json"),
+            (["gen", "--example", "vcdim", "--n", "3"], "family.json"),
+        ],
+    )
+    def test_unwritable_gen_output_exits_three(self, tmp_path, capsys, argv, blocked):
+        (tmp_path / blocked).mkdir()
+        assert main([*argv, "--out", str(tmp_path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot write {tmp_path / blocked}: Is a directory\n"
+
+    def test_unwritable_counterexample_exits_three(self, tmp_path, capsys, monkeypatch):
+        """A sweep that fails (here: the tournament held to an error of 0)
+        but cannot dump its counterexample exits 3, naming the file."""
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setitem(cli._BOUNDS, "tournament", (0.0, 0.0, False))
+        (tmp_path / "counterexample.json").mkdir()
+        assert main(["verify", "--trials", "5", "--seed", "0"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot write {tmp_path / 'counterexample.json'}: Is a directory\n"
+
+    def test_failing_sweep_still_dumps_its_counterexample(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setitem(cli._BOUNDS, "tournament", (0.0, 0.0, False))
+        assert main(["verify", "--trials", "5", "--seed", "0"]) == 1
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["counterexample"] == str(tmp_path / "counterexample.json")
+        record = json.loads((tmp_path / "counterexample.json").read_text(encoding="utf-8"))
+        assert record["failure"]["algorithm"] == "tournament"
+
+    def test_nan_noise_is_refused_by_name(self, tmp_path, capsys):
+        assert main(["gen", "--example", "random", "--noise", "nan", "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == "error: noise must be >= 0, got nan\n"
+
+
 class TestGenCommand:
     def test_pair_example_round_trips(self, tmp_path, capsys):
         out = tmp_path / "pair"

@@ -517,10 +517,10 @@ def assert_matches_compare_path(prep, h) -> int:
     m = prep.size
     wins = [0] * m
     draws = 0
-    assert_screen_matches_row_wise(prep.family, h)
+    assert_screen_matches_row_wise(prep, h)
     outcomes = _pair_outcomes(prep, h, Ledger())
     layer, first, second = outcomes
-    assert layer is prep.family._lex_pairs
+    assert layer is prep._lex_pairs
     for lex, (i, j) in enumerate(itertools.combinations(range(m), 2)):
         outcome = compare(prep, i, j, h, Ledger())
         assert (bool(first[lex]), bool(second[lex])) == (
@@ -650,7 +650,7 @@ def reference_loss_weight(prep, h, i: int):
     """Loss-weight of candidate ``i`` from per-pair :func:`compare` calls:
     the rivals in index order, a larger distance replacing the maximum only
     when strictly larger."""
-    rows = prep.family.matrix
+    rows = prep.matrix
     best, witness = -math.inf, None
     for j in range(prep.size):
         if j != i and compare(prep, i, j, h, Ledger()) is not Outcome.FIRST_WINS:
@@ -664,7 +664,7 @@ def reference_relaxed_check(prep, h, selected: int, c: float, include_draws: boo
     """The relaxed output condition from per-pair :func:`compare` calls and
     :func:`reference_loss_weight`, each rival's slack folded into the margin
     by Python's ``min``."""
-    rows = prep.family.matrix
+    rows = prep.matrix
     margin = math.inf
     for j in range(prep.size):
         if j == selected:
@@ -1022,7 +1022,7 @@ class TestSharedPairTable:
         layer = _pair_layer(family)
         prep = preprocess(family)
         assert family._lex_pairs is layer
-        assert preprocess(family).family._lex_pairs is layer
+        assert preprocess(family)._lex_pairs is layer
         assert np.array_equal(prep.pair_i, layer.pair_i[prep.order])
         assert np.array_equal(prep.pair_j, layer.pair_j[prep.order])
         assert np.all(np.diff(layer.distances[prep.order]) <= 0.0)
@@ -1054,7 +1054,7 @@ class TestSharedPairTable:
             assert min_distance(family, h).selected_index == want
             assert modified_min_distance(family, h).selected_index == want_modified
         assert fresh._lex_pairs is None
-        assert preprocessed._lex_pairs is not None and prep.family is preprocessed
+        assert preprocessed._lex_pairs is not None and prep._lex_pairs is preprocessed._lex_pairs
 
     def test_empirical_deviation_never_reads_a_kept_table(self, pair_table_builds):
         """The oracle recomputes the test functions from raw vectors even
@@ -1222,26 +1222,18 @@ class TestColdFamilyLayers:
         assert peak < 96 * 95 // 2 * table_bytes_per_pair + 1_000_000
         assert (family._lex_pairs is None) == (table_bytes_per_pair == 0)
 
-    @pytest.mark.parametrize(
-        "name, message",
-        [
-            ("tournament", "cannot preprocess an empty family"),
-            ("mindist", "cannot select from an empty family"),
-            ("modified", "cannot select from an empty family"),
-            ("minloss", "cannot preprocess an empty family"),
-            ("efficient", "cannot preprocess an empty family"),
-        ],
-    )
-    def test_singleton_and_empty_families(self, name, message, pair_table_builds):
+    @pytest.mark.parametrize("name", list(COLD_SELECTORS))
+    def test_singleton_and_empty_families(self, name, pair_table_builds):
         """A singleton selects its member at no cost, building its empty
         table unless the selector streams the test functions; an empty
-        family is refused with the message a preprocess-first run gave, and
+        family is refused with one message, before ``h`` is checked, and
         builds nothing."""
         select = COLD_SELECTORS[name]
         report = select(singleton_family(), np.full(4, 0.25), Ledger())
         assert (report.selected_index, report.h_products, report.term_evaluations) == (0, 0, 0)
-        with pytest.raises(EmptyFamilyError, match=f"^{message}$"):
-            select(Family(Support.default(4), []), np.full(4, 0.25), Ledger())
+        for h in (np.full(4, 0.25), np.full(3, 1 / 3)):
+            with pytest.raises(EmptyFamilyError, match="^cannot select from an empty family$"):
+                select(Family(Support.default(4), []), h, Ledger())
         streams = name in ("mindist", "modified")
         assert pair_table_builds == ([] if streams else [(1, 4)])
 
