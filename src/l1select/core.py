@@ -31,10 +31,14 @@ L1 distance and comparison threshold) lists the pairs in lexicographic
 (i, j) order.  It is built from one fused blocked pass on first need and
 kept read-only on the :class:`Family`; it is all that :func:`compare` and
 the tournament, min-loss-weight and elimination selectors read.  A pair is
-found in it by its closed-form lexicographic index.  Readers of the test
-functions alone (the distance selectors and :func:`empirical_deviation`)
-walk them in blocks of pairs instead, as slices of the kept table or as
-signs of each block's raw rows, dropped after use, so they keep nothing.
+found in it by its closed-form lexicographic index.  The distance selectors
+build no table: they read the kept one, or compute its rows for one block
+of pairs at a time from the raw rows and drop them after use, so they keep
+nothing.  The min-distance selector reads the test functions alone; the
+modified one also reads the distances and thresholds, which a block
+computes with the code that builds the table.  :func:`empirical_deviation`
+computes the test functions from the raw rows, block by block, on every
+call.
 :func:`preprocess` returns a :class:`Family` that also carries the distance
 order, one stable argsort of the table's distances, and the pair endpoints
 gathered through it; only the elimination selector reads them.  Every
@@ -552,11 +556,7 @@ def _triu_indices(m: int) -> tuple[np.ndarray, np.ndarray]:
 def _pair_outcome_arrays(matrix: np.ndarray) -> _PairTable:
     """The pair table of the rows of ``matrix``: every pair's test
     function, distance and threshold, in lexicographic order, in one fused
-    blocked pass.
-
-    Each block gathers its rows once.  Each threshold sums the same
-    elementwise terms along the last axis as :func:`inner_product`, so it is
-    bit-identical to 0.5 * (inner_product(fi, T) + inner_product(fj, T)).
+    pass of :func:`_table_rows` over blocks of pairs.
 
     Raises :class:`CapacityError`, before allocating anything, when the
     table would exceed ``_PAIR_TABLE_MAX_BYTES``.
@@ -569,14 +569,27 @@ def _pair_outcome_arrays(matrix: np.ndarray) -> _PairTable:
     distances = np.empty(pairs)
     thresholds = np.empty(pairs)
     for block in _pair_blocks(pairs):
-        fi, fj = matrix.take(idx_i[block], axis=0), matrix.take(idx_j[block], axis=0)
-        diffs = fi - fj
-        block_signs = np.sign(diffs, out=signs[block])
-        distances[block] = np.abs(diffs, out=diffs).sum(axis=1)
-        fi *= block_signs
-        fj *= block_signs
-        thresholds[block] = 0.5 * (fi.sum(axis=1) + fj.sum(axis=1))
+        rows = _table_rows(matrix, idx_i[block], idx_j[block], signs[block])
+        distances[block], thresholds[block] = rows.distances, rows.thresholds
     return _PairTable(idx_i, idx_j, signs, distances, thresholds)
+
+
+def _table_rows(matrix: np.ndarray, pair_i: np.ndarray, pair_j: np.ndarray, signs=None) -> _PairTable:
+    """The rows of the pair table of the rows of ``matrix`` for the pairs
+    (``pair_i``, ``pair_j``), computed from the raw rows, the test functions
+    written into ``signs`` when it is given.
+
+    The endpoints are gathered once.  Each threshold sums the same
+    elementwise terms along the last axis as :func:`inner_product`, so it is
+    bit-identical to 0.5 * (inner_product(fi, T) + inner_product(fj, T)).
+    """
+    fi, fj = matrix.take(pair_i, axis=0), matrix.take(pair_j, axis=0)
+    diffs = fi - fj
+    signs = np.sign(diffs, out=signs)
+    distances = np.abs(diffs, out=diffs).sum(axis=1)
+    fi *= signs
+    fj *= signs
+    return _PairTable(pair_i, pair_j, signs, distances, 0.5 * (fi.sum(axis=1) + fj.sum(axis=1)))
 
 
 def _pair_layer(family: Family) -> _PairTable:
@@ -599,6 +612,23 @@ def _sign_blocks(family: Family) -> Iterator[tuple[np.ndarray, np.ndarray, np.nd
     if layer is None:
         return _raw_sign_blocks(family.matrix)
     return ((layer.pair_i[b], layer.pair_j[b], layer.signs[b]) for b in _pair_blocks(layer.signs.shape[0]))
+
+
+def _table_blocks(family: Family) -> Iterator[_PairTable]:
+    """The family's pair table as one block when it keeps one, or else its
+    rows block by block, each computed from the raw rows by
+    :func:`_table_rows`, the code that builds the table.  The blocks share
+    one sign buffer, so each is valid only until the next is made."""
+    layer = family._lex_pairs
+    if layer is not None:
+        yield layer
+        return
+    idx_i, idx_j = _triu_indices(family.size)
+    pairs = idx_i.shape[0]
+    signs = np.empty((min(pairs, _PAIR_BLOCK), family.support.size))
+    for block in _pair_blocks(pairs):
+        pair_i = idx_i[block]
+        yield _table_rows(family.matrix, pair_i, idx_j[block], signs[: pair_i.shape[0]])
 
 
 def _raw_sign_blocks(matrix: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:

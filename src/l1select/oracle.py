@@ -60,7 +60,7 @@ from .core import (
     empirical_deviation,
     empirical_deviation_restricted,
     l1_distance,
-    preprocess,
+    preprocess,  # re-exported: tools that wrap functions by module attribute resolve oracle.preprocess
     scheffe_win,
 )
 
@@ -326,17 +326,16 @@ def check_win_equivalence(fi, fj, h) -> bool:
     """True when the threshold comparison and the region-mass comparison give
     the identical outcome (including draws) for a pair of distributions.
 
-    The first route preprocesses a two-member family and runs
-    :func:`~l1select.core.compare`; the second evaluates
-    :func:`~l1select.core.scheffe_win` directly.  Both require normalized
-    inputs.
+    The first route runs :func:`~l1select.core.compare` on a two-member
+    family; the second evaluates :func:`~l1select.core.scheffe_win`
+    directly.  Both require normalized inputs.
     """
     a, b = _as_vector(fi), _as_vector(fj)
     family = Family(
         Support.default(a.shape[0]),
         [Candidate("first", a, distribution=True), Candidate("second", b, distribution=True)],
     )
-    threshold_route = compare(preprocess(family), 0, 1, h, Ledger())
+    threshold_route = compare(family, 0, 1, h, Ledger())
     region_route = scheffe_win(a, b, h)
     return threshold_route is region_route
 

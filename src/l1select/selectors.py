@@ -20,9 +20,10 @@ ties by lowest candidate index.
 
 Every deterministic selector, ``loss_weight`` and ``relaxed_selection_check``
 take a :class:`~l1select.core.Family`, preprocessed or not.  The distance
-selectors stream the test functions block by block, the others read the
-pair table (see :mod:`l1select.core`); ``efficient_min_loss_weight`` also
-reads the distance order, and preprocesses a family that carries none.
+selectors read the pair table the family keeps, or compute its rows block
+by block from the raw rows and keep nothing; the others read the pair table
+(see :mod:`l1select.core`).  ``efficient_min_loss_weight`` also reads the
+distance order, and preprocesses a family that carries none.
 
 The tournament, ``min_loss_weight``, ``loss_weight`` and
 ``relaxed_selection_check`` read their pair outcomes from one vectorised
@@ -30,9 +31,13 @@ pass, bit-identical to :func:`~l1select.core.compare`: ``loss_weight`` over
 its candidate's m-1 pairs, the others over all P, ``relaxed_selection_check``
 charging no caller's ledger.  The pass decides every pair from one matrix
 product and sums row by row, as ``compare`` does, only the pairs that the
-product's rounding bound leaves undecided; ``min_distance`` screens its
-candidates the same way.  The elimination selector, whose cost the paper
-counts one product at a time, compares pair by pair.
+product's rounding bound leaves undecided.  The distance selectors screen
+their candidates the same way and score exactly, row by row, only those
+the screen cannot rule out: ``min_distance`` by branch and bound over
+blocks of pairs, ``modified_min_distance`` from the pair table's
+identities.  Their ledgers charge the paper's cost model, not the work
+done.  The elimination selector, whose cost the paper counts one product at
+a time, compares pair by pair.
 
 Every mass vector is checked once per call as :mod:`l1select.core`
 describes.  The paper's guarantees assume a normalized ``h``, which the
@@ -55,12 +60,14 @@ from .core import (
     Outcome,
     PreprocessedFamily,
     _check_candidate_index,
+    _PAIR_BLOCK,
     _PairTable,
     _checked_mass,
     _outcome_at,
     _pair_blocks,
     _pair_layer,
     _sign_blocks,
+    _table_blocks,
     compare,  # re-exported: callers reach the pairwise compare as selectors.compare too
     preprocess,
     test_function,
@@ -83,6 +90,9 @@ __all__ = [
 
 # The spacing of floats just above 1, twice the unit roundoff.
 _EPS = float(np.finfo(np.float64).eps)
+# Four times the smallest subnormal: covers the few halvings below the normal
+# range in the modified min-distance screen (see _identity_slack).
+_UNDERFLOW_SLACK = 2.0**-1072
 
 
 @dataclass(frozen=True)
@@ -291,23 +301,37 @@ def scheffe_tournament(family: Family, h, ledger: Ledger | None = None) -> Selec
     return _report(family, "tournament", selected, ledger, h0, t0)
 
 
-def _min_distance_shortlist(diffs: np.ndarray, blocks) -> np.ndarray:
-    """Candidates whose exact min-distance score may be the smallest.
+def _term_maxima(diffs: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """max over the rows T of ``signs`` of |d . T| for every row d of
+    ``diffs``, from one matrix product."""
+    products = diffs @ signs.T
+    return np.abs(products, out=products).max(axis=1)
 
-    Every candidate is screened at once with a matrix product per block of
-    ``blocks`` (see :func:`~l1select.core._sign_blocks`): approx[c] = max
-    over pairs of |diffs[c] . T|, each within :func:`_rounding_slack` of
-    ||diffs[c]||_1 of the row-wise sum it stands for.  A candidate with
-    approx - slack above the smallest approx + slack therefore scores
-    strictly above some other candidate exactly, and is dropped.
+
+def _min_distance_shortlist(diffs: np.ndarray, slack: np.ndarray, blocks, bound: float) -> np.ndarray:
+    """Candidates whose exact min-distance score may be the smallest, given
+    a ``bound`` at or above some candidate's exact score.
+
+    The candidates are screened with a matrix product per block of
+    ``blocks`` (see :func:`~l1select.core._sign_blocks`): approx[c] is the
+    running max over the pairs so far of |diffs[c] . T|, each within
+    ``slack[c]``, :func:`_rounding_slack` of ||diffs[c]||_1, of the
+    row-wise sum it stands for.  A candidate whose approx - slack passes
+    ``bound`` scores strictly above that candidate exactly.  It is dropped
+    before the next block, so the products shrink as candidates drop.
+    After the last block, a survivor with approx - slack above the smallest
+    approx + slack scores strictly above some other survivor exactly, and
+    is dropped too.  Every candidate with the smallest exact score is kept.
     """
-    m, k = diffs.shape
-    approx = np.zeros(m)
-    for _, _, signs in blocks:
-        products = diffs @ signs.T
-        np.maximum(approx, np.abs(products, out=products).max(axis=1), out=approx)
-    slack = _rounding_slack(k, np.abs(diffs).sum(axis=1))
-    return np.flatnonzero(approx - slack <= (approx + slack).min())
+    alive = np.arange(diffs.shape[0])
+    approx = np.zeros(alive.size)
+    for n, (_, _, signs) in enumerate(blocks):
+        if n:
+            keep = approx - slack <= bound
+            if not keep.all():
+                alive, diffs, slack, approx = alive[keep], diffs[keep], slack[keep], approx[keep]
+        np.maximum(approx, _term_maxima(diffs, signs), out=approx)
+    return alive[approx - slack <= (approx + slack).min()]
 
 
 def _exact_scores(diffs: np.ndarray, blocks) -> np.ndarray:
@@ -327,20 +351,30 @@ def min_distance(family: Family, h, ledger: Ledger | None = None) -> SelectionRe
     Each candidate f is scored by max over ordered pairs (i, j), i != j, of
     |(f - h) . T_ij|.  The cost model charges every ordered term with no
     caching credit -- m . m(m-1) = m^2(m-1) term evaluations -- even though
-    T_ji = -T_ij makes the two orientations' absolute terms equal.
+    T_ji = -T_ij makes the two orientations' absolute terms equal.  The
+    ledger counts that model, not the floating-point work, which the steps
+    below cut far below m . P products of length k on generic inputs.
 
-    The scores are computed in two steps.  Matrix products over blocks of
-    pairs screen every candidate within a rigorous bound on their rounding
-    error and keep only those that may attain the minimum.  A lone survivor
-    is the selection.  Otherwise the survivors are scored exactly, by
-    row-wise sums over every pair, and the lowest-index minimum wins.  A
-    dropped candidate provably scores strictly above some other candidate,
-    so the selection is the one exact scoring of every candidate gives,
-    whatever order the matrix product sums in, and whatever order the pairs
-    are listed in.  The ledger still charges the full m^2(m-1).
+    The scores are found by branch and bound over blocks of pairs.  The
+    candidate nearest ``h`` in L1, the seed, is screened first, with one
+    matrix product per block; its screened score plus the rounding slack
+    of :func:`_rounding_slack` bounds its exact score, and so the minimum,
+    from above.  Matrix products then screen every candidate block by block,
+    and :func:`_min_distance_shortlist` drops a candidate, and leaves it out
+    of the later products, once its screened score less the slack passes
+    that bound; after the last block it drops the survivors that provably
+    score above another survivor.  A family whose pairs fit in one block is
+    screened with no bound, since nothing could be dropped between blocks.
+    A lone survivor is the selection.  Otherwise the survivors are scored
+    exactly, by row-wise sums over every pair, and the lowest-index minimum
+    wins.  Every dropped candidate scores strictly above some other
+    candidate exactly, so the selection is the one exact scoring of every
+    candidate gives, whatever order the matrix products sum in, and
+    whatever order the pairs are listed in.
 
     Only the test functions are read, block by block: from the pair table
-    the family keeps, or from the raw rows, once more for a rescoring.
+    the family keeps, or from the raw rows, once for the seed, once for
+    the screen and once more for a rescoring.  Nothing is kept.
     """
     _check_nonempty(family)
     ledger = _ensure_ledger(ledger)
@@ -348,11 +382,92 @@ def min_distance(family: Family, h, ledger: Ledger | None = None) -> SelectionRe
     hv = _checked_mass(h, "empirical distribution", family.support.size)
     ledger.add_term_evaluations(family.size * family.size * (family.size - 1))
     diffs = family.matrix - hv
-    shortlist = _min_distance_shortlist(diffs, _sign_blocks(family))
+    norms = np.abs(diffs).sum(axis=1)
+    slack = _rounding_slack(family.support.size, norms)
+    bound = math.inf
+    if family.size * (family.size - 1) // 2 > _PAIR_BLOCK:  # candidates drop between blocks only
+        seed = int(np.argmin(norms))
+        screened = (_term_maxima(diffs[seed:seed + 1], signs)[0] for _, _, signs in _sign_blocks(family))
+        bound = max(screened) + slack[seed]
+    shortlist = _min_distance_shortlist(diffs, slack, _sign_blocks(family), bound)
     selected = int(shortlist[0])
     if shortlist.size > 1:
         selected = int(shortlist[np.argmin(_exact_scores(diffs[shortlist], _sign_blocks(family)))])
     return _report(family, "mindist", selected, ledger, h0, t0)
+
+
+def _identity_slack(k: int, norm: float, h_norm: float) -> float:
+    """A bound on how far the screen of :func:`modified_min_distance` puts
+    any candidate's score from its row-wise one: 8 k eps (2N + H) + 2**-1072
+    on ``k`` atoms, with N = ``norm``, the largest computed ||f_c||_1 of
+    the family, and H = ``h_norm``, the computed ||h||_1.
+
+    Take a pair (i, j) of the pair table, with test function T, distance d
+    and threshold t.  T is exactly sign(f_i - f_j): a rounded difference
+    keeps its sign.  With a = f_i . T and b = f_j . T, in exact arithmetic
+    d = a - b and t = (a + b)/2, so
+
+        (f_i - h) . T = t + d/2 - h . T,   (f_j - h) . T = t - d/2 - h . T,
+
+    and the screen evaluates the right-hand sides from the table's d and t
+    and a matrix product for h . T.  Write u = eps/2, gamma_n = n u/(1 - n u)
+    and N_i, N_j, H for the exact norms.  The table sums k rounded terms
+    |f_i - f_j| for d, so it is within gamma_k (N_i + N_j).  It sums k exact
+    terms +-f[x] or 0 for a and for b, each within gamma_{k-1} of its norm,
+    and rounds their sum once more, so 2t is within gamma_k (N_i + N_j).
+    h . T is within gamma_{k-1} H in any summation order, as in
+    :func:`_rounding_slack`.  Halving t and d is exact unless the half falls
+    below the normal range, where each is off by at most 2**-1075.  The two
+    additions that form a term each round by a relative u of a value at
+    most about N_i + N_j + H, since |t| and d/2 are at most (N_i + N_j)/2
+    and |h . T| at most H.  So the screen's term is within about
+    (k + 2) u (N_i + N_j + H) + 2**-1074 of the exact (f_i - h) . T, and
+    likewise for f_j.  The row-wise term, the sum of the k rounded terms
+    (f_i[x] - h[x]) T[x] as :func:`~l1select.core.compare` sums it, is
+    within gamma_k (N_i + H) of it.  The two differ by at most about
+    (k + 1) eps (N_i + N_j + H) + 2**-1074, at most (k + 1) eps (2N + H) +
+    2**-1074, and neither absolute values nor maxima over a candidate's
+    pairs widen the gap.  The slack covers that four times over for any k,
+    which leaves
+    room for the rounding of the norms, of the slack itself and of one
+    addition or subtraction in a comparison, as :func:`_rounding_slack`
+    does, as long as k eps is far below 1.
+
+    At the mass bound every norm is at most F/8, with F the float maximum
+    (see :func:`~l1select.core._checked_mass`), so |t|, d/2 and |h . T| are
+    at most F/8, every value a term is built from at most 3F/8, and the
+    slack about 3 k eps F: nothing overflows.  Below the normal range every
+    addition is exact, so the only absolute errors are those of the two
+    halvings and of the slack's own product, which underflows only when
+    every norm is below the normal range; the 2**-1072 covers them.
+    """
+    return (8.0 * k * _EPS) * (2.0 * norm + h_norm) + _UNDERFLOW_SLACK
+
+
+def _endpoint_terms(block: _PairTable, hv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(f_i - h) . T and (f_j - h) . T for every pair (i, j) of ``block``,
+    rows of a pair table, from its identities t + d/2 - h . T and
+    t - d/2 - h . T: one matrix product and O(P) arithmetic.  Each is
+    within :func:`_identity_slack` of the row-wise sum it stands for."""
+    centre = block.thresholds - block.signs @ hv
+    half = 0.5 * block.distances
+    return centre + half, centre - half
+
+
+def _own_pair_scores(rows: np.ndarray, hv: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+    """max over the rows f_j of ``rows`` of |(f_c - h) . sign(f_c - f_j)| for
+    each candidate c in ``candidates``, each product a row-wise sum, as
+    :func:`~l1select.core.compare` sums it; the zero test function of
+    c with itself adds a zero term.  Candidates are taken a few at a time,
+    so that their test functions fill about one block of pairs."""
+    step = max(1, _PAIR_BLOCK // rows.shape[0])
+    scores = np.empty(candidates.size)
+    for start in range(0, candidates.size, step):
+        chunk = slice(start, start + step)
+        own = rows[candidates[chunk]]
+        terms = (np.sign(own[:, np.newaxis] - rows) * (own - hv)[:, np.newaxis]).sum(axis=2)
+        scores[chunk] = np.abs(terms, out=terms).max(axis=1)
+    return scores
 
 
 def modified_min_distance(family: Family, h, ledger: Ledger | None = None) -> SelectionReport:
@@ -360,22 +475,39 @@ def modified_min_distance(family: Family, h, ledger: Ledger | None = None) -> Se
 
     Candidate i is scored by max over j != i of |(f_i - h) . T_ij| only, so
     the scan costs m(m-1) term evaluations instead of m^2(m-1), with the same
-    error guarantee.  Both endpoints of every unordered pair are scored from
-    one pass over the test functions, block by block as
-    :func:`min_distance` reads them; T_ji = -T_ij only negates the row sum,
-    so the scores are those of scanning each candidate's own pairs.
+    error guarantee.  The ledger counts that model, not the floating-point
+    work done.
+
+    Both endpoints of every unordered pair are screened at once from the
+    pair table's identities (see :func:`_identity_slack`): one matrix
+    product h . T per block of pairs plus O(P) arithmetic on its distances
+    and thresholds.  A kept table is read as one block.  A family that keeps
+    none computes each block's distances and thresholds from its raw rows
+    by the code that builds the table, so they are bit-identical to the
+    kept ones, and drops them after use.  A candidate whose screened score,
+    less the slack, passes the smallest screened score plus slack scores
+    strictly above that candidate exactly, and is dropped.  A lone survivor
+    is the selection.  Otherwise each survivor is scored exactly, by
+    row-wise sums over its own m-1 test functions computed from the raw
+    rows (T_ji = -T_ij only negates a row sum), and the lowest-index
+    minimum wins, as scoring every candidate so would pick.
     """
     _check_nonempty(family)
     ledger = _ensure_ledger(ledger)
     h0, t0 = ledger.h_products, ledger.term_evaluations
     hv = _checked_mass(h, "empirical distribution", family.support.size)
-    diffs = family.matrix - hv
-    scores = np.zeros(family.size)
-    for pair_i, pair_j, signs in _sign_blocks(family):
-        for endpoint in (pair_i, pair_j):
-            np.maximum.at(scores, endpoint, np.abs((diffs[endpoint] * signs).sum(axis=1)))
     ledger.add_term_evaluations(family.size * (family.size - 1))
-    selected = int(np.argmin(scores))
+    rows = family.matrix
+    approx = np.zeros(family.size)
+    for block in _table_blocks(family):
+        first, second = _endpoint_terms(block, hv)
+        np.maximum.at(approx, block.pair_i, np.abs(first))
+        np.maximum.at(approx, block.pair_j, np.abs(second))
+    slack = _identity_slack(family.support.size, float(rows.sum(axis=1).max()), float(hv.sum()))
+    shortlist = (approx <= approx.min() + 2.0 * slack).nonzero()[0]
+    selected = int(shortlist[0])
+    if shortlist.size > 1:
+        selected = int(shortlist[np.argmin(_own_pair_scores(rows, hv, shortlist))])
     return _report(family, "modified", selected, ledger, h0, t0)
 
 

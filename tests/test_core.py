@@ -497,6 +497,29 @@ class TestSignBlocks:
                 assert_array_equal(np.concatenate(part), whole)
         assert all(np.shares_memory(signs, family._lex_pairs.signs) for _, _, signs in kept)
 
+    @pytest.mark.parametrize("m", [1, 2, 5, 24, 101, 150])
+    def test_table_blocks_of_raw_rows_are_the_kept_table(self, m):
+        """A family that keeps no table yields its table rows block by
+        block, computed by the code that builds the table, so they are
+        bit-identical to the table it builds later; a family that keeps one
+        yields it whole.  Cold blocks share one sign buffer, so each is
+        copied before the next is made."""
+        rows = random_mass_vectors(6, m, m)
+        if m > 3:
+            rows[3] = rows[1]
+        family = make_family(rows)
+        cold = [tuple(arr.copy() for arr in block) for block in core._table_blocks(family)]
+        assert family._lex_pairs is None
+        pairs = m * (m - 1) // 2
+        assert [block[2].shape[0] for block in cold] == [
+            min(core._PAIR_BLOCK, pairs - s) for s in range(0, pairs, core._PAIR_BLOCK)
+        ]
+        table = _pair_layer(family)
+        for part, whole in zip(zip(*cold), table):
+            assert_array_equal(np.concatenate(part), whole)
+        kept = list(core._table_blocks(family))
+        assert len(kept) == 1 and kept[0] is table
+
 
 def reference_pair_table(rows: np.ndarray) -> tuple[np.ndarray, ...]:
     """The pair table built the old way: lexicographic signs, a lexsort by

@@ -57,9 +57,12 @@ from l1select.core import _checked_mass, _pair_layer
 from l1select.selectors import (
     LossWeightValue,
     TraceEvent,
+    _endpoint_terms,
+    _identity_slack,
     _loss_weights,
     _min_distance_shortlist,
     _pair_outcomes,
+    _rounding_slack,
     _win_counts,
 )
 from conftest import MASS_BOUND, largest_accepted_exponent, make_family
@@ -811,6 +814,14 @@ def reference_sign_blocks(rows: np.ndarray) -> list[tuple[np.ndarray, ...]]:
     return [(idx_i, idx_j, np.sign(rows[idx_i] - rows[idx_j]))]
 
 
+def screen(rows: np.ndarray, hv: np.ndarray) -> np.ndarray:
+    """The min-distance screen's shortlist over every pair as one block,
+    with no bound."""
+    diffs = rows - hv
+    slack = _rounding_slack(rows.shape[1], np.abs(diffs).sum(axis=1))
+    return _min_distance_shortlist(diffs, slack, reference_sign_blocks(rows), math.inf)
+
+
 def assert_min_distance_selectors_match_reference(rows: np.ndarray, h) -> None:
     """Both distance selectors pick what the row-wise reference picks on a
     cold family, which keeps no pair table after them, and report the same
@@ -833,14 +844,16 @@ class TestMinDistanceScreen:
 
     @given(
         st.integers(0, 2**32 - 1),
-        st.integers(1, 12),
+        st.integers(1, 40),
         st.integers(1, 200),
-        st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=4),
+        st.lists(st.tuples(st.integers(0, 39), st.integers(0, 39)), max_size=4),
         st.sampled_from(["empirical", "truth", "member", "sample"]),
     )
     def test_random_families_with_duplicates(self, seed, m, k, copies, data):
         """Copied rows score exactly alike, so the lowest index must win; k
-        ranges past numpy's 128-term pairwise summation block."""
+        ranges past numpy's 128-term pairwise summation block, and m past
+        the 256-pair block (from m=24), so candidates drop between blocks,
+        with copies in different blocks, on cold and kept families."""
         inst = random_instance(seed, k, m, noise=0.1)
         rows = inst.family.matrix.copy()
         for src, dst in copies:
@@ -859,32 +872,95 @@ class TestMinDistanceScreen:
         for seed in range(8):
             inst = random_instance(seed, 64, 32, noise=(0.0, 0.02, 0.1, 0.3)[seed % 4])
             rows = inst.family.matrix
-            shortlist = _min_distance_shortlist(rows - inst.empirical.mass, reference_sign_blocks(rows))
-            assert shortlist.tolist() == [int(np.argmin(reference_min_distance_scores(rows, inst.empirical)))]
+            assert screen(rows, inst.empirical.mass).tolist() == [
+                int(np.argmin(reference_min_distance_scores(rows, inst.empirical)))
+            ]
 
     def test_only_a_shortlist_of_several_is_rescored(self, monkeypatch):
-        """A lone survivor of the screen is the selection, with no exact
-        rescoring.  A copy of the winner ties with it exactly, so both
-        survive and are rescored, and the lower index wins."""
-        rescored = []
-        exact_scores = selectors._exact_scores
+        """The seed, the candidate nearest h in L1, is screened alone once
+        over every block before all candidates are, and is never scored
+        exactly on its own.  A lone survivor of the screen is the selection,
+        with no exact rescoring.  A copy of the winner ties with it exactly,
+        so both survive and are rescored in one pass, and the lower index
+        wins."""
+        screened, rescored = [], []
+        term_maxima, exact_scores = selectors._term_maxima, selectors._exact_scores
 
-        def counted(diffs, blocks):
+        def counted_screen(diffs, signs):
+            screened.append(diffs.shape[0])
+            return term_maxima(diffs, signs)
+
+        def counted_rescore(diffs, blocks):
             rescored.append(diffs.shape[0])
             return exact_scores(diffs, blocks)
 
-        monkeypatch.setattr(selectors, "_exact_scores", counted)
+        monkeypatch.setattr(selectors, "_term_maxima", counted_screen)
+        monkeypatch.setattr(selectors, "_exact_scores", counted_rescore)
+        m = 64
+        blocks = -(-m * (m - 1) // 2 // core._PAIR_BLOCK)
         for seed in range(8):
-            inst = random_instance(seed, 64, 32, noise=(0.0, 0.02, 0.1, 0.3)[seed % 4])
+            inst = random_instance(seed, 64, m, noise=(0.0, 0.02, 0.1, 0.3)[seed % 4])
             rows, h = inst.family.matrix.copy(), inst.empirical
             for rescorings in ([], [2]):
                 scores = reference_min_distance_scores(rows, h)
                 assert np.count_nonzero(scores == scores.min()) == max(sum(rescorings), 1)
+                screened.clear()
                 rescored.clear()
                 assert min_distance(make_family(rows), h, Ledger()).selected_index == int(np.argmin(scores))
+                assert screened[:blocks + 1] == [1] * blocks + [m]
                 assert rescored == rescorings
                 winner = int(np.argmin(scores))
-                rows[(winner + 13) % 32] = rows[winner]
+                rows[(winner + 13) % m] = rows[winner]
+
+    @pytest.mark.parametrize("keep_table", [False, True])
+    def test_branch_and_bound_drops_candidates_between_blocks(self, monkeypatch, keep_table):
+        """On generic m=64, k=64 families the seed's bound drops candidates
+        between blocks, so the seed's pass and the screen together multiply
+        fewer than m . P candidate-pair products; with no dropping they
+        would multiply P + m . P."""
+        products = []
+        term_maxima = selectors._term_maxima
+
+        def counted(diffs, signs):
+            products.append(diffs.shape[0] * signs.shape[0])
+            return term_maxima(diffs, signs)
+
+        monkeypatch.setattr(selectors, "_term_maxima", counted)
+        m = 64
+        for seed in range(8):
+            inst = random_instance(seed, 64, m, noise=(0.0, 0.02, 0.1, 0.3)[seed % 4])
+            family = make_family(inst.family.matrix)
+            if keep_table:
+                preprocess(family)
+            products.clear()
+            report = min_distance(family, inst.empirical, Ledger())
+            want = reference_min_distance_scores(family.matrix, inst.empirical)
+            assert report.selected_index == int(np.argmin(want))
+            assert sum(products) < m * (m * (m - 1) // 2)
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 30),
+        st.integers(1, 200),
+        st.sampled_from(["unit", "mass_bound", "subnormal"]),
+    )
+    def test_identity_terms_lie_within_the_slack(self, seed, m, k, scale):
+        """The modified screen's terms t + d/2 - h . T and t - d/2 - h . T
+        lie within the documented slack of the row-wise sums they stand for:
+        on unnormalized rows with copies and zeros, on the same rows and h
+        scaled to the mass bound, and scaled below the normal range."""
+        rng = np.random.default_rng(seed)
+        rows = rng.dirichlet(np.full(k, 0.3), size=m) * rng.uniform(0.5, 2.0, size=(m, 1))
+        rows[m // 2] = rows[0]
+        h = rng.dirichlet(np.full(k, 0.3))
+        s = {"unit": 0, "mass_bound": largest_accepted_exponent(k, rows, h), "subnormal": -1060}[scale]
+        rows, h = np.ldexp(rows, s), np.ldexp(h, s)
+        table = _pair_layer(make_family(rows))
+        first, second = _endpoint_terms(table, h)
+        slack = _identity_slack(k, float(rows.sum(axis=1).max()), float(h.sum()))
+        for endpoint, terms in ((table.pair_i, first), (table.pair_j, second)):
+            rowwise = ((rows[endpoint] - h) * table.signs).sum(axis=1)
+            assert np.all(np.abs(terms - rowwise) <= slack)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_masses_near_the_float_max_recheck_everyone(self, seed):
@@ -905,9 +981,8 @@ class TestMinDistanceScreen:
                 select(family, h * 1e308, Ledger())
         s = largest_accepted_exponent(8, unit, h)
         rows, hs = np.ldexp(unit, s), np.ldexp(h, s)
-        blocks = reference_sign_blocks(unit)
-        shortlist = _min_distance_shortlist(rows - hs, blocks).tolist()
-        assert shortlist == _min_distance_shortlist(unit - h, blocks).tolist()
+        shortlist = screen(rows, hs).tolist()
+        assert shortlist == screen(unit, h).tolist()
         assert len(shortlist) < 5
         for select in (min_distance, modified_min_distance):
             assert select(make_family(rows), hs, Ledger()) == select(family, h, Ledger())
