@@ -74,10 +74,10 @@ _NOISE_CYCLE = (0.0, 0.02, 0.1, 0.3)
 
 
 def _run_selector(algorithm: str, family, empirical, seed: int, *, draw_flip: bool = False):
-    """Run one selector on ``family`` with a fresh ledger.  The elimination
-    selector is handed the family preprocessed rather than the family:
-    the benchmark's tracer reads the distance order (``pair_position``) of
-    its argument."""
+    """Run one selector on ``family`` with a fresh ledger.  The family is
+    preprocessed here before the elimination selector runs, which would
+    otherwise preprocess it itself, so that ``preprocess`` is called, and
+    can be traced, through this module's attribute."""
     ledger = Ledger()
     if algorithm == "tournament":
         return scheffe_tournament(family, empirical, ledger)
@@ -128,15 +128,16 @@ def _instance_record(inst: Instance, failure: dict) -> dict:
 
 
 def _evaluate_instance(inst: Instance, delta_mode: str, draw_flip: bool) -> dict:
-    """Run every selector and oracle check on one instance; return margins and
-    the first failure (if any).  The bound checks and both readings of the
-    elimination invariant share one reference, so ``d1``, each deviation and
-    the invariant's outcomes and loss-weights are computed once per
-    instance.  The tournament runs first and builds the family's pair
-    table, which every later selector reads."""
+    """Run every selector and oracle check on one instance; return the
+    selections, margins and the first failure (if any).  The bound checks,
+    the two-candidate check and both readings of the elimination invariant
+    share one reference, so the members' L1 errors, each deviation and the
+    invariant's outcomes and loss-weights are computed once per instance.
+    The tournament runs first and builds the family's pair table, which
+    every later selector reads."""
     family, g, h = inst.family, inst.truth, inst.empirical
     reference = InstanceReference(family, g, h)
-    result = {"bounds": {}, "failure": None}
+    result = {"bounds": {}, "selected": {}, "failure": None}
 
     def fail(kind: str, detail: dict):
         if result["failure"] is None:
@@ -144,6 +145,7 @@ def _evaluate_instance(inst: Instance, delta_mode: str, draw_flip: bool) -> dict
 
     for algorithm, (a, b, supports_restricted) in _BOUNDS.items():
         report = _run_selector(algorithm, family, h, 0, draw_flip=draw_flip)
+        result["selected"][algorithm] = report.selected_index
         mode = "restricted" if (delta_mode == "restricted" and supports_restricted) else "full"
         bound = check_bound(
             report.selected_index, family, reference.g, reference.h, a, b, mode, reference=reference
@@ -166,7 +168,7 @@ def _evaluate_instance(inst: Instance, delta_mode: str, draw_flip: bool) -> dict
 
     if family.size == 2 and not np.array_equal(family.matrix[0], family.matrix[1]):
         report = randomized_two(family.candidates[0], family.candidates[1], h, 0)
-        errors = np.abs(family.matrix - g).sum(axis=1)
+        errors = reference.errors
         expected = report.mixture[0] * errors[0] + report.mixture[1] * errors[1]
         margin = (2.0 * reference.d1 + reference.deviation) - expected
         result["expected_two_margin"] = margin
@@ -175,31 +177,29 @@ def _evaluate_instance(inst: Instance, delta_mode: str, draw_flip: bool) -> dict
     return result
 
 
-def _reference_instances() -> list[Instance]:
-    refs: list[Instance] = []
-    for eps in (1e-2, 1e-3, 1e-4):
-        inst = lower_bound_pair(eps)
-        refs.extend([inst, swap_pair(inst)])
-    for eps in (1e-3, 1.5e-2):
-        refs.append(lower_bound_tournament(eps))
-    return refs
+def _reference_instances() -> tuple[list[Instance], Instance, Instance]:
+    """The construction instances a sweep ends with, and among them the pair
+    and the tournament construction at gap 1e-3, which the closed-form spot
+    checks read."""
+    pairs = [lower_bound_pair(eps) for eps in (1e-2, 1e-3, 1e-4)]
+    nines = [lower_bound_tournament(eps) for eps in (1e-3, 1.5e-2)]
+    refs = [made for inst in pairs for made in (inst, swap_pair(inst))]
+    return refs + nines, pairs[1], nines[0]
 
 
-def _reference_checks() -> list[tuple[str, bool]]:
-    """Closed-form spot checks on the construction instances."""
+def _reference_checks(pair: Instance, nine: Instance, nine_selected: int) -> list[tuple[str, bool]]:
+    """Closed-form spot checks on the constructions ``pair`` and ``nine`` at
+    gap 1e-3; the sweep's tournament selected ``nine_selected`` on ``nine``."""
     checks: list[tuple[str, bool]] = []
-    inst = lower_bound_pair(1e-3)
-    e = inst.eps
-    g = inst.truth
-    err1 = float(np.abs(inst.family.matrix[0] - g).sum())
-    err2 = float(np.abs(inst.family.matrix[1] - g).sum())
+    e = pair.eps
+    g = pair.truth
+    err1 = float(np.abs(pair.family.matrix[0] - g).sum())
+    err2 = float(np.abs(pair.family.matrix[1] - g).sum())
     checks.append(("pair_err_first_closed_form", abs(err1 - (1.5 - 2 * e)) <= 1e-12))
     checks.append(("pair_err_second_closed_form", abs(err2 - (0.5 + 2 * e)) <= 1e-12))
-    best_idx, _ = best_in_family(inst.family, g)
+    best_idx, _ = best_in_family(pair.family, g)
     checks.append(("pair_best_is_second", best_idx == 1))
-    nine = lower_bound_tournament(1e-3)
-    report = scheffe_tournament(nine.family, nine.empirical, Ledger())
-    checks.append(("tournament_selects_first", report.selected_name == "f1"))
+    checks.append(("tournament_selects_first", nine.family.candidates[nine_selected].name == "f1"))
     err1 = float(np.abs(nine.family.matrix[0] - nine.truth).sum())
     err2 = float(np.abs(nine.family.matrix[1] - nine.truth).sum())
     checks.append(("tournament_err_first_closed_form", abs(err1 - (2 - 72e-3)) <= 1e-12))
@@ -207,15 +207,15 @@ def _reference_checks() -> list[tuple[str, bool]]:
     return checks
 
 
-def _verify_instances(args):
-    """The sweep's random instances, one per trial, then the references."""
+def _verify_instances(args, refs: list[Instance]):
+    """The sweep's random instances, one per trial, then ``refs``."""
     master = np.random.default_rng(args.seed)
     ks = master.integers(1, args.max_omega + 1, size=args.trials)
     ms = master.integers(1, args.max_family + 1, size=args.trials)
     inst_seeds = master.integers(0, 2**62, size=args.trials)
     for t in range(args.trials):
         yield random_instance(int(inst_seeds[t]), int(ks[t]), int(ms[t]), _NOISE_CYCLE[t % 4])
-    yield from _reference_instances()
+    yield from refs
 
 
 def _cmd_verify(args) -> int:
@@ -227,14 +227,18 @@ def _cmd_verify(args) -> int:
     # get the pair table every instance builds.
     _check_pair_table_capacity(args.max_family, args.max_omega)
 
-    # Each instance is generated, evaluated and dropped before the next, so
-    # the sweep holds one family (and its pair table) at a time; only the
-    # first failing instance is kept, for counterexample.json.
+    # Each random instance is generated, evaluated and dropped before the
+    # next, so the sweep holds one random family (and its pair table) at a
+    # time besides the eight small constructions, which the spot checks read
+    # again; only the first failing instance is kept, for counterexample.json.
+    refs, pair, nine = _reference_instances()
     results = []
     first_failure = None
-    for inst in _verify_instances(args):
+    for inst in _verify_instances(args, refs):
         result = _evaluate_instance(inst, args.delta_mode, args.flip_draw_removal)
         results.append(result)
+        if inst is nine:
+            nine_selected = result["selected"]["tournament"]
         if first_failure is None and result["failure"]:
             first_failure = (inst, result["failure"])
 
@@ -288,7 +292,7 @@ def _cmd_verify(args) -> int:
     )
     vc_ok = (vc_full == vc_full_alt) and (vc_restricted < vc_full)
 
-    reference_checks = _reference_checks()
+    reference_checks = _reference_checks(pair, nine, nine_selected)
     reference_failures = [name for name, ok in reference_checks if not ok]
 
     failed = bool(
@@ -343,7 +347,7 @@ def _cmd_verify(args) -> int:
         },
         "reference_checks": {name: ok for name, ok in reference_checks},
         "pair_best_error": {
-            "value": 0.5 + 2 * lower_bound_pair(1e-3).eps,
+            "value": 0.5 + 2 * pair.eps,
             "closed_form": "1/2 + 2*eps (atomwise sum of the pair table)",
         },
         "status": "failed" if failed else "ok",

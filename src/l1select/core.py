@@ -25,6 +25,11 @@ can overflow), with ValueError, and a length other than the support's with
 refused with :class:`NormalizationError`.
 Elsewhere the total is not checked, so library callers may pass an
 unnormalized ``h``; the selectors' guarantees assume a normalized one.
+The real-vector primitives, :func:`test_function`, :func:`inner_product`,
+:func:`l1_distance`, :func:`scheffe_set` and the oracle's
+``check_quadruple``, take any finite vectors of one length, signed ones
+too, and refuse a NaN or infinite entry with ValueError and a wrong length
+with :class:`SupportMismatchError`.
 
 The pair table of a family (every unordered pair's endpoints, test function,
 L1 distance and comparison threshold) lists the pairs in lexicographic
@@ -39,12 +44,14 @@ modified one also reads the distances and thresholds, which a block
 computes with the code that builds the table.  :func:`empirical_deviation`
 computes the test functions from the raw rows, block by block, on every
 call.
-:func:`preprocess` returns a :class:`Family` that also carries the distance
-order, one stable argsort of the table's distances, and the pair endpoints
-gathered through it; only the elimination selector reads them.  Every
-function that takes a family takes it too.  A table over
-``_PAIR_TABLE_MAX_BYTES``, counted from the arrays it holds, is refused
-with :class:`CapacityError` before anything is allocated.
+:func:`preprocess` fills in the family's distance order, one stable argsort
+of the table's distances, and the pair endpoints gathered through it, kept
+read-only next to the table, and returns the family; only the elimination
+selector reads them, and it preprocesses the family it is given.  There is
+one family type: ``PreprocessedFamily`` is another name for
+:class:`Family`.  A table over ``_PAIR_TABLE_MAX_BYTES``, counted from the
+arrays it holds, is refused with :class:`CapacityError` before anything is
+allocated.
 """
 
 from __future__ import annotations
@@ -200,11 +207,19 @@ def _check_entries(arr: np.ndarray, noun: str, length: int) -> None:
         raise ValueError(f"{noun} has {fault}")
 
 
-def _check_same_length(*vectors: np.ndarray) -> int:
+def _real_vectors(*values, noun: str = "pair") -> tuple[np.ndarray, ...]:
+    """``values`` coerced by :func:`_as_vector`, refused unless they have
+    one length (:class:`SupportMismatchError`) and every entry is finite
+    (ValueError; ``noun`` names them in the message).  Signed entries are
+    accepted: the real-vector primitives also take differences such as
+    ``a - b``."""
+    vectors = tuple(map(_as_vector, values))
     sizes = {v.shape[0] for v in vectors}
     if len(sizes) != 1:
         raise SupportMismatchError(f"mass vectors live on different supports: sizes {sorted(sizes)}")
-    return sizes.pop()
+    if not all(np.isfinite(v).all() for v in vectors):
+        raise ValueError(f"{noun} has non-finite entries")
+    return vectors
 
 
 @dataclass(frozen=True)
@@ -291,10 +306,13 @@ class Family:
     Candidate names must be distinct so selection reports are unambiguous.
     The stacked mass matrix (one row per candidate) is precomputed and frozen.
     The pair table (see the module docstring) is built on first need and
-    kept read-only.
+    kept read-only.  ``order``, ``pair_i`` and ``pair_j``, the distance
+    order of the pairs and their endpoints gathered through it, are None
+    until :func:`preprocess` fills them in, read-only.
     """
 
-    __slots__ = ("support", "candidates", "matrix", "_lex_pairs")
+    __slots__ = ("support", "candidates", "matrix", "_lex_pairs",
+                 "order", "pair_i", "pair_j", "_pairs", "_pair_position")
 
     def __init__(self, support: Support, candidates: Iterable[Candidate]):
         cands = tuple(candidates)
@@ -312,15 +330,13 @@ class Family:
             else np.empty((0, support.size), dtype=np.float64)
         )
         matrix.flags.writeable = False
-        self._share(support, cands, matrix, None)
+        self._set_rows(support, cands, matrix)
 
-    def _share(self, support: Support, candidates: tuple, matrix: np.ndarray, lex_pairs) -> None:
-        """Set what a family and its preprocessed form share: the support,
-        the candidates, the read-only matrix and the pair table."""
-        self.support = support
-        self.candidates = candidates
-        self.matrix = matrix
-        self._lex_pairs = lex_pairs
+    def _set_rows(self, support: Support, candidates: tuple, matrix: np.ndarray) -> None:
+        """Set the support, the candidates and the read-only matrix, with
+        nothing derived from them built yet."""
+        self.support, self.candidates, self.matrix = support, candidates, matrix
+        self._lex_pairs = self.order = self.pair_i = self.pair_j = self._pairs = self._pair_position = None
 
     @classmethod
     def _from_matrix(cls, support: Support, names: Sequence[str], matrix: np.ndarray) -> "Family":
@@ -336,7 +352,7 @@ class Family:
         _check_entries(matrix, "mass matrix", support.size)
         matrix.flags.writeable = False
         family = cls.__new__(cls)
-        family._share(support, tuple(map(Candidate._view, names, matrix)), matrix, None)
+        family._set_rows(support, tuple(map(Candidate._view, names, matrix)), matrix)
         return family
 
     @property
@@ -346,6 +362,23 @@ class Family:
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.candidates)
+
+    @property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """The pairs (i, j) in distance order, built on first use; the
+        family is preprocessed first."""
+        if self._pairs is None:
+            preprocess(self)
+            self._pairs = tuple(zip(self.pair_i.tolist(), self.pair_j.tolist()))
+        return self._pairs
+
+    @property
+    def pair_position(self) -> Mapping[tuple[int, int], int]:
+        """Read-only map from each pair (i, j), i < j, to its place in the
+        distance order, built on first use."""
+        if self._pair_position is None:
+            self._pair_position = types.MappingProxyType({pair: pos for pos, pair in enumerate(self.pairs)})
+        return self._pair_position
 
     def __getitem__(self, i: int) -> Candidate:
         return self.candidates[i]
@@ -411,16 +444,13 @@ def test_function(fi, fj) -> TestFunction:
     Exact zeros map to sign 0, so ``test_function(f, f)`` is identically zero
     and ``test_function(fi, fj) == -test_function(fj, fi)`` entrywise.
     """
-    a, b = _as_vector(fi), _as_vector(fj)
-    _check_same_length(a, b)
+    a, b = _real_vectors(fi, fj)
     return TestFunction(np.sign(a - b))
 
 
 def inner_product(v, t) -> float:
     """Inner product of a mass-like vector with a test function (or raw sign vector)."""
-    vec = _as_vector(v)
-    signs = t.signs if isinstance(t, TestFunction) else _as_vector(t)
-    _check_same_length(vec, signs)
+    vec, signs = _real_vectors(v, t.signs if isinstance(t, TestFunction) else t)
     # Elementwise multiply + pairwise sum: the same reduction order as
     # np.abs(...).sum(), so |d| . 1 and d . sign(d) agree bit for bit.
     return float((vec * signs).sum())
@@ -433,8 +463,7 @@ def l1_distance(fi, fj) -> float:
     x * sign(x) == |x| holds entrywise in IEEE arithmetic and both sides are
     summed in the same order.
     """
-    a, b = _as_vector(fi), _as_vector(fj)
-    _check_same_length(a, b)
+    a, b = _real_vectors(fi, fj)
     return float(np.abs(a - b).sum())
 
 
@@ -475,8 +504,7 @@ def _outcome_at(layer: "_PairTable", lex: int, hvec: np.ndarray, ledger: Ledger)
 
 def scheffe_set(fi, fj) -> np.ndarray:
     """Indices of the atoms where fi strictly exceeds fj (sorted ascending)."""
-    a, b = _as_vector(fi), _as_vector(fj)
-    _check_same_length(a, b)
+    a, b = _real_vectors(fi, fj)
     return np.flatnonzero(a > b)
 
 
@@ -604,14 +632,14 @@ def _pair_layer(family: Family) -> _PairTable:
     return layer
 
 
-def _sign_blocks(family: Family) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(pair_i, pair_j, signs) for each block of the family's pairs in
+def _sign_blocks(family: Family) -> Iterator[np.ndarray]:
+    """The test functions of each block of the family's pairs in
     lexicographic order: slices of the pair table the family keeps, or
     :func:`_raw_sign_blocks` when it keeps none."""
     layer = family._lex_pairs
     if layer is None:
         return _raw_sign_blocks(family.matrix)
-    return ((layer.pair_i[b], layer.pair_j[b], layer.signs[b]) for b in _pair_blocks(layer.signs.shape[0]))
+    return (layer.signs[b] for b in _pair_blocks(layer.signs.shape[0]))
 
 
 def _table_blocks(family: Family) -> Iterator[_PairTable]:
@@ -631,16 +659,16 @@ def _table_blocks(family: Family) -> Iterator[_PairTable]:
         yield _table_rows(family.matrix, pair_i, idx_j[block], signs[: pair_i.shape[0]])
 
 
-def _raw_sign_blocks(matrix: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(pair_i, pair_j, signs) for each block of the pairs of the rows of
-    ``matrix``, the signs computed from its raw rows, dropped after use."""
+def _raw_sign_blocks(matrix: np.ndarray) -> Iterator[np.ndarray]:
+    """The test functions of each block of the pairs of the rows of
+    ``matrix`` in lexicographic order, computed from its raw rows, dropped
+    after use."""
     idx_i, idx_j = _triu_indices(matrix.shape[0])
     for block in _pair_blocks(idx_i.shape[0]):
-        pair_i, pair_j = idx_i[block], idx_j[block]
-        diffs = matrix.take(pair_i, axis=0)
-        diffs -= matrix.take(pair_j, axis=0)
+        diffs = matrix.take(idx_i[block], axis=0)
+        diffs -= matrix.take(idx_j[block], axis=0)
         # Not in place: np.sign over its own input ran 2.7x slower (numpy 2.4.6).
-        yield pair_i, pair_j, np.sign(diffs)
+        yield np.sign(diffs)
 
 
 def _check_candidate_index(family: Family, i: int) -> None:
@@ -665,7 +693,7 @@ def empirical_deviation(g, h, family: Family) -> float:
     gv = _checked_mass(g, "truth", family.support.size)
     hv = _checked_mass(h, "empirical distribution", family.support.size)
     diff = gv - hv
-    terms = (np.abs((signs * diff).sum(axis=1)).max() for _, _, signs in _raw_sign_blocks(family.matrix))
+    terms = (np.abs((signs * diff).sum(axis=1)).max() for signs in _raw_sign_blocks(family.matrix))
     return float(max(terms, default=0.0))
 
 
@@ -685,63 +713,38 @@ def empirical_deviation_restricted(g, h, family: Family, i: int) -> float:
     return float(np.abs((signs * (gv - hv)).sum(axis=1)).max())
 
 
-class PreprocessedFamily(Family):
-    """A family that also carries the distance order of its pairs: the
-    preprocessing the elimination selector needs.
+def preprocess(family: Family) -> Family:
+    """Fill in the family's distance order, in O(m^2 k) time and memory,
+    and return the family; a family that has one is returned as it is.
 
-    It shares the support, the candidates, the read-only matrix and the pair
-    table of the family it was built from, and adds ``order``, the
-    lexicographic indices of the pairs by nonincreasing L1 distance, ties
-    broken lexicographically by (i, j), and ``pair_i`` and ``pair_j``, the
-    pairs' endpoints gathered through it.  Everything else about a pair, its
-    test function, distance and threshold, stays in the pair table, in
-    lexicographic order.  Building takes O(m^2 k) time and memory and
-    touches no empirical data, so it charges nothing to any ledger.
+    ``order`` lists the lexicographic indices of the pairs by nonincreasing
+    L1 distance, ties broken lexicographically by (i, j), and ``pair_i`` and
+    ``pair_j`` the pairs' endpoints gathered through it; each pair's test
+    function, distance and threshold stay in the pair table.  Builds that
+    table, P * (8k + 32) bytes, unless the family keeps one; the three
+    arrays add 24 bytes a pair.  Touches no empirical data, so it charges
+    nothing to any ledger.  An empty family (:class:`EmptyFamilyError`) or
+    a table over ``_PAIR_TABLE_MAX_BYTES`` (:class:`CapacityError`) is
+    refused, and nothing is filled in.
     """
-
-    __slots__ = ("order", "pair_i", "pair_j", "_pairs", "_pair_position")
-
-    def __init__(self, family: Family):
+    if family.order is None:
         if family.size == 0:
             raise EmptyFamilyError("cannot preprocess an empty family")
-        layer = _pair_layer(family)
-        # Stable, so equal distances keep the table's lexicographic order.
-        order = np.argsort(-layer.distances, kind="stable")
-        arrays = (order, layer.pair_i[order], layer.pair_j[order])
-        for arr in arrays:
-            arr.flags.writeable = False
-        self._share(family.support, family.candidates, family.matrix, layer)
-        self.order, self.pair_i, self.pair_j = arrays
-        self._pairs = None
-        self._pair_position = None
-
-    @property
-    def pairs(self) -> tuple[tuple[int, int], ...]:
-        """The pairs (i, j) in list order, built on first use."""
-        if self._pairs is None:
-            self._pairs = tuple(zip(self.pair_i.tolist(), self.pair_j.tolist()))
-        return self._pairs
-
-    @property
-    def pair_position(self) -> Mapping[tuple[int, int], int]:
-        """Read-only map from each pair (i, j), i < j, to its place in the
-        list, built on first use."""
-        if self._pair_position is None:
-            self._pair_position = types.MappingProxyType(
-                {pair: pos for pos, pair in enumerate(self.pairs)}
-            )
-        return self._pair_position
+        family.order, family.pair_i, family.pair_j = _distance_order(_pair_layer(family))
+    return family
 
 
-def preprocess(family: Family) -> PreprocessedFamily:
-    """The family with the distance order of its pairs, in O(m^2 k) time and
-    memory: a :class:`Family` that every function taking one accepts.
+def _distance_order(layer: _PairTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distance order of a pair table and the endpoints gathered
+    through it, read-only."""
+    # Stable, so equal distances keep the table's lexicographic order.
+    order = np.argsort(-layer.distances, kind="stable")
+    arrays = (order, layer.pair_i[order], layer.pair_j[order])
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
 
-    Builds the family's pair table, P * (8k + 32) bytes, unless it keeps
-    one, and shares it; the order and the two gathered endpoint arrays add
-    24 bytes a pair, P * (8k + 56) in all.  Only
-    :func:`~l1select.selectors.efficient_min_loss_weight` reads the order,
-    and it preprocesses a family that lacks one itself.  A pair table over
-    ``_PAIR_TABLE_MAX_BYTES`` is refused (:class:`CapacityError`).
-    """
-    return PreprocessedFamily(family)
+
+# The type of a preprocessed family, kept as a name for code that imports it:
+# preprocessing fills in a Family, it makes no other type.
+PreprocessedFamily = Family

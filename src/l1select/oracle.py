@@ -3,9 +3,9 @@
 Everything here recomputes from raw mass vectors: distances by summing
 absolute differences, loss-weights by exhaustive comparison, and VC
 dimension by enumerating subsets.  None of it reuses the thresholds or
-distances of the pair table a :class:`~l1select.core.Family` keeps, or the
-distance order a preprocessed one carries, so agreement between a selector
-and these checks is evidence, not circularity.
+distances of the pair table a :class:`~l1select.core.Family` keeps, or its
+distance order once preprocessed, so agreement between a selector and these
+checks is evidence, not circularity.
 
 One deliberate exception: pair *outcomes* are recomputed with the same
 threshold formula :func:`~l1select.core.compare` uses, evaluated in the same
@@ -20,15 +20,15 @@ and on its own terms, by :func:`check_win_equivalence`.
 Verification functions take the true density ``g`` as an argument.  That is
 a simulation privilege: selection itself never sees ``g``.
 
-:func:`check_bound` called alone re-derives the best member, ``d1`` and the
-deviation from raw vectors on every call.  A sweep that checks several
-selections of one instance builds one :class:`InstanceReference` instead and
-passes it to each check: the reference computes the same quantities with the
-same functions, from ``family.matrix``, ``g`` and ``h`` only, once per
-instance, so every check reads the values a from-scratch call would compute,
-bit for bit.  The same reference, passed to
-:func:`check_elimination_invariant`, answers the strict and the draw
-readings of the invariant from one pass.
+:func:`check_bound` called alone re-derives every member's L1 error, the
+best member, ``d1`` and the deviation from raw vectors on every call.  A
+sweep that checks several selections of one instance builds one
+:class:`InstanceReference` instead and passes it to each check: the
+reference computes the same quantities with the same functions, from
+``family.matrix``, ``g`` and ``h`` only, once per instance, so every check
+reads the values a from-scratch call would compute, bit for bit.  The same
+reference, passed to :func:`check_elimination_invariant`, answers the strict
+and the draw readings of the invariant from one pass.
 
 The region systems of :func:`yatracos_class` and :func:`yatracos_restricted`
 come from one vectorised comparison of the candidates' rows, deduplicated in
@@ -53,13 +53,12 @@ from .core import (
     Support,
     _as_vector,
     _check_candidate_index,
-    _check_same_length,
     _checked_mass,
+    _real_vectors,
     compare,
     Ledger,
     empirical_deviation,
     empirical_deviation_restricted,
-    l1_distance,
     preprocess,  # re-exported: tools that wrap functions by module attribute resolve oracle.preprocess
     scheffe_win,
 )
@@ -120,26 +119,40 @@ class SetSystem:
 def best_in_family(family: Family, g) -> tuple[int, float]:
     """Index and L1 error of the family member closest to ``g`` (exhaustive argmin,
     lowest index on ties)."""
+    return _best(_errors(family, g))
+
+
+def _errors(family: Family, g) -> np.ndarray:
+    """The L1 error ||f_c - g||_1 of every member c, read-only.  Each is a
+    row sum summed as :func:`~l1select.core.l1_distance` sums it, so it is
+    the distance bit for bit."""
     if family.size == 0:
         raise EmptyFamilyError("no best member in an empty family")
     gv = _checked_mass(g, "truth", family.support.size)
-    dists = np.abs(family.matrix - gv).sum(axis=1)
-    idx = int(np.argmin(dists))
-    return idx, float(dists[idx])
+    errors = np.abs(family.matrix - gv).sum(axis=1)
+    errors.flags.writeable = False
+    return errors
+
+
+def _best(errors: np.ndarray) -> tuple[int, float]:
+    """The lowest index of the smallest of ``errors``, and that error."""
+    idx = int(np.argmin(errors))
+    return idx, float(errors[idx])
 
 
 class InstanceReference:
     """The oracle quantities of one instance (``family``, ``g``, ``h``), each
     computed once and shared by every :func:`check_bound` on that instance.
 
-    ``best_index`` and ``d1`` come from one :func:`best_in_family` call at
+    ``errors``, the L1 error of every member, and from them ``best_index``
+    and ``d1``, as :func:`best_in_family` gives them, come from one pass at
     construction.  The full deviation and the deviation restricted to the
     best member are computed on first use, by
     :func:`~l1select.core.empirical_deviation` and
     :func:`~l1select.core.empirical_deviation_restricted`.  Everything is
     derived from ``family.matrix``, ``g`` and ``h``: never from a family's
     cached pair table or distance order.  A reference describes one
-    instance only, serves a family and its preprocessed form alike, and is
+    instance only, serves its family before and after preprocessing, and is
     dropped with it.  ``g`` and ``h`` are both checked at construction, so
     a malformed one is refused before any quantity is read.  Both are kept
     as read-only copies, so writing to the caller's array later changes no
@@ -150,7 +163,8 @@ class InstanceReference:
     def __init__(self, family: Family, g, h):
         self.family = family
         self.g = _as_vector(g).copy()
-        self.best_index, self.d1 = best_in_family(family, self.g)
+        self.errors = _errors(family, self.g)
+        self.best_index, self.d1 = _best(self.errors)
         self.h = _checked_mass(h, "empirical distribution", family.support.size).copy()
         self.g.flags.writeable = self.h.flags.writeable = False
         self._elimination_verdicts: dict[tuple[int, float], tuple[bool, bool]] = {}
@@ -188,7 +202,8 @@ def check_bound(
 ) -> BoundCheck:
     """Test the inequality ``l1(f_selected, g) <= a * d1 + b * deviation``.
 
-    ``d1`` is recomputed by exhaustive argmin.  With ``delta_mode="full"`` the
+    The left side is the selected member's L1 error, and ``d1`` the
+    smallest such error, by exhaustive argmin.  With ``delta_mode="full"`` the
     deviation ranges over every pair's test function; with ``"restricted"`` it
     ranges only over the pairs of the best member, which is the sharper form
     the scan- and loss-weight-based selectors also satisfy.  The check passes
@@ -210,15 +225,15 @@ def check_bound(
     else:
         _check_reference(reference, family, h, g)
     dev = reference.deviation if delta_mode == "full" else reference.restricted_deviation
-    lhs = l1_distance(family.matrix[selected], g)
+    lhs = float(reference.errors[selected])
     rhs = a * reference.d1 + b * dev
     margin = rhs - lhs
     return BoundCheck(a, b, lhs, rhs, margin, margin >= -GUARANTEE_TOL)
 
 
 def _check_reference(reference: InstanceReference, family: Family, h, g=None) -> None:
-    """Refuse (ValueError) a ``reference`` not built from ``family``, or
-    its preprocessed form, ``h`` and ``g`` unless None: each must be the
+    """Refuse (ValueError) a ``reference`` not built from ``family``, ``h``
+    and ``g`` unless None: each must be the
     very array the reference keeps, as ``verify`` passes it, or a mass
     vector equal to it entry for entry."""
     if reference.family.matrix is not family.matrix:
@@ -349,11 +364,7 @@ def check_quadruple(fi, fj, fk, fl) -> float:
     vectors of one length: a NaN or infinite entry raises ValueError,
     different lengths :class:`~l1select.core.SupportMismatchError`.
     """
-    a, b = _as_vector(fi), _as_vector(fj)
-    k, l = _as_vector(fk), _as_vector(fl)
-    _check_same_length(a, b, k, l)
-    if not all(np.isfinite(v).all() for v in (a, b, k, l)):
-        raise ValueError("quadruple has non-finite entries")
+    a, b, k, l = _real_vectors(fi, fj, fk, fl, noun="quadruple")
     diff = a - b
     t_own = np.sign(diff)
     t_other = np.sign(k - l)

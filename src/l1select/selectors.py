@@ -23,7 +23,8 @@ take a :class:`~l1select.core.Family`, preprocessed or not.  The distance
 selectors read the pair table the family keeps, or compute its rows block
 by block from the raw rows and keep nothing; the others read the pair table
 (see :mod:`l1select.core`).  ``efficient_min_loss_weight`` also reads the
-distance order, and preprocesses a family that carries none.
+distance order, which :func:`~l1select.core.preprocess` fills in on the
+family once and keeps.
 
 The tournament, ``min_loss_weight``, ``loss_weight`` and
 ``relaxed_selection_check`` read their pair outcomes from one vectorised
@@ -58,7 +59,6 @@ from .core import (
     Family,
     Ledger,
     Outcome,
-    PreprocessedFamily,
     _check_candidate_index,
     _PAIR_BLOCK,
     _PairTable,
@@ -325,7 +325,7 @@ def _min_distance_shortlist(diffs: np.ndarray, slack: np.ndarray, blocks, bound:
     """
     alive = np.arange(diffs.shape[0])
     approx = np.zeros(alive.size)
-    for n, (_, _, signs) in enumerate(blocks):
+    for n, signs in enumerate(blocks):
         if n:
             keep = approx - slack <= bound
             if not keep.all():
@@ -339,7 +339,7 @@ def _exact_scores(diffs: np.ndarray, blocks) -> np.ndarray:
     ``diffs``, each product a row-wise sum, as
     :func:`~l1select.core.compare` sums it."""
     scores = np.zeros(diffs.shape[0])
-    for _, _, signs in blocks:
+    for signs in blocks:
         np.maximum(scores, [np.abs((signs * d).sum(axis=1)).max() for d in diffs], out=scores)
     return scores
 
@@ -387,7 +387,7 @@ def min_distance(family: Family, h, ledger: Ledger | None = None) -> SelectionRe
     bound = math.inf
     if family.size * (family.size - 1) // 2 > _PAIR_BLOCK:  # candidates drop between blocks only
         seed = int(np.argmin(norms))
-        screened = (_term_maxima(diffs[seed:seed + 1], signs)[0] for _, _, signs in _sign_blocks(family))
+        screened = (_term_maxima(diffs[seed:seed + 1], signs)[0] for signs in _sign_blocks(family))
         bound = max(screened) + slack[seed]
     shortlist = _min_distance_shortlist(diffs, slack, _sign_blocks(family), bound)
     selected = int(shortlist[0])
@@ -561,10 +561,10 @@ def efficient_min_loss_weight(
     Repeatedly take the first pair in the distance order (largest L1
     distance, lexicographic on ties) whose endpoints both survive, compare
     the pair, and remove the loser -- on a draw the second-listed candidate
-    is removed, keeping exactly one removal per comparison.  A family
-    without the distance order is preprocessed first, after ``h`` is
-    checked; a preprocessed one is walked as it is.  Each compared pair's
-    signs and threshold are read from the family's pair table.  The
+    is removed, keeping exactly one removal per comparison.  The family is
+    preprocessed (see :func:`~l1select.core.preprocess`) after ``h`` is
+    checked, which does nothing when it carries its order.  Each compared
+    pair's signs and threshold are read from the family's pair table.  The
     survivor satisfies the same 3-vs-2 guarantee as :func:`min_loss_weight`:
     whenever it fails to beat a rival f', its distance to f' is at most the
     rival's loss-weight.
@@ -575,14 +575,14 @@ def efficient_min_loss_weight(
     """
     _check_nonempty(family)
     hv = _checked_mass(h, "empirical distribution", family.support.size)
-    prep = family if isinstance(family, PreprocessedFamily) else preprocess(family)
+    preprocess(family)
     ledger = _ensure_ledger(ledger)
     h0, t0 = ledger.h_products, ledger.term_evaluations
-    alive = [True] * prep.size
-    remaining = prep.size
+    alive = [True] * family.size
+    remaining = family.size
     trace: list[TraceEvent] = []
-    layer = _pair_layer(prep)
-    for lex, i, j in zip(prep.order.tolist(), prep.pair_i.tolist(), prep.pair_j.tolist()):
+    layer = _pair_layer(family)
+    for lex, i, j in zip(family.order.tolist(), family.pair_i.tolist(), family.pair_j.tolist()):
         if remaining == 1:
             break
         if not (alive[i] and alive[j]):
@@ -598,7 +598,7 @@ def efficient_min_loss_weight(
         remaining -= 1
         trace.append(TraceEvent(i, j, outcome, removed))
     selected = alive.index(True)
-    return _report(prep, "efficient", selected, ledger, h0, t0, trace=tuple(trace))
+    return _report(family, "efficient", selected, ledger, h0, t0, trace=tuple(trace))
 
 
 def randomized_two(f1, f2, h, rng_seed: int = 0) -> SelectionReport:

@@ -28,6 +28,7 @@ from l1select import (
     PreprocessedFamily,
     Support,
     SupportMismatchError,
+    check_quadruple,
     compare,
     efficient_min_loss_weight,
     empirical_deviation,
@@ -41,6 +42,7 @@ from l1select import (
     scheffe_set,
     scheffe_win,
 )
+import l1select
 from l1select import core, min_loss_weight, scheffe_tournament
 from l1select import test_function as make_test_function
 from l1select.core import _pair_layer, _pair_outcome_arrays
@@ -191,6 +193,59 @@ class TestL1Distance:
         a, b = random_mass_vectors(k, 2, seed)
         t = make_test_function(a, b)
         assert inner_product(a - b, t) == l1_distance(a, b)
+
+
+# The real-vector primitives, each with one argument taken from the table
+# below; every other argument is a finite vector on four atoms.
+REAL_VECTOR_ENTRY_POINTS = {
+    "test_function(fi)": lambda v: make_test_function(v, F2),
+    "test_function(fj)": lambda v: make_test_function(F1, v),
+    "inner_product(v)": lambda v: inner_product(v, make_test_function(F1, F2)),
+    "inner_product(t)": lambda v: inner_product(F1, v),
+    "l1_distance(fi)": lambda v: l1_distance(v, F2),
+    "l1_distance(fj)": lambda v: l1_distance(F1, v),
+    "scheffe_set(fi)": lambda v: scheffe_set(v, F2),
+    "scheffe_set(fj)": lambda v: scheffe_set(F1, v),
+    **{
+        f"check_quadruple({name})": lambda v, _at=at: check_quadruple(
+            *(v if q == _at else row for q, row in enumerate((F1, F2, G, F2)))
+        )
+        for at, name in enumerate(("fi", "fj", "fk", "fl"))
+    },
+}
+
+# Bad real vectors, each with the class every primitive raises for it and
+# the end of the message.
+BAD_REAL_VECTORS = {
+    "nan": ([float("nan"), 0.0, 0.0, 0.0], ValueError, "has non-finite entries$"),
+    "inf": ([float("inf"), 0.0, 0.0, 0.0], ValueError, "has non-finite entries$"),
+    "-inf": ([0.0, 1.0, -float("inf"), 0.0], ValueError, "has non-finite entries$"),
+    "short": ([0.5, 0.5], SupportMismatchError, "on different supports: sizes \\[2, 4\\]$"),
+}
+
+
+class TestRealVectorValidation:
+    """The real-vector primitives take any finite vectors of one length,
+    signed ones too, and refuse a NaN or infinite entry with ValueError and
+    a wrong length with SupportMismatchError.  Before the check,
+    l1_distance and inner_product returned nan or inf, scheffe_set dropped
+    a NaN atom and test_function refused a NaN as a bad sign."""
+
+    @pytest.mark.parametrize("bad", sorted(BAD_REAL_VECTORS))
+    @pytest.mark.parametrize("entry", sorted(REAL_VECTOR_ENTRY_POINTS))
+    def test_rejects(self, entry, bad):
+        values, error, message = BAD_REAL_VECTORS[bad]
+        with pytest.raises(ValueError, match=message) as raised:
+            REAL_VECTOR_ENTRY_POINTS[entry](np.array(values))
+        assert type(raised.value) is error
+
+    @pytest.mark.parametrize("entry", sorted(REAL_VECTOR_ENTRY_POINTS))
+    def test_signed_vectors_accepted(self, entry):
+        REAL_VECTOR_ENTRY_POINTS[entry](np.array([-1.0, 2.0, 0.0, -0.5]))
+
+    def test_a_difference_recovers_the_distance(self):
+        """The documented signed use: (fi - fj) . T is the L1 distance."""
+        assert inner_product(F1 - F2, make_test_function(F1, F2)) == l1_distance(F1, F2)
 
 
 class TestCompare:
@@ -370,20 +425,46 @@ class TestPreprocess:
             assert not arr.flags.writeable
 
     def test_holds_the_distance_order_and_nothing_else(self, simple_family):
-        """A preprocessed family is a family that adds the order and the
-        endpoints gathered through it: it shares the family's rows and pair
-        table, with no second copy of either and no pointer back."""
+        """Preprocessing makes no second object: it fills in the order and
+        the endpoints gathered through it on the family, which keeps its
+        rows and its pair table, and the family's public names stay as
+        they were."""
+        public = {name for name in dir(simple_family) if not name.startswith("_")}
+        assert simple_family.order is simple_family.pair_i is simple_family.pair_j is None
+        matrix = simple_family.matrix
         prep = preprocess(simple_family)
-        assert isinstance(prep, Family)
-        assert set(PreprocessedFamily.__slots__) == {"order", "pair_i", "pair_j", "_pairs", "_pair_position"}
-        assert prep.support is simple_family.support
-        assert prep.candidates is simple_family.candidates
-        assert prep.matrix is simple_family.matrix
-        assert prep._lex_pairs is simple_family._lex_pairs is not None
-        assert not hasattr(prep, "family")
-        public = {name for name in dir(prep) if not name.startswith("_")}
-        family_public = {name for name in dir(simple_family) if not name.startswith("_")}
-        assert public == family_public | {"order", "pair_i", "pair_j", "pairs", "pair_position"}
+        assert prep is simple_family
+        assert prep.matrix is matrix and prep._lex_pairs is not None
+        assert all(isinstance(arr, np.ndarray) for arr in (prep.order, prep.pair_i, prep.pair_j))
+        assert {name for name in dir(prep) if not name.startswith("_")} == public
+        assert {"order", "pair_i", "pair_j", "pairs", "pair_position"} <= public
+
+    def test_preprocessed_family_is_the_family_type(self):
+        assert PreprocessedFamily is Family
+        assert l1select.PreprocessedFamily is l1select.Family
+
+    def test_a_second_preprocess_or_selection_sorts_nothing(self, monkeypatch):
+        """The order is built once per family: the elimination selector
+        preprocesses a plain family, and preprocessing again or selecting
+        again reads the kept arrays."""
+        sorts = []
+        build = core._distance_order
+        monkeypatch.setattr(core, "_distance_order", lambda layer: sorts.append(layer) or build(layer))
+        inst = random_instance(5, 6, 7, noise=0.1)
+        family = Family(inst.family.support, inst.family.candidates)
+        first = efficient_min_loss_weight(family, inst.empirical)
+        order = family.order
+        assert len(sorts) == 1 and order is not None
+        assert preprocess(family) is family and family.order is order
+        assert efficient_min_loss_weight(family, inst.empirical) == first
+        assert len(sorts) == 1 and family.order is order
+
+    def test_a_refused_preprocess_fills_in_nothing(self, monkeypatch):
+        family = make_family(random_mass_vectors(4, 6, 0))
+        monkeypatch.setattr(core, "_PAIR_TABLE_MAX_BYTES", 0)
+        with pytest.raises(CapacityError):
+            preprocess(family)
+        assert family.order is family.pair_i is family.pair_j is family._lex_pairs is None
 
     @pytest.mark.parametrize("m, k", [(7, 5), (96, 64)])
     def test_holds_one_pair_by_atom_array(self, m, k):
@@ -473,8 +554,8 @@ class TestPreprocess:
 
 class TestSignBlocks:
     """The test functions read block by block are every pair's
-    sign(f_i - f_j) with its endpoints, in lexicographic order, whether
-    sliced from the table a family keeps or computed from its raw rows."""
+    sign(f_i - f_j), in lexicographic order, whether sliced from the table
+    a family keeps or computed from its raw rows."""
 
     @pytest.mark.parametrize("m", [1, 2, 5, 100, 101, 150])
     def test_blocks_list_every_pair_in_lexicographic_order(self, m):
@@ -483,7 +564,7 @@ class TestSignBlocks:
         if m > 3:
             rows[3] = rows[1]
         idx_i, idx_j = np.triu_indices(m, k=1)
-        want = (idx_i, idx_j, np.sign(rows[idx_i] - rows[idx_j]))
+        want = np.sign(rows[idx_i] - rows[idx_j])
         pairs = idx_i.shape[0]
         family = make_family(rows)
         raw = list(core._sign_blocks(family))
@@ -491,11 +572,10 @@ class TestSignBlocks:
         preprocess(family)
         kept = list(core._sign_blocks(family))
         for blocks in (raw, kept):
-            sizes = [signs.shape[0] for _, _, signs in blocks]
+            sizes = [signs.shape[0] for signs in blocks]
             assert sizes == [min(core._PAIR_BLOCK, pairs - s) for s in range(0, pairs, core._PAIR_BLOCK)]
-            for part, whole in zip(zip(*blocks), want):
-                assert_array_equal(np.concatenate(part), whole)
-        assert all(np.shares_memory(signs, family._lex_pairs.signs) for _, _, signs in kept)
+            assert_array_equal(np.concatenate(blocks) if blocks else np.empty((0, 6)), want)
+        assert all(np.shares_memory(signs, family._lex_pairs.signs) for signs in kept)
 
     @pytest.mark.parametrize("m", [1, 2, 5, 24, 101, 150])
     def test_table_blocks_of_raw_rows_are_the_kept_table(self, m):
@@ -624,8 +704,11 @@ class TestPairTable:
                 assert l1_distance(rows[i], rows[j]) == layer.distances[lex]
 
     def test_pairs_and_pair_position_are_lazy_read_only_views(self):
+        """Neither view is built by preprocessing, a selection or a compare;
+        each is built on first use and kept, and reading either on a family
+        never preprocessed preprocesses it first."""
         inst = random_instance(2, 8, 9, noise=0.1)
-        prep = preprocess(inst.family)
+        prep = preprocess(Family(inst.family.support, inst.family.candidates))
         efficient_min_loss_weight(prep, inst.empirical)
         compare(prep, 3, 1, inst.empirical, Ledger())
         assert prep._pairs is None and prep._pair_position is None
@@ -637,7 +720,11 @@ class TestPairTable:
             position[(0, 1)] = 0
         with pytest.raises(AttributeError):
             prep.pairs = ()
-        assert preprocess(inst.family)._pairs is None
+        for read in (lambda f: f.pairs, lambda f: f.pair_position):
+            cold = Family(inst.family.support, inst.family.candidates)
+            assert cold.order is None
+            assert read(cold) == read(prep)
+            assert np.array_equal(cold.order, prep.order)
 
     @pytest.mark.parametrize("i, j", [(-1, 2), (2, 9), (9, 10)])
     def test_pair_out_of_range_rejected(self, i, j):

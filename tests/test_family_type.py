@@ -1,5 +1,6 @@
-"""One family type: a preprocessed family is a family, and every public
-function that takes a family gives the same result on either form."""
+"""One family type: preprocessing fills in a family's distance order, and
+every public function that takes a family gives the same result on a
+preprocessed family as on a fresh copy of its rows."""
 
 from __future__ import annotations
 
@@ -101,22 +102,23 @@ def test_preprocessed_family_gives_the_family_result(name, instance):
 
 
 def test_one_reference_serves_a_family_and_its_preprocessed_form():
-    """A reference built on either form is accepted for both, with the
-    results of a from-scratch check; one built on another family with the
-    same rows is still refused."""
+    """A reference built on a family is accepted before and after the
+    family is preprocessed, with the results of from-scratch checks on a
+    fresh copy of its rows; the fresh copy, another family with the same
+    rows, is refused it."""
     inst = random_instance(4, 6, 7, noise=0.1)
     g, h = inst.truth, inst.empirical.mass
-    family = _cold_copy(inst.family)
-    prep = preprocess(family)
-    for reference in (InstanceReference(family, g, h), InstanceReference(prep, g, h)):
-        for target in (family, prep):
-            for i in range(family.size):
-                want = check_bound(i, family, g, h, 3.0, 2.0)
-                assert check_bound(i, target, g, h, 3.0, 2.0, reference=reference) == want
-                assert check_elimination_invariant(target, h, i, reference=reference) == (
-                    check_elimination_invariant(family, h, i)
-                )
-    stranger = _cold_copy(family)
-    assert np.array_equal(stranger.matrix, family.matrix)
+    fresh, family = _cold_copy(inst.family), _cold_copy(inst.family)
+    assert np.array_equal(fresh.matrix, family.matrix)
+    reference = InstanceReference(family, g, h)
+    for preprocessed in (False, True):
+        if preprocessed:
+            assert preprocess(family) is family
+        for i in range(family.size):
+            want = check_bound(i, fresh, g, h, 3.0, 2.0)
+            assert check_bound(i, family, g, h, 3.0, 2.0, reference=reference) == want
+            assert check_elimination_invariant(family, h, i, reference=reference) == (
+                check_elimination_invariant(fresh, h, i)
+            )
     with pytest.raises(ValueError, match="^reference was built for another family$"):
-        check_bound(0, stranger, g, h, 3.0, 2.0, reference=InstanceReference(prep, g, h))
+        check_bound(0, fresh, g, h, 3.0, 2.0, reference=reference)

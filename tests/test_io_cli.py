@@ -550,11 +550,12 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("delta_mode", ["full", "restricted"])
     def test_oracle_work_is_done_once_per_instance(self, capsys, tmp_path, monkeypatch, delta_mode):
-        """Each instance gets one best member and one of each deviation it
-        needs, however many bound checks read them."""
+        """Each instance gets one pass of L1 errors, which gives its best
+        member, and one of each deviation it needs, however many bound
+        checks read them."""
         monkeypatch.chdir(tmp_path)
         counts: dict[str, int] = {}
-        for name in ("best_in_family", "empirical_deviation", "empirical_deviation_restricted"):
+        for name in ("_errors", "empirical_deviation", "empirical_deviation_restricted"):
             original = getattr(oracle, name)
 
             def counting(*args, _f=original, _name=name):
@@ -581,9 +582,30 @@ class TestVerifyCommand:
         assert sum(m >= 2 for m, _ in per_instance) >= 20
         restricted = 1 if delta_mode == "restricted" else 0
         for _, called in per_instance:
-            assert called.get("best_in_family") == 1
+            assert called.get("_errors") == 1
             assert called.get("empirical_deviation") == 1
             assert called.get("empirical_deviation_restricted", 0) == restricted
+
+    def test_each_construction_is_built_and_selected_from_once(self, capsys, tmp_path, monkeypatch):
+        """The closed-form spot checks read the construction instances the
+        sweep evaluated: each construction is built once per call, and the
+        tournament runs once per instance, the reference ones included."""
+        monkeypatch.chdir(tmp_path)
+        calls: dict[str, list] = {}
+        for name in ("lower_bound_pair", "lower_bound_tournament", "scheffe_tournament"):
+            original = getattr(cli, name)
+
+            def counting(*args, _f=original, _name=name):
+                calls.setdefault(_name, []).append(args[0])
+                return _f(*args)
+
+            monkeypatch.setattr(cli, name, counting)
+        code, summary = self._run(capsys)
+        assert code == 0 and all(summary["reference_checks"].values())
+        assert calls["lower_bound_pair"] == [1e-2, 1e-3, 1e-4]
+        assert calls["lower_bound_tournament"] == [1e-3, 1.5e-2]
+        assert len(calls["scheffe_tournament"]) == 25 + 8
+        assert len({id(family) for family in calls["scheffe_tournament"]}) == 25 + 8
 
     def test_each_instance_builds_one_outcome_layer_and_sorts_it_once(
         self, capsys, tmp_path, monkeypatch, pair_table_builds
@@ -601,13 +623,13 @@ class TestVerifyCommand:
 
         monkeypatch.setattr(oracle, "empirical_deviation", deviating)
         sorts = []
-        init = core.PreprocessedFamily.__init__
+        build = core._distance_order
 
-        def sorting(prep, family):
-            sorts.append(family)
-            init(prep, family)
+        def sorting(layer):
+            sorts.append(layer)
+            return build(layer)
 
-        monkeypatch.setattr(core.PreprocessedFamily, "__init__", sorting)
+        monkeypatch.setattr(core, "_distance_order", sorting)
         per_instance = []
         evaluate = cli._evaluate_instance
 
@@ -626,7 +648,7 @@ class TestVerifyCommand:
         for family, built, sorted_ in per_instance:
             shape = family.matrix.shape
             assert built == [shape, "deviation"]
-            assert len(sorted_) == 1 and sorted_[0] is family
+            assert len(sorted_) == 1 and sorted_[0] is family._lex_pairs
 
     @pytest.mark.parametrize("delta_mode", ["full", "restricted"])
     def test_shared_reference_gives_the_from_scratch_checks(self, capsys, tmp_path, monkeypatch, delta_mode):

@@ -449,6 +449,20 @@ class TestInstanceReference:
     """One shared reference gives every bound check the bits a from-scratch
     check computes."""
 
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 9), st.integers(1, 299))
+    def test_errors_are_the_l1_distances_bit_for_bit(self, seed, m, k):
+        """The kept row sums equal l1_distance, k past numpy's 128-term
+        summation block included, so check_bound's left side and the best
+        member read them in its place."""
+        inst = random_instance(seed, k, m, noise=0.1)
+        reference = InstanceReference(inst.family, inst.truth, inst.empirical)
+        want = [l1_distance(row, inst.truth) for row in inst.family.matrix]
+        assert reference.errors.tolist() == want
+        assert not reference.errors.flags.writeable
+        assert (reference.best_index, reference.d1) == best_in_family(inst.family, inst.truth)
+        for i in range(m):
+            assert check_bound(i, inst.family, inst.truth, inst.empirical, 3.0, 2.0).lhs == want[i]
+
     @given(
         st.integers(0, 2**32 - 1),
         st.integers(1, 9),
@@ -483,22 +497,22 @@ class TestInstanceReference:
 
     def test_each_quantity_is_computed_once_and_only_on_demand(self, monkeypatch):
         calls = []
-        for name in ("best_in_family", "empirical_deviation", "empirical_deviation_restricted"):
+        for name in ("_errors", "empirical_deviation", "empirical_deviation_restricted"):
             original = getattr(oracle, name)
             monkeypatch.setattr(
                 oracle, name, lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args)
             )
         inst = random_instance(0, 5, 6, noise=0.1)
         reference = InstanceReference(inst.family, inst.truth, inst.empirical)
-        assert calls == ["best_in_family"]
+        assert calls == ["_errors"]
         for mode in ("full", "restricted", "full", "restricted"):
             check_bound(0, inst.family, inst.truth, inst.empirical, 3.0, 2.0, mode, reference=reference)
-        assert calls == ["best_in_family", "empirical_deviation", "empirical_deviation_restricted"]
+        assert calls == ["_errors", "empirical_deviation", "empirical_deviation_restricted"]
 
     def test_standalone_checks_compute_from_scratch(self, monkeypatch):
         calls = []
-        original = oracle.best_in_family
-        monkeypatch.setattr(oracle, "best_in_family", lambda *args: calls.append(1) or original(*args))
+        original = oracle._errors
+        monkeypatch.setattr(oracle, "_errors", lambda *args: calls.append(1) or original(*args))
         inst = random_instance(1, 4, 5, noise=0.1)
         for _ in range(3):
             check_bound(0, inst.family, inst.truth, inst.empirical, 3.0, 2.0)

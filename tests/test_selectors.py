@@ -807,11 +807,10 @@ def reference_modified_scores(rows: np.ndarray, h) -> np.ndarray:
     return scores
 
 
-def reference_sign_blocks(rows: np.ndarray) -> list[tuple[np.ndarray, ...]]:
-    """Every pair's endpoints and sign(f_i - f_j) in lexicographic order, as
-    one block."""
+def reference_sign_blocks(rows: np.ndarray) -> list[np.ndarray]:
+    """Every pair's sign(f_i - f_j) in lexicographic order, as one block."""
     idx_i, idx_j = np.triu_indices(rows.shape[0], k=1)
-    return [(idx_i, idx_j, np.sign(rows[idx_i] - rows[idx_j]))]
+    return [np.sign(rows[idx_i] - rows[idx_j])]
 
 
 def screen(rows: np.ndarray, hv: np.ndarray) -> np.ndarray:
