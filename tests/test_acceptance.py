@@ -16,7 +16,10 @@ import numpy as np
 import pytest
 
 from l1select import (
+    Family,
+    InstanceReference,
     Ledger,
+    Support,
     best_in_family,
     check_bound,
     check_elimination_invariant,
@@ -283,6 +286,77 @@ class TestEliminationInvariantSweep:
     def test_selected_candidate_passes_at_c_equals_one(self, guarantee_sweep):
         assert guarantee_sweep.invariant_checks == SWEEP_TRIALS
         assert guarantee_sweep.invariant_failures == 0
+
+
+# (m, k) of the draw-prone sweep: one pair block and several (P > 256 from
+# m=24), cached and uncached triu indices (m > 100), and supports past
+# numpy's 128-term summation block.
+DRAW_PRONE_SIZES = ((2, 300), (7, 129), (24, 64), (25, 200), (40, 6), (64, 129), (101, 17), (120, 300))
+
+
+def _draw_prone_instances(seed: int, m: int, k: int):
+    """A random family of ``m`` members on ``k`` atoms with some rows copied
+    onto others, its truth, and the empirical vectors the screens' rounding
+    slacks exist for: the sampled one, a member, that member one ulp up and
+    one ulp down at its heaviest atom, and the midpoint of two members."""
+    inst = random_instance(seed, k, m, noise=0.1)
+    rows = inst.family.matrix.copy()
+    rng = np.random.default_rng(seed)
+    for src, dst in rng.integers(0, m, size=(m // 8 + 1, 2)):
+        rows[dst] = rows[src]
+    member = rows[seed % m]
+    x = int(np.argmax(member))
+    nudged = [member.copy(), member.copy()]
+    nudged[0][x] = np.nextafter(member[x], np.inf)
+    nudged[1][x] = np.nextafter(member[x], -np.inf)
+    midpoint = (rows[0] + rows[-1]) / 2
+    return rows, inst.truth, (inst.empirical.mass, member, *nudged, midpoint)
+
+
+def _family_of_rows(rows: np.ndarray):
+    """A fresh family, keeping no pair table, of the rows of ``rows``."""
+    names = [f"f{i}" for i in range(rows.shape[0])]
+    return Family._from_matrix(Support.default(rows.shape[1]), names, rows.copy())
+
+
+class TestDrawProneOracleSweep:
+    """Every selector, on a cold family and on a preprocessed copy, meets
+    its bound, charges its closed-form cost and, for the elimination
+    selector, passes the invariant, on families large enough to run the
+    multi-block code, with copied rows and ``h`` on or an ulp off a member."""
+
+    @pytest.mark.parametrize("m, k", DRAW_PRONE_SIZES)
+    def test_bounds_costs_and_invariant(self, m, k):
+        rows, g, empiricals = _draw_prone_instances(m * 1000 + k, m, k)
+        costs = {
+            "tournament": (m * (m - 1) // 2, 0),
+            "mindist": (0, m * m * (m - 1)),
+            "modified": (0, m * (m - 1)),
+            "minloss": (m * (m - 1) // 2, 0),
+            "efficient": (m - 1, 0),
+        }
+        selectors = {
+            "tournament": scheffe_tournament,
+            "mindist": min_distance,
+            "modified": modified_min_distance,
+            "minloss": min_loss_weight,
+            "efficient": efficient_min_loss_weight,
+        }
+        for h in empiricals:
+            prep = preprocess(_family_of_rows(rows))
+            reference = InstanceReference(prep, g, h)
+            for name, select in selectors.items():
+                cold = select(_family_of_rows(rows), h, Ledger())
+                warm = select(prep, h, Ledger())
+                assert cold == warm, name
+                assert (warm.h_products, warm.term_evaluations) == costs[name], name
+                a, b = _FULL_COEFFICIENTS[name]
+                modes = ("full", "restricted") if name in _RESTRICTED_ALGORITHMS else ("full",)
+                for mode in modes:
+                    bound = check_bound(warm.selected_index, prep, g, h, a, b, mode, reference=reference)
+                    assert bound.passed, (name, mode, bound.margin)
+                if name == "efficient":
+                    assert check_elimination_invariant(prep, h, warm.selected_index, 1.0, reference=reference)
 
 
 class TestWinRuleAgreement:

@@ -78,6 +78,9 @@ COMMANDS = {
     "verify_trials200_seed5_restricted_flip.json": lambda _: _stdout(
         ["verify", "--trials", "200", "--seed", "5", "--delta-mode", "restricted", "--flip-draw-removal"]
     ),
+    "verify_trials50_family120_omega160_seed0.json": lambda _: _stdout(
+        ["verify", "--trials", "50", "--max-family", "120", "--max-omega", "160", "--seed", "0"]
+    ),
     "select_three_eps0.001.txt": _select_three,
     "select_random_m96_k64.txt": _select_random,
     "bench_sizes_2_8_32.csv": _bench,
