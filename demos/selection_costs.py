@@ -25,8 +25,9 @@ from l1select import (
 
 # Each row of the table runs one selector on a random instance with m
 # candidates on a 6-atom support and reports the ledger.  Each row gets a
-# family of its own, so no row reuses the pair table an earlier row built.
-# Every selector takes the family itself and builds what it reads.
+# family of its own, so no row reuses the pair table the elimination row
+# builds.  Every selector takes the family itself: the elimination selector
+# preprocesses it, and the others compute the table rows they read.
 
 SELECTORS = {
     "tournament": scheffe_tournament,

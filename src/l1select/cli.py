@@ -133,9 +133,10 @@ def _evaluate_instance(inst: Instance, delta_mode: str, draw_flip: bool) -> dict
     the two-candidate check and both readings of the elimination invariant
     share one reference, so the members' L1 errors, each deviation and the
     invariant's outcomes and loss-weights are computed once per instance.
-    The tournament runs first and builds the family's pair table, which
-    every later selector reads."""
+    The family is preprocessed once, here, before any selector runs, so
+    every selector reads the pair table that preprocess keeps."""
     family, g, h = inst.family, inst.truth, inst.empirical
+    preprocess(family)
     reference = InstanceReference(family, g, h)
     result = {"bounds": {}, "selected": {}, "failure": None}
 
@@ -224,7 +225,7 @@ def _cmd_verify(args) -> int:
     if args.max_omega < 1 or args.max_family < 1:
         raise _ParameterError("--max-omega and --max-family must be >= 1")
     # Refuse, before any trial runs, a sweep whose largest family could not
-    # get the pair table every instance builds.
+    # get the pair table that preprocessing every instance builds.
     _check_pair_table_capacity(args.max_family, args.max_omega)
 
     # Each random instance is generated, evaluated and dropped before the
@@ -370,14 +371,18 @@ def _cmd_bench(args) -> int:
         raise _ParameterError(f"--sizes entries must be >= 1, got {args.sizes!r}")
     if args.omega < 1:
         raise _ParameterError(f"--omega must be >= 1, got {args.omega}")
+    # Refuse, before any row runs, sizes whose largest family could not get
+    # the pair table the elimination row builds.
+    _check_pair_table_capacity(max(sizes), args.omega)
 
     rows = []
     for m in sizes:
         inst = random_instance(args.seed + m, args.omega, m, noise=0.1)
         algorithms = list(_BOUNDS) + (["randomized"] if m == 2 else [])
         for algorithm in algorithms:
-            # A family of its own per row, so no row reads a pair table an
-            # earlier row built: every wall time includes computing the signs.
+            # A family of its own per row, so no row reads the pair table the
+            # elimination row builds: every wall time includes computing the
+            # signs.
             family = Family(inst.family.support, inst.family.candidates)
             start = time.perf_counter_ns()
             report = _run_selector(algorithm, family, inst.empirical, args.seed)

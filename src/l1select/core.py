@@ -33,25 +33,33 @@ with :class:`SupportMismatchError`.
 
 The pair table of a family (every unordered pair's endpoints, test function,
 L1 distance and comparison threshold) lists the pairs in lexicographic
-(i, j) order.  It is built from one fused blocked pass on first need and
-kept read-only on the :class:`Family`; it is all that :func:`compare` and
-the tournament, min-loss-weight and elimination selectors read.  A pair is
-found in it by its closed-form lexicographic index.  The distance selectors
-build no table: they read the kept one, or compute its rows for one block
-of pairs at a time from the raw rows and drop them after use, so they keep
-nothing.  The min-distance selector reads the test functions alone; the
-modified one also reads the distances and thresholds, which a block
-computes with the code that builds the table.  :func:`empirical_deviation`
-computes the test functions from the raw rows, block by block, on every
-call.
-:func:`preprocess` fills in the family's distance order, one stable argsort
-of the table's distances, and the pair endpoints gathered through it, kept
-read-only next to the table, and returns the family; only the elimination
-selector reads them, and it preprocesses the family it is given.  There is
-one family type: ``PreprocessedFamily`` is another name for
-:class:`Family`.  A table over ``_PAIR_TABLE_MAX_BYTES``, counted from the
-arrays it holds, is refused with :class:`CapacityError` before anything is
-allocated.
+(i, j) order.  Only :func:`preprocess` builds it, in one fused blocked pass,
+and keeps it read-only on the :class:`Family`, with the distance order:
+one stable argsort of the table's distances, and the pair endpoints
+gathered through it.  Nothing else builds or keeps a table.  Every other
+reader reads the kept table when the family has one, and otherwise
+computes the rows it needs from the raw rows with :func:`_table_rows`, the
+code that builds the table, so they are bit-identical to the kept ones,
+and drops them after use:
+
+* the tournament, the min-loss-weight and modified min-distance selectors
+  and ``relaxed_selection_check`` walk :func:`_table_blocks`, the kept
+  table as one block or 256 computed pairs at a time;
+* :func:`compare` reads its pair's one row and ``loss_weight`` its
+  candidate's m-1 rows, found in a kept table by their closed-form
+  lexicographic index;
+* the min-distance selector reads the test functions alone, from
+  :func:`_sign_blocks`;
+* :func:`empirical_deviation` computes the test functions from the raw
+  rows, block by block, on every call, whatever the family keeps.
+
+Only the elimination selector needs the distance order, and it preprocesses
+the family it is given.  There is one family type: ``PreprocessedFamily``
+is another name for :class:`Family`.  A table over
+``_PAIR_TABLE_MAX_BYTES``, counted from the arrays it holds, is refused with
+:class:`CapacityError` before anything is allocated.  That guard is on
+:func:`preprocess` alone: a streamed reader holds one block of rows at a
+time, besides the P-long triu endpoints it slices the blocks from.
 """
 
 from __future__ import annotations
@@ -305,10 +313,10 @@ class Family:
 
     Candidate names must be distinct so selection reports are unambiguous.
     The stacked mass matrix (one row per candidate) is precomputed and frozen.
-    The pair table (see the module docstring) is built on first need and
-    kept read-only.  ``order``, ``pair_i`` and ``pair_j``, the distance
-    order of the pairs and their endpoints gathered through it, are None
-    until :func:`preprocess` fills them in, read-only.
+    The pair table (see the module docstring) and ``order``, ``pair_i`` and
+    ``pair_j``, the distance order of the pairs and their endpoints gathered
+    through it, are None until :func:`preprocess` fills them in, read-only;
+    nothing else fills them in.
     """
 
     __slots__ = ("support", "candidates", "matrix", "_lex_pairs",
@@ -481,10 +489,15 @@ def compare(family: Family, i: int, j: int, h, ledger: Ledger) -> Outcome:
 
     Exactly one ``h_products`` ledger increment per call.  The outcome is
     antisymmetric: swapping i and j flips FIRST_WINS and SECOND_WINS.
-    The pair is read from the family's pair table, built on first need.
+    The pair's row is read from the pair table the family keeps, or
+    computed from its two raw rows, bit-identical, and dropped.
     """
     hvec = _checked_mass(h, "empirical distribution", family.support.size)
-    outcome = _outcome_at(_pair_layer(family), _pair_index(family.size, i, j), hvec, ledger)
+    lex = _pair_index(family.size, i, j)
+    layer = family._lex_pairs
+    if layer is None:
+        layer, lex = _table_rows(family.matrix, [min(i, j)], [max(i, j)]), 0
+    outcome = _outcome_at(layer, lex, hvec, ledger)
     return outcome if i < j else outcome.flipped()
 
 
@@ -551,7 +564,14 @@ def _pair_index(m: int, i: int, j: int) -> int:
         raise InvalidPairError(f"no pair ({i}, {j}): a candidate is not paired with itself")
     if a < 0 or b >= m:
         raise IndexError(f"pair ({i}, {j}) out of range for family of size {m}")
-    return a * (2 * m - a - 1) // 2 + (b - a - 1)
+    return _lex_index(m, a, b)
+
+
+def _lex_index(m: int, pair_i, pair_j):
+    """Lexicographic index of the pair (``pair_i``, ``pair_j``), i < j,
+    among the pairs of ``m`` candidates, i (2m - i - 1)/2 + j - i - 1;
+    elementwise on arrays."""
+    return pair_i * (2 * m - 3 - pair_i) // 2 + pair_j - 1
 
 
 def _check_pair_table_capacity(m: int, k: int) -> None:
@@ -620,18 +640,6 @@ def _table_rows(matrix: np.ndarray, pair_i: np.ndarray, pair_j: np.ndarray, sign
     return _PairTable(pair_i, pair_j, signs, distances, 0.5 * (fi.sum(axis=1) + fj.sum(axis=1)))
 
 
-def _pair_layer(family: Family) -> _PairTable:
-    """The family's pair table, built on first need and kept read-only.  A
-    refused build keeps nothing."""
-    layer = family._lex_pairs
-    if layer is None:
-        layer = _pair_outcome_arrays(family.matrix)
-        for arr in layer:
-            arr.flags.writeable = False
-        family._lex_pairs = layer
-    return layer
-
-
 def _sign_blocks(family: Family) -> Iterator[np.ndarray]:
     """The test functions of each block of the family's pairs in
     lexicographic order: slices of the pair table the family keeps, or
@@ -646,7 +654,8 @@ def _table_blocks(family: Family) -> Iterator[_PairTable]:
     """The family's pair table as one block when it keeps one, or else its
     rows block by block, each computed from the raw rows by
     :func:`_table_rows`, the code that builds the table.  The blocks share
-    one sign buffer, so each is valid only until the next is made."""
+    one sign buffer, so each is valid only until the next is made.  A
+    family of one member that keeps no table yields no block."""
     layer = family._lex_pairs
     if layer is not None:
         yield layer
@@ -657,6 +666,23 @@ def _table_blocks(family: Family) -> Iterator[_PairTable]:
     for block in _pair_blocks(pairs):
         pair_i = idx_i[block]
         yield _table_rows(family.matrix, pair_i, idx_j[block], signs[: pair_i.shape[0]])
+
+
+def _candidate_rows(family: Family, c: int) -> _PairTable:
+    """The m-1 rows of the family's pair table that pair candidate ``c``
+    with a rival, in lexicographic order, which lists the rivals in index
+    order too: gathered from the kept table by their lexicographic index,
+    or else computed from the raw rows by :func:`_table_rows`."""
+    # The n-th rival is n below c and n + 1 from c on.
+    nth = np.arange(family.size - 1)
+    pair_i, pair_j = np.minimum(nth, c), np.maximum(nth + 1, c)
+    layer = family._lex_pairs
+    if layer is None:
+        return _table_rows(family.matrix, pair_i, pair_j)
+    lex = _lex_index(family.size, pair_i, pair_j)
+    return _PairTable(
+        pair_i, pair_j, layer.signs.take(lex, axis=0), layer.distances.take(lex), layer.thresholds.take(lex)
+    )
 
 
 def _raw_sign_blocks(matrix: np.ndarray) -> Iterator[np.ndarray]:
@@ -714,15 +740,17 @@ def empirical_deviation_restricted(g, h, family: Family, i: int) -> float:
 
 
 def preprocess(family: Family) -> Family:
-    """Fill in the family's distance order, in O(m^2 k) time and memory,
-    and return the family; a family that has one is returned as it is.
+    """Build and keep the family's pair table and distance order, in
+    O(m^2 k) time and memory, and return the family; a family that has
+    them is returned as it is.  This is the one code that builds a pair
+    table.
 
-    ``order`` lists the lexicographic indices of the pairs by nonincreasing
-    L1 distance, ties broken lexicographically by (i, j), and ``pair_i`` and
-    ``pair_j`` the pairs' endpoints gathered through it; each pair's test
-    function, distance and threshold stay in the pair table.  Builds that
-    table, P * (8k + 32) bytes, unless the family keeps one; the three
-    arrays add 24 bytes a pair.  Touches no empirical data, so it charges
+    The table, P * (8k + 32) bytes, is built by one fused pass over blocks
+    of pairs (see the module docstring).  ``order`` lists the lexicographic
+    indices of the pairs by nonincreasing L1 distance, ties broken
+    lexicographically by (i, j), and ``pair_i`` and ``pair_j`` the pairs'
+    endpoints gathered through it; the three arrays add 24 bytes a pair.
+    Everything is kept read-only.  Touches no empirical data, so it charges
     nothing to any ledger.  An empty family (:class:`EmptyFamilyError`) or
     a table over ``_PAIR_TABLE_MAX_BYTES`` (:class:`CapacityError`) is
     refused, and nothing is filled in.
@@ -730,7 +758,11 @@ def preprocess(family: Family) -> Family:
     if family.order is None:
         if family.size == 0:
             raise EmptyFamilyError("cannot preprocess an empty family")
-        family.order, family.pair_i, family.pair_j = _distance_order(_pair_layer(family))
+        layer = _pair_outcome_arrays(family.matrix)
+        for arr in layer:
+            arr.flags.writeable = False
+        family.order, family.pair_i, family.pair_j = _distance_order(layer)
+        family._lex_pairs = layer
     return family
 
 

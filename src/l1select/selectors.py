@@ -19,18 +19,18 @@ the counts above are exact, not asymptotic.  Deterministic procedures break
 ties by lowest candidate index.
 
 Every deterministic selector, ``loss_weight`` and ``relaxed_selection_check``
-take a :class:`~l1select.core.Family`, preprocessed or not.  The distance
-selectors read the pair table the family keeps, or compute its rows block
-by block from the raw rows and keep nothing; the others read the pair table
-(see :mod:`l1select.core`).  ``efficient_min_loss_weight`` also reads the
-distance order, which :func:`~l1select.core.preprocess` fills in on the
-family once and keeps.
+take a :class:`~l1select.core.Family`, preprocessed or not, and build and
+keep nothing: only :func:`~l1select.core.preprocess` builds a pair table
+(see :mod:`l1select.core`).  Each reads the table the family keeps, or
+computes the rows it needs from the raw rows, bit-identical, and drops
+them.  ``efficient_min_loss_weight`` also reads the distance order, so it
+preprocesses the family it is given, once.
 
-The tournament, ``min_loss_weight``, ``loss_weight`` and
-``relaxed_selection_check`` read their pair outcomes from one vectorised
-pass, bit-identical to :func:`~l1select.core.compare`: ``loss_weight`` over
-its candidate's m-1 pairs, the others over all P, ``relaxed_selection_check``
-charging no caller's ledger.  The pass decides every pair from one matrix
+The tournament, ``min_loss_weight`` and ``relaxed_selection_check`` read
+their pair outcomes from one pass over the table's blocks, ``loss_weight``
+from its candidate's m-1 rows, each bit-identical to
+:func:`~l1select.core.compare`; ``relaxed_selection_check`` charges no
+caller's ledger.  The pass decides every pair of a block from one matrix
 product and sums row by row, as ``compare`` does, only the pairs that the
 product's rounding bound leaves undecided.  The distance selectors screen
 their candidates the same way and score exactly, row by row, only those
@@ -62,10 +62,10 @@ from .core import (
     _check_candidate_index,
     _PAIR_BLOCK,
     _PairTable,
+    _candidate_rows,
     _checked_mass,
     _outcome_at,
     _pair_blocks,
-    _pair_layer,
     _sign_blocks,
     _table_blocks,
     compare,  # re-exported: callers reach the pairwise compare as selectors.compare too
@@ -231,39 +231,38 @@ def _rounding_slack(k: int, norm):
     return (4.0 * k * _EPS) * norm
 
 
-def _pair_outcomes(family: Family, h, ledger: Ledger, candidate: int | None = None):
-    """The pairs of the family's pair table, every pair or only the m-1 of
-    ``candidate``, and their outcomes, in one vectorised pass.
-
-    Returns (pairs, first_wins, second_wins): the table itself, or a table
-    of ``candidate``'s rows of it in lexicographic order, which lists the
-    rivals in index order too; and the masks over its rows.  A pair in
-    neither mask is a draw.  ``h`` is checked before the table is built.
+def _outcomes(pairs: _PairTable, hv: np.ndarray, slack: float) -> tuple[np.ndarray, np.ndarray]:
+    """The outcome masks (first wins, second wins) over the rows of
+    ``pairs``, rows of a pair table, for an ``hv`` already checked; a row
+    in neither mask is a draw.
 
     One matrix product gives every row's margin h . T - threshold.  A
-    margin beyond :func:`_rounding_slack` of ||h||_1 decides its row: the
-    row-wise sum :func:`~l1select.core.compare` takes lies on the same
-    side of the threshold.  Only the rows within it are summed row-wise, as
-    ``compare`` sums them, and compared with their thresholds, so every
-    outcome is bit-identical to ``compare``'s, exact draws included.
-    Charges one data product per row, however it is decided.
+    margin beyond ``slack``, :func:`_rounding_slack` of ||h||_1, decides
+    its row: the row-wise sum :func:`~l1select.core.compare` takes lies on
+    the same side of the threshold.  Only the rows within it are summed
+    row-wise, as ``compare`` sums them, and compared with their
+    thresholds, so every outcome is bit-identical to ``compare``'s, exact
+    draws included.
     """
-    _check_nonempty(family)
-    hv = _checked_mass(h, "empirical distribution", family.support.size)
-    pairs = _pair_layer(family)
-    if candidate is not None:
-        rows = np.flatnonzero((pairs.pair_i == candidate) | (pairs.pair_j == candidate))
-        pairs = _PairTable(*(arr[rows] for arr in pairs))
-    ledger.add_h_products(pairs.signs.shape[0])
     margins = pairs.signs @ hv - pairs.thresholds
-    slack = _rounding_slack(hv.shape[0], float(hv.sum()))
     first, second = margins > slack, margins < -slack
     near = np.flatnonzero(~(first | second))
     if near.size:
         prods = _row_products(pairs.signs, hv, near)
         first[near] = prods > pairs.thresholds[near]
         second[near] = prods < pairs.thresholds[near]
-    return pairs, first, second
+    return first, second
+
+
+def _pair_pass(family: Family, h, ledger: Ledger) -> tuple[np.ndarray, float]:
+    """``h`` checked, and the slack :func:`_outcomes` decides with, for one
+    pass over every pair of the family's pair table, which is charged here:
+    one data product per pair, P in all, however it is decided.  An empty
+    family is refused first."""
+    _check_nonempty(family)
+    hv = _checked_mass(h, "empirical distribution", family.support.size)
+    ledger.add_h_products(family.size * (family.size - 1) // 2)
+    return hv, _rounding_slack(hv.shape[0], float(hv.sum()))
 
 
 def _check_nonempty(family: Family) -> None:
@@ -274,14 +273,14 @@ def _check_nonempty(family: Family) -> None:
 
 def _win_counts(m: int, layer: _PairTable, first: np.ndarray, second: np.ndarray) -> np.ndarray:
     """Pairwise wins of each of the ``m`` candidates from the outcomes of
-    every pair; a draw awards no win."""
+    the pairs of ``layer``; a draw awards no win."""
     return np.bincount(layer.pair_i[first], minlength=m) + np.bincount(layer.pair_j[second], minlength=m)
 
 
-def _loss_weights(m: int, layer: _PairTable, first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """Loss-weight of each of the ``m`` candidates (see :func:`loss_weight`)
-    from the outcomes of every pair, each counted in both directions."""
-    values = np.full(m, -np.inf)
+def _loss_weights(values: np.ndarray, layer: _PairTable, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Raise ``values``, running loss-weights of the candidates (see
+    :func:`loss_weight`), to those the outcomes of the pairs of ``layer``
+    give, each pair counted in both directions, and return them."""
     np.maximum.at(values, layer.pair_i[~first], layer.distances[~first])
     np.maximum.at(values, layer.pair_j[~second], layer.distances[~second])
     return values
@@ -293,12 +292,16 @@ def scheffe_tournament(family: Family, h, ledger: Ledger | None = None) -> Selec
     Every unordered pair is compared exactly once (m(m-1)/2 data products);
     a draw awards no win to either side.  Ties in the win count go to the
     lowest index, so a single-candidate family selects its only member with
-    zero products.  Reads the family's pair table.
+    zero products.  Walks the family's pair table, kept or computed block
+    by block, and sums the wins over the blocks.
     """
     ledger = _ensure_ledger(ledger)
     h0, t0 = ledger.h_products, ledger.term_evaluations
-    selected = int(np.argmax(_win_counts(family.size, *_pair_outcomes(family, h, ledger))))
-    return _report(family, "tournament", selected, ledger, h0, t0)
+    hv, slack = _pair_pass(family, h, ledger)
+    wins = np.zeros(family.size, dtype=np.intp)
+    for block in _table_blocks(family):
+        wins += _win_counts(family.size, block, *_outcomes(block, hv, slack))
+    return _report(family, "tournament", int(np.argmax(wins)), ledger, h0, t0)
 
 
 def _term_maxima(diffs: np.ndarray, signs: np.ndarray) -> np.ndarray:
@@ -516,14 +519,17 @@ def loss_weight(family: Family, h, i: int, ledger: Ledger | None = None) -> Loss
     ``i`` fails to beat (draws count as failures to beat).
 
     Compares ``i`` against each of the other m-1 candidates, charging m-1
-    data products: the outcomes of ``i``'s m-1 pairs of the family's
-    pair table, from the same vectorised pass as the tournament and
-    :func:`min_loss_weight`.  Returns -inf with no witness when ``i`` beats
-    everyone; otherwise the witness is the lowest-index rival attaining the
-    maximum.
+    data products: the outcomes of ``i``'s m-1 rows of the family's pair
+    table, read from the kept table or computed from the raw rows, decided
+    as the tournament and :func:`min_loss_weight` decide them.  Returns
+    -inf with no witness when ``i`` beats everyone; otherwise the witness
+    is the lowest-index rival attaining the maximum.
     """
     _check_candidate_index(family, i)
-    pairs, first, second = _pair_outcomes(family, h, _ensure_ledger(ledger), candidate=i)
+    hv = _checked_mass(h, "empirical distribution", family.support.size)
+    _ensure_ledger(ledger).add_h_products(family.size - 1)
+    pairs = _candidate_rows(family, i)
+    first, second = _outcomes(pairs, hv, _rounding_slack(hv.shape[0], float(hv.sum())))
     # i is the second endpoint of its pairs with rivals 0..i-1, the first of the rest.
     beats = np.concatenate((second[:i], first[i:]))
     if beats.all():
@@ -540,12 +546,16 @@ def min_loss_weight(family: Family, h, ledger: Ledger | None = None) -> Selectio
     directions, so the run charges m(m-1)/2 data products rather than the
     m(m-1) of calling :func:`loss_weight` per candidate.  An undefeated
     candidate has loss-weight -inf and therefore wins; ties go to the lowest
-    index.  Reads the family's pair table.
+    index.  Walks the family's pair table, kept or computed block by block,
+    and raises the loss-weights block by block.
     """
     ledger = _ensure_ledger(ledger)
     h0, t0 = ledger.h_products, ledger.term_evaluations
-    selected = int(np.argmin(_loss_weights(family.size, *_pair_outcomes(family, h, ledger))))
-    return _report(family, "minloss", selected, ledger, h0, t0)
+    hv, slack = _pair_pass(family, h, ledger)
+    values = np.full(family.size, -np.inf)
+    for block in _table_blocks(family):
+        _loss_weights(values, block, *_outcomes(block, hv, slack))
+    return _report(family, "minloss", int(np.argmin(values)), ledger, h0, t0)
 
 
 def efficient_min_loss_weight(
@@ -564,10 +574,10 @@ def efficient_min_loss_weight(
     is removed, keeping exactly one removal per comparison.  The family is
     preprocessed (see :func:`~l1select.core.preprocess`) after ``h`` is
     checked, which does nothing when it carries its order.  Each compared
-    pair's signs and threshold are read from the family's pair table.  The
-    survivor satisfies the same 3-vs-2 guarantee as :func:`min_loss_weight`:
-    whenever it fails to beat a rival f', its distance to f' is at most the
-    rival's loss-weight.
+    pair's signs and threshold are read from the pair table that preprocess
+    keeps.  The survivor satisfies the same 3-vs-2 guarantee as
+    :func:`min_loss_weight`: whenever it fails to beat a rival f', its
+    distance to f' is at most the rival's loss-weight.
 
     ``draw_removes_first`` flips which endpoint a draw removes; the guarantee
     holds either way, and the knob exists so verification can demonstrate
@@ -581,7 +591,7 @@ def efficient_min_loss_weight(
     alive = [True] * family.size
     remaining = family.size
     trace: list[TraceEvent] = []
-    layer = _pair_layer(family)
+    layer = family._lex_pairs
     for lex, i, j in zip(family.order.tolist(), family.pair_i.tolist(), family.pair_j.tolist()):
         if remaining == 1:
             break
@@ -660,23 +670,30 @@ def relaxed_selection_check(
     l1(selected, f') over the rivals checked (+inf when none apply).
 
     Every rival's loss-weight, and the selected candidate's wins and
-    losses, come from one vectorised pass over all P pairs of the family's
-    pair table, the pass :func:`min_loss_weight` makes; its P data
-    products are charged to no caller's ledger.
+    losses, come from one pass over the blocks of the family's pair table,
+    the pass :func:`min_loss_weight` makes; its P data products are
+    charged to no caller's ledger.
     """
     if not c >= 1.0:
         raise ValueError(f"relaxation factor must be >= 1, got {c}")
     _check_candidate_index(family, selected)
-    layer, first, second = _pair_outcomes(family, h, Ledger())
-    loss_weights = _loss_weights(family.size, layer, first, second)
-    is_first = layer.pair_i == selected
-    applies = np.where(is_first, second, first)  # where the selected candidate strictly loses
-    if include_draws:
-        applies |= ~(first | second)
-    applies &= is_first | (layer.pair_j == selected)
-    rivals = np.where(is_first, layer.pair_j, layer.pair_i)[applies]
+    hv, slack = _pair_pass(family, h, Ledger())
+    loss_weights = np.full(family.size, -np.inf)
+    checked = []  # the rivals checked in each block and their distances
+    for layer in _table_blocks(family):
+        first, second = _outcomes(layer, hv, slack)
+        _loss_weights(loss_weights, layer, first, second)
+        is_first = layer.pair_i == selected
+        applies = np.where(is_first, second, first)  # where the selected candidate strictly loses
+        if include_draws:
+            applies |= ~(first | second)
+        applies &= is_first | (layer.pair_j == selected)
+        checked.append((np.where(is_first, layer.pair_j, layer.pair_i)[applies], layer.distances[applies]))
     # fmin skips the NaN slack of an infinite c against a zero loss-weight.
     with np.errstate(over="ignore", invalid="ignore"):
-        slacks = c * loss_weights[rivals] - layer.distances[applies]
-    margin = float(np.fmin.reduce(slacks, initial=math.inf))
+        margin = min(
+            (float(np.fmin.reduce(c * loss_weights[rivals] - distances, initial=math.inf))
+             for rivals, distances in checked),
+            default=math.inf,
+        )
     return CheckResult(passed=margin >= 0.0, margin=margin)

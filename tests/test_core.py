@@ -43,9 +43,8 @@ from l1select import (
     scheffe_win,
 )
 import l1select
-from l1select import core, min_loss_weight, scheffe_tournament
+from l1select import core
 from l1select import test_function as make_test_function
-from l1select.core import _pair_layer, _pair_outcome_arrays
 from conftest import largest_accepted_exponent, make_family
 
 # The two-candidate construction at eps = 0.01, as literal decimals.
@@ -61,7 +60,7 @@ def random_mass_vectors(k: int, count: int, seed: int) -> np.ndarray:
 
 def ordered_distances(prep) -> np.ndarray:
     """The family's pair distances in the preprocessed distance order."""
-    return _pair_layer(prep).distances[prep.order]
+    return prep._lex_pairs.distances[prep.order]
 
 
 class TestSupport:
@@ -411,7 +410,7 @@ class TestPreprocess:
         with the pair's test function, computed from the raw vectors."""
         rows = random_mass_vectors(k, m, seed)
         prep = preprocess(make_family(rows))
-        thresholds = _pair_layer(prep).thresholds
+        thresholds = prep._lex_pairs.thresholds
         for pos, (i, j) in enumerate(prep.pairs):
             t = make_test_function(rows[i], rows[j])
             expected = 0.5 * (inner_product(rows[i], t) + inner_product(rows[j], t))
@@ -500,19 +499,14 @@ class TestPreprocess:
         assert peak < 16_000_000
 
     def test_oversized_pair_table_fails_before_allocating(self):
-        """m=20000 on 6 atoms needs a 12.8 GB pair table: every builder of
-        it raises CapacityError instead of allocating it.  The distance
-        selectors and the deviation oracle, which stream the test functions
-        and build no table, are not refused; at this size they would scan
-        2*10**8 pairs."""
+        """m=20000 on 6 atoms needs a 12.8 GB pair table: preprocess, the
+        one builder of it, and the elimination selector, which preprocesses
+        its family, raise CapacityError instead of allocating it.  Every
+        other selector streams the table's rows and is not refused; at
+        this size they would scan 2*10**8 pairs."""
         family = make_family(np.full((20000, 6), 1 / 6))
         h = np.full(6, 1 / 6)
-        builders = [
-            preprocess,
-            lambda fam: efficient_min_loss_weight(fam, h),
-            lambda fam: scheffe_tournament(fam, h),
-            lambda fam: min_loss_weight(fam, h),
-        ]
+        builders = [preprocess, lambda fam: efficient_min_loss_weight(fam, h)]
         tracemalloc.start()
         try:
             for build in builders:
@@ -528,12 +522,7 @@ class TestPreprocess:
         again and raises again."""
         family = make_family(np.full((20000, 6), 1 / 6))
         h = np.full(6, 1 / 6)
-        builders = [
-            preprocess,
-            lambda fam: efficient_min_loss_weight(fam, h),
-            lambda fam: scheffe_tournament(fam, h),
-            lambda fam: min_loss_weight(fam, h),
-        ]
+        builders = [preprocess, lambda fam: efficient_min_loss_weight(fam, h)]
         for _ in range(2):
             for build in builders:
                 with pytest.raises(CapacityError, match="pair table"):
@@ -594,11 +583,29 @@ class TestSignBlocks:
         assert [block[2].shape[0] for block in cold] == [
             min(core._PAIR_BLOCK, pairs - s) for s in range(0, pairs, core._PAIR_BLOCK)
         ]
-        table = _pair_layer(family)
+        table = preprocess(family)._lex_pairs
         for part, whole in zip(zip(*cold), table):
             assert_array_equal(np.concatenate(part), whole)
         kept = list(core._table_blocks(family))
         assert len(kept) == 1 and kept[0] is table
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 24, 101, 150])
+    def test_candidate_rows_are_the_kept_rows(self, m):
+        """A candidate's m-1 rows, computed from the raw rows of a family
+        that keeps no table or gathered from a kept one by lexicographic
+        index, are bit for bit the rows of the kept table that pair it with
+        a rival, in table order; nothing is kept by reading them."""
+        rows = random_mass_vectors(130, m, m)
+        if m > 3:
+            rows[3] = rows[1]
+        cold, warm = make_family(rows), preprocess(make_family(rows))
+        table = warm._lex_pairs
+        for c in range(m):
+            mine = np.flatnonzero((table.pair_i == c) | (table.pair_j == c))
+            for target in (cold, warm):
+                for got, want in zip(core._candidate_rows(target, c), table):
+                    assert_array_equal(got, want[mine])
+        assert cold._lex_pairs is None
 
 
 def reference_pair_table(rows: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -624,7 +631,7 @@ def assert_table_matches_reference(rows: np.ndarray) -> None:
     the preprocessed endpoints; and the order is the lexicographic index of
     each listed pair."""
     prep = preprocess(make_family(rows))
-    gathered = tuple(arr[prep.order] for arr in _pair_layer(prep))
+    gathered = tuple(arr[prep.order] for arr in prep._lex_pairs)
     for built, want in zip(gathered, reference_pair_table(rows)):
         assert np.array_equal(built, want)
     assert np.array_equal(prep.pair_i, gathered[0]) and np.array_equal(prep.pair_j, gathered[1])
@@ -680,7 +687,7 @@ class TestPairTable:
         for src, dst in copies:
             rows[dst % m] = rows[src % m]
         prep = preprocess(make_family(rows))
-        layer = _pair_layer(prep)
+        layer = prep._lex_pairs
         h = inst.empirical.mass
         for i in range(m):
             for j in range(m):
@@ -747,8 +754,8 @@ class TestPairTable:
         with pytest.raises(ValueError, match="^mass matrix has mass entries too large"):
             Family._from_matrix(Support.default(8), [f"f{i}" for i in range(5)], rows)
         s = largest_accepted_exponent(8, unit)
-        scaled = _pair_layer(make_family(np.ldexp(unit, s)))
-        table = _pair_outcome_arrays(unit)
+        scaled = preprocess(make_family(np.ldexp(unit, s)))._lex_pairs
+        table = preprocess(make_family(unit))._lex_pairs
         assert_array_equal(scaled.signs, table.signs)
         assert_array_equal(scaled.distances, np.ldexp(table.distances, s))
         assert_array_equal(scaled.thresholds, np.ldexp(table.thresholds, s))

@@ -610,10 +610,10 @@ class TestVerifyCommand:
     def test_each_instance_builds_one_outcome_layer_and_sorts_it_once(
         self, capsys, tmp_path, monkeypatch, pair_table_builds
     ):
-        """The tournament runs first and builds each sweep family's pair
-        table, which every later selector reads; the oracle's deviation
-        builds nothing, and the elimination selector's preprocess sorts the
-        table once."""
+        """Each sweep family is preprocessed once, before any selector
+        runs: that builds its pair table and sorts it once, and every
+        selector reads the kept table; the oracle's deviation builds
+        nothing."""
         monkeypatch.chdir(tmp_path)
         deviation = oracle.empirical_deviation
 
@@ -716,18 +716,29 @@ class TestBenchCommand:
         capsys.readouterr()
 
     def test_no_row_reuses_a_pair_table(self, capsys, pair_table_builds):
-        """No row reuses a table an earlier row built: the tournament,
-        min-loss-weight and elimination rows each build their own, so their
-        wall times include the build, and the distance selectors' rows
-        build none."""
+        """No row reads a table an earlier row built: only the elimination
+        row builds one, by preprocessing its family, so its wall time
+        includes the build, and every other row streams the table's rows
+        and builds none."""
         assert main(["bench", "--sizes", "4", "--omega", "5"]) == 0
         rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
         assert [r["algorithm"] for r in rows] == ["tournament", "mindist", "modified", "minloss", "efficient"]
-        assert pair_table_builds == [(4, 5)] * 3
+        assert pair_table_builds == [(4, 5)]
 
     def test_family_too_large_for_the_pair_table_exits_three(self, capsys):
-        assert main(["bench", "--sizes", "20000"]) == 3
-        assert "pair table" in capsys.readouterr().err
+        """Sizes whose largest family could not get the elimination row's
+        pair table exit 3 before any row runs, so no row streams the 2*10**8
+        pairs of m=20000 first."""
+        tracemalloc.start()
+        try:
+            code = main(["bench", "--sizes", "2,20000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        captured = capsys.readouterr()
+        assert "pair table" in captured.err and captured.out == ""
+        assert peak < 1_000_000
 
 
 class TestUnreadableAndUnwritablePaths:

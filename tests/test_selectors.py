@@ -53,7 +53,7 @@ from l1select import (
 from l1select import selectors
 from l1select import test_function as make_test_function
 from l1select import core
-from l1select.core import _checked_mass, _pair_layer
+from l1select.core import _PairTable, _checked_mass
 from l1select.selectors import (
     LossWeightValue,
     TraceEvent,
@@ -61,7 +61,8 @@ from l1select.selectors import (
     _identity_slack,
     _loss_weights,
     _min_distance_shortlist,
-    _pair_outcomes,
+    _outcomes,
+    _pair_pass,
     _rounding_slack,
     _win_counts,
 )
@@ -505,11 +506,37 @@ def reference_pair_outcomes(pairs, h) -> tuple[np.ndarray, np.ndarray]:
     return prods > pairs.thresholds, prods < pairs.thresholds
 
 
+def all_pair_outcomes(family, h):
+    """(table, first, second): the rows of every pair of the family's pair
+    table and their screened outcome masks, from the block pass of the
+    tournament: the kept table itself, or the computed blocks joined."""
+    hv, slack = _pair_pass(family, h, Ledger())
+    parts = []
+    for block in core._table_blocks(family):
+        first, second = _outcomes(block, hv, slack)
+        if block is not family._lex_pairs:  # computed blocks share one sign buffer
+            block = block._replace(signs=block.signs.copy())
+        parts.append((block, first, second))
+    if len(parts) == 1:
+        return parts[0]
+    tables, first, second = zip(*parts)
+    return _PairTable(*map(np.concatenate, zip(*tables))), np.concatenate(first), np.concatenate(second)
+
+
+def candidate_outcomes(family, h, candidate: int):
+    """(rows, first, second): the candidate's m-1 rows of the family's pair
+    table, as ``loss_weight`` reads them, and their screened outcome masks."""
+    hv = _checked_mass(h, "h", family.support.size)
+    pairs = core._candidate_rows(family, candidate)
+    return (pairs, *_outcomes(pairs, hv, _rounding_slack(hv.shape[0], float(hv.sum()))))
+
+
 def assert_screen_matches_row_wise(family, h) -> None:
     """The screened masks of the pass over every pair, and of each
     candidate's pass over its m-1 pairs, equal the row-wise reference."""
-    for candidate in (None, *range(family.size)):
-        pairs, first, second = _pair_outcomes(family, h, Ledger(), candidate)
+    passes = [(None, all_pair_outcomes(family, h))]
+    passes += [(c, candidate_outcomes(family, h, c)) for c in range(family.size)]
+    for candidate, (pairs, first, second) in passes:
         want_first, want_second = reference_pair_outcomes(pairs, h)
         assert np.array_equal(first, want_first) and np.array_equal(second, want_second), candidate
 
@@ -521,7 +548,7 @@ def assert_matches_compare_path(prep, h) -> int:
     wins = [0] * m
     draws = 0
     assert_screen_matches_row_wise(prep, h)
-    outcomes = _pair_outcomes(prep, h, Ledger())
+    outcomes = all_pair_outcomes(prep, h)
     layer, first, second = outcomes
     assert layer is prep._lex_pairs
     for lex, (i, j) in enumerate(itertools.combinations(range(m), 2)):
@@ -538,7 +565,7 @@ def assert_matches_compare_path(prep, h) -> int:
             draws += 1
     lws = [loss_weight(prep, h, c, Ledger()).value for c in range(m)]
     assert _win_counts(m, *outcomes).tolist() == wins
-    assert _loss_weights(m, *outcomes).tolist() == lws
+    assert _loss_weights(np.full(m, -np.inf), *outcomes).tolist() == lws
 
     ledger = Ledger()
     tournament = scheffe_tournament(prep, h, ledger)
@@ -621,10 +648,10 @@ class TestVectorisedPairOutcomes:
         ):
             rows[3] = rows[1]
             for h in (rows[1], (rows[0] + rows[2]) / 2, generic):
-                unscaled = _pair_outcomes(make_family(rows), h, Ledger())[1:]
+                unscaled = all_pair_outcomes(make_family(rows), h)[1:]
                 for s in (largest_accepted_exponent(64, rows, h), *tiny):
                     family, hs = make_family(np.ldexp(rows, s)), np.ldexp(h, s)
-                    scaled = _pair_outcomes(family, hs, Ledger())[1:]
+                    scaled = all_pair_outcomes(family, hs)[1:]
                     assert all(map(np.array_equal, scaled, unscaled)), s
                     assert_screen_matches_row_wise(family, hs)
 
@@ -954,7 +981,7 @@ class TestMinDistanceScreen:
         h = rng.dirichlet(np.full(k, 0.3))
         s = {"unit": 0, "mass_bound": largest_accepted_exponent(k, rows, h), "subnormal": -1060}[scale]
         rows, h = np.ldexp(rows, s), np.ldexp(h, s)
-        table = _pair_layer(make_family(rows))
+        table = preprocess(make_family(rows))._lex_pairs
         first, second = _endpoint_terms(table, h)
         slack = _identity_slack(k, float(rows.sum(axis=1).max()), float(h.sum()))
         for endpoint, terms in ((table.pair_i, first), (table.pair_j, second)):
@@ -1047,42 +1074,64 @@ class TestMinDistanceScreen:
         assert ties >= 20
 
 
+# Every reader of the pair table but the elimination selector, as a call of
+# a family and h that returns everything it answers.
+STREAMING_READERS = {
+    "tournament": scheffe_tournament,
+    "mindist": min_distance,
+    "modified": modified_min_distance,
+    "minloss": min_loss_weight,
+    "loss_weight": lambda fam, h: [loss_weight(fam, h, i, Ledger()) for i in range(fam.size)],
+    "relaxed": lambda fam, h: [
+        relaxed_selection_check(fam, h, i, 1.5, include_draws=draws)
+        for i in range(fam.size)
+        for draws in (False, True)
+    ],
+    "compare": lambda fam, h: [
+        compare(fam, i, j, h, Ledger()) for i, j in itertools.permutations(range(fam.size), 2)
+    ],
+}
+
+
 class TestSharedPairTable:
-    """A family builds its pair table at most once, on first need.  The
-    distance selectors build none: they read the kept table when there is
-    one and stream the raw rows otherwise."""
+    """Only preprocess builds a pair table, once per family.  Every other
+    reader but the elimination selector builds none: it reads the kept
+    table when there is one and computes the rows it needs otherwise."""
 
     @pytest.mark.parametrize("preprocess_first", [True, False])
     def test_distance_selectors_build_nothing(self, pair_table_builds, preprocess_first):
-        """On a cold family the distance selectors build and keep nothing;
-        a later preprocess builds the table once, and after it nothing else
-        is built."""
+        """On a cold family every selector but the elimination one,
+        ``loss_weight``, ``relaxed_selection_check`` and ``compare`` build
+        and keep nothing, and answer as on a preprocessed copy; a later
+        preprocess builds the table once, and after it nothing else is
+        built."""
         inst = random_instance(3, 16, 12, noise=0.1)
         family = Family(inst.family.support, inst.family.candidates)
+        warm = preprocess(Family(inst.family.support, inst.family.candidates))
+        pair_table_builds.clear()
         if preprocess_first:
             preprocess(family)
-        min_distance(family, inst.empirical)
-        modified_min_distance(family, inst.empirical)
+        answers = {name: read(family, inst.empirical) for name, read in STREAMING_READERS.items()}
         assert (family._lex_pairs is None) == (not preprocess_first)
+        assert answers == {name: read(warm, inst.empirical) for name, read in STREAMING_READERS.items()}
         preprocess(family)
-        scheffe_tournament(family, inst.empirical)
-        min_loss_weight(family, inst.empirical)
-        min_distance(family, inst.empirical)
-        modified_min_distance(family, inst.empirical)
+        assert answers == {name: read(family, inst.empirical) for name, read in STREAMING_READERS.items()}
         assert pair_table_builds == [(12, 16)]
 
     def test_the_table_is_built_at_most_once(self, pair_table_builds):
-        """Repeated distance queries on a cold family build nothing; the
-        tournament builds the table, which every later query reads, and
-        the reports do not change."""
+        """Repeated queries on a cold family build nothing; preprocess
+        builds the table once, which a second preprocess, the elimination
+        selector and every later query read, and the answers do not
+        change."""
         inst = random_instance(4, 16, 12, noise=0.1)
         family = Family(inst.family.support, inst.family.candidates)
-        cold = [select(family, inst.empirical) for select in (min_distance, modified_min_distance) * 2]
+        readers = list(STREAMING_READERS.values()) * 2
+        cold = [read(family, inst.empirical) for read in readers]
         assert pair_table_builds == [] and family._lex_pairs is None
         for _ in range(2):
-            scheffe_tournament(family, inst.empirical)
-            min_loss_weight(family, inst.empirical)
-        assert [select(family, inst.empirical) for select in (min_distance, modified_min_distance) * 2] == cold
+            preprocess(family)
+            efficient_min_loss_weight(family, inst.empirical)
+        assert [read(family, inst.empirical) for read in readers] == cold
         assert pair_table_builds == [(12, 16)]
         for arr in family._lex_pairs:
             assert not arr.flags.writeable
@@ -1093,9 +1142,8 @@ class TestSharedPairTable:
         the table's distances nonincreasing, a second preprocess reuses the
         table, and every array is read-only."""
         family = random_instance(5, 10, 7).family
-        layer = _pair_layer(family)
         prep = preprocess(family)
-        assert family._lex_pairs is layer
+        layer = family._lex_pairs
         assert preprocess(family)._lex_pairs is layer
         assert np.array_equal(prep.pair_i, layer.pair_i[prep.order])
         assert np.array_equal(prep.pair_j, layer.pair_j[prep.order])
@@ -1145,40 +1193,73 @@ class TestSharedPairTable:
 
 
 class TestStreamedScansPastTheGuard:
-    """The distance selectors and the deviation oracle stream the test
-    functions, so the guard on the pair table does not limit them."""
+    """Every reader of the pair table but the elimination selector streams
+    its rows, so the guard, which limits preprocess alone, does not limit
+    them."""
 
     @pytest.mark.parametrize("m", [96, 150])
     def test_guard_refuses_the_table_not_the_scans(self, monkeypatch, m):
-        """With the guard below this family's 2.5 or 6.1 MB table, the
-        tournament and preprocess refuse it.  Both distance selectors and
-        a bound check still complete in block-sized temporaries, pick and
-        compute what the row-wise references do, and leave the family
-        keeping no table.  At m=150, past the triu cache, each call also
+        """With the guard below this family's 2.5 or 6.1 MB table,
+        preprocess refuses it.  Every other selector, ``loss_weight``,
+        ``relaxed_selection_check``, ``compare`` and a bound check still
+        complete in block-sized temporaries, answer what they answer on a
+        copy preprocessed before the guard was lowered, the distance
+        selectors pick what the row-wise references do, and the family
+        keeps no table.  At m=150, past the triu cache, each call also
         holds the 179 kB of triu indices it slices the blocks from."""
-        monkeypatch.setattr(core, "_PAIR_TABLE_MAX_BYTES", 100_000)
         inst = random_instance(m, 64, m, noise=0.1)
         rows = inst.family.matrix.copy()
         rows[5] = rows[2]
         g, h = inst.truth, inst.empirical
+        reads = {
+            "tournament": lambda fam: scheffe_tournament(fam, h),
+            "mindist": lambda fam: min_distance(fam, h),
+            "modified": lambda fam: modified_min_distance(fam, h),
+            "minloss": lambda fam: min_loss_weight(fam, h),
+            "loss_weight": lambda fam: loss_weight(fam, h, 5),
+            "relaxed": lambda fam: relaxed_selection_check(fam, h, 2, include_draws=True),
+            "compare": lambda fam: compare(fam, 5, 2, h, Ledger()),
+        }
+        warm = preprocess(make_family(rows))
+        want = {name: read(warm) for name, read in reads.items()}
+        monkeypatch.setattr(core, "_PAIR_TABLE_MAX_BYTES", 100_000)
         family = make_family(rows)
-        for build in (preprocess, lambda fam: scheffe_tournament(fam, h)):
-            with pytest.raises(CapacityError, match="^pair table of"):
-                build(family)
+        with pytest.raises(CapacityError, match="^pair table of"):
+            preprocess(family)
         idx_i, idx_j = np.triu_indices(m, k=1)
         deviation = float(np.abs((np.sign(rows[idx_i] - rows[idx_j]) * (g - h.mass)).sum(axis=1)).max())
         d1 = float(np.abs(rows - g).sum(axis=1).min())
-        want = [int(np.argmin(scores(rows, h))) for scores in (reference_min_distance_scores, reference_modified_scores)]
+        picks = [int(np.argmin(scores(rows, h))) for scores in (reference_min_distance_scores, reference_modified_scores)]
         tracemalloc.start()
         try:
-            got = [select(family, h).selected_index for select in (min_distance, modified_min_distance)]
-            bound = check_bound(got[0], family, g, h, 3.0, 2.0)
+            got = {name: read(family) for name, read in reads.items()}
+            bound = check_bound(picks[0], family, g, h, 3.0, 2.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert got == want
-        assert (bound.lhs, bound.rhs) == (float(np.abs(rows[want[0]] - g).sum()), 3.0 * d1 + 2.0 * deviation)
+        assert [got["mindist"].selected_index, got["modified"].selected_index] == picks
+        assert (bound.lhs, bound.rhs) == (float(np.abs(rows[picks[0]] - g).sum()), 3.0 * d1 + 2.0 * deviation)
         assert peak < 1_200_000
+        assert family._lex_pairs is None
+
+    def test_tournament_and_min_loss_weight_past_the_guard(self):
+        """At m=2000, k=64 the pair table needs 1.09 GB, past the guard, so
+        preprocess refuses the family.  The tournament and min-loss-weight
+        selectors stream its rows in far less, 32 MB of it the triu
+        indices, and charge their closed-form products."""
+        family = random_instance(2000, 64, 2000, noise=0.1).family
+        h = np.full(64, 1 / 64)
+        with pytest.raises(CapacityError, match="^pair table of"):
+            preprocess(family)
+        tracemalloc.start()
+        try:
+            reports = [select(family, h) for select in (scheffe_tournament, min_loss_weight)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [(r.h_products, r.term_evaluations) for r in reports] == [(2000 * 1999 // 2, 0)] * 2
+        assert peak < 64_000_000
         assert family._lex_pairs is None
 
 
@@ -1192,17 +1273,17 @@ COLD_SELECTORS = {
 
 
 def assert_cold_selects_like_preprocessed(rows: np.ndarray, h) -> None:
-    """The five selectors on a cold family (the tournament builds the
-    table, the distance selectors then read it) give the report, index,
-    ledger and trace, that they give on a preprocessed copy; the cold
-    family's pair table is the copy's bit for bit, and gathered through the
+    """The five selectors on a cold family give the report, index, ledger
+    and trace, that they give on a preprocessed copy.  The cold family
+    keeps no table until the elimination selector, last, preprocesses it;
+    its table is then the copy's bit for bit, and gathered through the
     copy's distance order it gives the copy's endpoints."""
     cold, warm = make_family(rows), make_family(rows)
     prep = preprocess(warm)
     for name, select in COLD_SELECTORS.items():
+        assert cold._lex_pairs is None, name
         got, want = select(cold, h, Ledger()), select(prep, h, Ledger())
         assert got == want, name
-        assert select(warm, h, Ledger()) == want, name
     layer = cold._lex_pairs
     idx_i, idx_j = np.triu_indices(rows.shape[0], k=1)
     assert np.array_equal(layer.pair_i, idx_i) and np.array_equal(layer.pair_j, idx_j)
@@ -1213,8 +1294,9 @@ def assert_cold_selects_like_preprocessed(rows: np.ndarray, h) -> None:
 
 
 class TestColdFamilyLayers:
-    """Selections on a family that was never preprocessed equal those on a
-    preprocessed one, read from the lexicographic pair table or streamed."""
+    """Selections on a family that was never preprocessed, which stream the
+    rows of its pair table, equal those on a preprocessed one, which read
+    the kept table."""
 
     @given(
         st.integers(0, 2**32 - 1),
@@ -1236,9 +1318,11 @@ class TestColdFamilyLayers:
 
     def test_one_ulp_draws_on_a_large_support(self):
         """Walk one atom of h an ulp at a time until compare calls the pair
-        (0, 1) an exact draw, on k=64: the fused pass of the cold path must
-        find the same draw, and the tournament and min-loss-weight selectors
-        must pick what they pick on the preprocessed family."""
+        (0, 1) an exact draw, on k=64: the block pass of the cold path must
+        find the same draw, the selectors must pick what they pick on the
+        preprocessed family, and every other reader, ``loss_weight``,
+        ``relaxed_selection_check`` and ``compare`` among them, must answer
+        as it does there."""
         draws = 0
         for seed in range(20):
             rows = random_instance(seed, 64, 3, noise=0.1).family.matrix
@@ -1253,7 +1337,7 @@ class TestColdFamilyLayers:
             else:
                 continue
             draws += 1
-            _, first, second = _pair_outcomes(make_family(rows), h, Ledger())
+            _, first, second = all_pair_outcomes(make_family(rows), h)
             for lex, (i, j) in enumerate([(0, 1), (0, 2), (1, 2)]):
                 outcome = compare(prep, i, j, h, Ledger())
                 assert (first[lex], second[lex]) == (
@@ -1262,31 +1346,40 @@ class TestColdFamilyLayers:
                 )
             assert (first[0], second[0]) == (False, False)
             assert_cold_selects_like_preprocessed(rows, h)
+            cold = make_family(rows)
+            for name, read in STREAMING_READERS.items():
+                assert read(cold, h) == read(prep, h), name
         assert draws >= 10
 
     @pytest.mark.parametrize(
         "name, table_bytes_per_pair",
         [
+            ("tournament", 0),
             ("mindist", 0),
             ("modified", 0),
+            ("minloss", 0),
+            ("loss_weight", 0),
+            ("relaxed", 0),
             ("deviation", 0),
-            ("tournament", 64 * 8 + 16),
-            ("minloss", 64 * 8 + 16),
             ("efficient", 64 * 8 + 16 + 24),
         ],
     )
     def test_cold_peak_memory_is_the_layer_read(self, name, table_bytes_per_pair):
-        """At m=96, k=64 a cold selection holds the arrays of the table it
-        reads (2.3 MB of signs plus distances and thresholds for the
-        outcome selectors, plus the distance order and its endpoints for
-        the elimination selector) and block-sized temporaries: no temporary
-        as large as the table, such as a P x k product with h.  The
-        distance selectors and the deviation oracle stream the test
-        functions: they peak under 1 MB and leave the family keeping no
-        table."""
+        """At m=96, k=64 a cold selection holds block-sized temporaries, no
+        temporary as large as the table, such as a P x k product with h.
+        Every reader but the elimination selector streams the table's rows:
+        it peaks under 1 MB and leaves the family keeping no table.  The
+        elimination selector preprocesses the family, which keeps the table
+        it builds (2.3 MB of signs plus distances and thresholds) and the
+        distance order with its endpoints."""
         family = make_family(random_instance(0, 64, 96).family.matrix)
         h = np.full(64, 1 / 64)
-        select = COLD_SELECTORS.get(name, lambda fam, h: empirical_deviation(h, h, fam))
+        select = {
+            **COLD_SELECTORS,
+            "loss_weight": lambda fam, h: loss_weight(fam, h, 7),
+            "relaxed": lambda fam, h: relaxed_selection_check(fam, h, 7, include_draws=True),
+            "deviation": lambda fam, h: empirical_deviation(h, h, fam),
+        }[name]
         tracemalloc.start()
         try:
             select(family, h)
@@ -1298,8 +1391,9 @@ class TestColdFamilyLayers:
 
     @pytest.mark.parametrize("name", list(COLD_SELECTORS))
     def test_singleton_and_empty_families(self, name, pair_table_builds):
-        """A singleton selects its member at no cost, building its empty
-        table unless the selector streams the test functions; an empty
+        """A singleton selects its member at no cost; only the elimination
+        selector builds its empty table, by preprocessing it, since the
+        others compute no blocks for a family without pairs.  An empty
         family is refused with one message, before ``h`` is checked, and
         builds nothing."""
         select = COLD_SELECTORS[name]
@@ -1308,15 +1402,15 @@ class TestColdFamilyLayers:
         for h in (np.full(4, 0.25), np.full(3, 1 / 3)):
             with pytest.raises(EmptyFamilyError, match="^cannot select from an empty family$"):
                 select(Family(Support.default(4), []), h, Ledger())
-        streams = name in ("mindist", "modified")
-        assert pair_table_builds == ([] if streams else [(1, 4)])
+        assert pair_table_builds == ([(1, 4)] if name == "efficient" else [])
 
     def test_cold_family_with_overflowing_values_is_refused(self):
         """Masses near the float maximum, whose distances or thresholds
         would overflow, are refused before a family of them exists, so no
-        layer of them is ever built.  At the largest accepted power of two
-        the outcome selectors build, on a cold family, a layer of finite
-        distances and thresholds, and report what they report unscaled."""
+        table of them is ever computed.  At the largest accepted power of
+        two the outcome selectors, on a cold family, compute blocks of
+        finite distances and thresholds and report what they report
+        unscaled, and the table preprocess builds is finite too."""
         unit = np.random.default_rng(0).uniform(size=(5, 8))
         with pytest.raises(ValueError, match="^candidate 'f1' has mass entries too large"):
             make_family(unit * 1e308)
@@ -1325,8 +1419,8 @@ class TestColdFamilyLayers:
         family = make_family(np.ldexp(unit, s))
         for select in (scheffe_tournament, min_loss_weight):
             assert select(family, np.ldexp(h, s)) == select(make_family(unit), h)
-        layer = family._lex_pairs
-        assert np.isfinite(layer.distances).all() and np.isfinite(layer.thresholds).all()
+        for layer in (*core._table_blocks(family), preprocess(family)._lex_pairs):
+            assert np.isfinite(layer.distances).all() and np.isfinite(layer.thresholds).all()
 
 
 def reference_elimination(family: Family, h) -> tuple[TraceEvent, ...]:
@@ -1352,19 +1446,22 @@ def reference_elimination(family: Family, h) -> tuple[TraceEvent, ...]:
 
 class TestOneSelectorSignature:
     """compare, loss_weight, relaxed_selection_check and the elimination
-    selector read the pair table by lexicographic index, so a family,
-    cold or preprocessed, and its preprocessed form give the same answers."""
+    selector read the pair table by lexicographic index, or compute its
+    rows from a cold family's raw rows, so a family, cold or preprocessed,
+    and its preprocessed form give the same answers."""
 
     @given(
         st.integers(0, 2**32 - 1),
         st.integers(1, 12),
-        st.integers(1, 40),
+        st.integers(1, 200),
         st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=4),
         st.sampled_from(["empirical", "truth", "member"]),
     )
     def test_family_and_preprocessed_family_agree(self, seed, m, k, copies, data):
         """Copied rows make draws and tied distances; ``member`` puts h on
-        a candidate, which draws every pair of its copies."""
+        a candidate, which draws every pair of its copies; k passes numpy's
+        128-term summation block.  The cold family keeps no table until the
+        elimination selector preprocesses it."""
         inst = random_instance(seed, k, m, noise=0.1)
         rows = inst.family.matrix.copy()
         for src, dst in copies:
@@ -1381,6 +1478,7 @@ class TestOneSelectorSignature:
                 check = relaxed_selection_check(prep, h, i, 1.5, include_draws=include_draws)
                 for target in (cold, warm):
                     assert relaxed_selection_check(target, h, i, 1.5, include_draws=include_draws) == check
+        assert cold._lex_pairs is None
         ledgers = [Ledger() for _ in range(3)]
         reports = [efficient_min_loss_weight(t, h, ledger) for t, ledger in zip((cold, warm, prep), ledgers)]
         assert reports[0] == reports[1] == reports[2]
