@@ -37,17 +37,16 @@ L1 distance and comparison threshold) lists the pairs in lexicographic
 and keeps it read-only on the :class:`Family`, with the distance order:
 one stable argsort of the table's distances, and the pair endpoints
 gathered through it.  Nothing else builds or keeps a table.  Every other
-reader reads the kept table when the family has one, and otherwise
-computes the rows it needs from the raw rows with :func:`_table_rows`, the
-code that builds the table, so they are bit-identical to the kept ones,
-and drops them after use:
+reader computes the rows it needs from the raw rows with
+:func:`_table_rows`, the code that builds the table, so they are
+bit-identical to the kept ones, and drops them after use, unless it reads
+the kept table where the family has one:
 
 * the tournament, the min-loss-weight and modified min-distance selectors
   and ``relaxed_selection_check`` walk :func:`_table_blocks`, the kept
   table as one block or 256 computed pairs at a time;
-* :func:`compare` reads its pair's one row and ``loss_weight`` its
-  candidate's m-1 rows, found in a kept table by their closed-form
-  lexicographic index;
+* :func:`compare` computes its pair's one row and ``loss_weight`` its
+  candidate's m-1 rows, whether or not the family keeps a table;
 * the min-distance selector reads the test functions alone, from
   :func:`_sign_blocks`;
 * :func:`empirical_deviation` computes the test functions from the raw
@@ -59,7 +58,9 @@ is another name for :class:`Family`.  A table over
 ``_PAIR_TABLE_MAX_BYTES``, counted from the arrays it holds, is refused with
 :class:`CapacityError` before anything is allocated.  That guard is on
 :func:`preprocess` alone: a streamed reader holds one block of rows at a
-time, besides the P-long triu endpoints it slices the blocks from.
+time, and past the cached triu indices of small families works out the
+block's endpoints from their lexicographic indices
+(:func:`_endpoint_blocks`), so it holds O(m) memory besides.
 """
 
 from __future__ import annotations
@@ -118,6 +119,10 @@ _TRIU_CACHE_MAX_M = 100
 # Larger blocks run slightly faster but make BLAS touch more packing memory in
 # the min-distance screen (at m=96, k=64: about 0.5 MB more peak RSS at 512).
 _PAIR_BLOCK = 256
+# Pairs whose endpoints a streamed walk past the triu cache works out at a
+# time, a whole number of blocks, so that the numpy calls it takes are
+# shared by many blocks and its memory stays bounded.
+_ENDPOINT_SPAN = 32 * _PAIR_BLOCK
 
 
 class SupportMismatchError(ValueError):
@@ -489,15 +494,13 @@ def compare(family: Family, i: int, j: int, h, ledger: Ledger) -> Outcome:
 
     Exactly one ``h_products`` ledger increment per call.  The outcome is
     antisymmetric: swapping i and j flips FIRST_WINS and SECOND_WINS.
-    The pair's row is read from the pair table the family keeps, or
-    computed from its two raw rows, bit-identical, and dropped.
+    The pair's row is computed from its two raw rows by the code that
+    builds the pair table, so it is bit-identical to the kept row, and
+    dropped.
     """
     hvec = _checked_mass(h, "empirical distribution", family.support.size)
-    lex = _pair_index(family.size, i, j)
-    layer = family._lex_pairs
-    if layer is None:
-        layer, lex = _table_rows(family.matrix, [min(i, j)], [max(i, j)]), 0
-    outcome = _outcome_at(layer, lex, hvec, ledger)
+    a, b = _ordered_pair(family.size, i, j)
+    outcome = _outcome_at(_table_rows(family.matrix, [a], [b]), 0, hvec, ledger)
     return outcome if i < j else outcome.flipped()
 
 
@@ -556,22 +559,15 @@ class _PairTable(NamedTuple):
     thresholds: np.ndarray  # (f_i . T + f_j . T) / 2
 
 
-def _pair_index(m: int, i: int, j: int) -> int:
-    """Lexicographic index of the pair of candidates ``i`` and ``j`` among
-    the pairs of ``m`` candidates."""
+def _ordered_pair(m: int, i: int, j: int) -> tuple[int, int]:
+    """The pair of candidates ``i`` and ``j`` among ``m`` candidates, its
+    lower index first."""
     a, b = (i, j) if i < j else (j, i)
     if a == b:
         raise InvalidPairError(f"no pair ({i}, {j}): a candidate is not paired with itself")
     if a < 0 or b >= m:
         raise IndexError(f"pair ({i}, {j}) out of range for family of size {m}")
-    return _lex_index(m, a, b)
-
-
-def _lex_index(m: int, pair_i, pair_j):
-    """Lexicographic index of the pair (``pair_i``, ``pair_j``), i < j,
-    among the pairs of ``m`` candidates, i (2m - i - 1)/2 + j - i - 1;
-    elementwise on arrays."""
-    return pair_i * (2 * m - 3 - pair_i) // 2 + pair_j - 1
+    return a, b
 
 
 def _check_pair_table_capacity(m: int, k: int) -> None:
@@ -660,41 +656,55 @@ def _table_blocks(family: Family) -> Iterator[_PairTable]:
     if layer is not None:
         yield layer
         return
-    idx_i, idx_j = _triu_indices(family.size)
-    pairs = idx_i.shape[0]
-    signs = np.empty((min(pairs, _PAIR_BLOCK), family.support.size))
-    for block in _pair_blocks(pairs):
-        pair_i = idx_i[block]
-        yield _table_rows(family.matrix, pair_i, idx_j[block], signs[: pair_i.shape[0]])
+    signs = np.empty((min(family.size * (family.size - 1) // 2, _PAIR_BLOCK), family.support.size))
+    for pair_i, pair_j in _endpoint_blocks(family.size):
+        yield _table_rows(family.matrix, pair_i, pair_j, signs[: pair_i.shape[0]])
 
 
 def _candidate_rows(family: Family, c: int) -> _PairTable:
     """The m-1 rows of the family's pair table that pair candidate ``c``
     with a rival, in lexicographic order, which lists the rivals in index
-    order too: gathered from the kept table by their lexicographic index,
-    or else computed from the raw rows by :func:`_table_rows`."""
+    order too, computed from the raw rows by :func:`_table_rows`."""
     # The n-th rival is n below c and n + 1 from c on.
     nth = np.arange(family.size - 1)
-    pair_i, pair_j = np.minimum(nth, c), np.maximum(nth + 1, c)
-    layer = family._lex_pairs
-    if layer is None:
-        return _table_rows(family.matrix, pair_i, pair_j)
-    lex = _lex_index(family.size, pair_i, pair_j)
-    return _PairTable(
-        pair_i, pair_j, layer.signs.take(lex, axis=0), layer.distances.take(lex), layer.thresholds.take(lex)
-    )
+    return _table_rows(family.matrix, np.minimum(nth, c), np.maximum(nth + 1, c))
 
 
 def _raw_sign_blocks(matrix: np.ndarray) -> Iterator[np.ndarray]:
     """The test functions of each block of the pairs of the rows of
     ``matrix`` in lexicographic order, computed from its raw rows, dropped
     after use."""
-    idx_i, idx_j = _triu_indices(matrix.shape[0])
-    for block in _pair_blocks(idx_i.shape[0]):
-        diffs = matrix.take(idx_i[block], axis=0)
-        diffs -= matrix.take(idx_j[block], axis=0)
+    for pair_i, pair_j in _endpoint_blocks(matrix.shape[0]):
+        diffs = matrix.take(pair_i, axis=0)
+        diffs -= matrix.take(pair_j, axis=0)
         # Not in place: np.sign over its own input ran 2.7x slower (numpy 2.4.6).
         yield np.sign(diffs)
+
+
+def _endpoint_blocks(m: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The endpoints (i, j) of the pairs of ``m`` candidates in each block
+    of :func:`_pair_blocks`, in lexicographic order: slices of the cached
+    triu indices, or past the cache of :func:`_endpoint_spans`, so a walk
+    never holds the triu indices' 16 bytes a pair (3.2 GB at m=20000)."""
+    spans = (_cached_triu_indices(m),) if m <= _TRIU_CACHE_MAX_M else _endpoint_spans(m)
+    for idx_i, idx_j in spans:
+        for block in _pair_blocks(idx_i.shape[0]):
+            yield idx_i[block], idx_j[block]
+
+
+def _endpoint_spans(m: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The endpoints (i, j) of the pairs of ``m`` candidates in
+    lexicographic order, ``_ENDPOINT_SPAN`` pairs at a time: each span's
+    rows i repeated as often as they pair within it, and each j from its
+    lexicographic index.  O(m) memory besides one span."""
+    pairs = m * (m - 1) // 2
+    rows = np.arange(m - 1)
+    bounds = np.append(rows * (2 * m - rows - 1) // 2, pairs)  # row i's pairs are bounds[i]:bounds[i + 1]
+    for start in range(0, pairs, _ENDPOINT_SPAN):
+        stop = min(start + _ENDPOINT_SPAN, pairs)
+        first, last = bounds.searchsorted([start, stop - 1], side="right") - 1
+        pair_i = np.repeat(rows[first : last + 1], np.diff(bounds[first : last + 2].clip(start, stop)))
+        yield pair_i, np.arange(start, stop) - bounds[pair_i] + pair_i + 1
 
 
 def _check_candidate_index(family: Family, i: int) -> None:

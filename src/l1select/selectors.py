@@ -23,7 +23,8 @@ take a :class:`~l1select.core.Family`, preprocessed or not, and build and
 keep nothing: only :func:`~l1select.core.preprocess` builds a pair table
 (see :mod:`l1select.core`).  Each reads the table the family keeps, or
 computes the rows it needs from the raw rows, bit-identical, and drops
-them.  ``efficient_min_loss_weight`` also reads the distance order, so it
+them; ``loss_weight`` always computes its candidate's m-1 rows.
+``efficient_min_loss_weight`` also reads the distance order, so it
 preprocesses the family it is given, once.
 
 The tournament, ``min_loss_weight`` and ``relaxed_selection_check`` read
@@ -254,14 +255,14 @@ def _outcomes(pairs: _PairTable, hv: np.ndarray, slack: float) -> tuple[np.ndarr
     return first, second
 
 
-def _pair_pass(family: Family, h, ledger: Ledger) -> tuple[np.ndarray, float]:
+def _pair_pass(family: Family, h, ledger: Ledger, pairs: int | None = None) -> tuple[np.ndarray, float]:
     """``h`` checked, and the slack :func:`_outcomes` decides with, for one
-    pass over every pair of the family's pair table, which is charged here:
-    one data product per pair, P in all, however it is decided.  An empty
-    family is refused first."""
+    pass over ``pairs`` rows of the family's pair table, every pair's P by
+    default, which is charged here: one data product per pair, however it
+    is decided.  An empty family is refused first."""
     _check_nonempty(family)
     hv = _checked_mass(h, "empirical distribution", family.support.size)
-    ledger.add_h_products(family.size * (family.size - 1) // 2)
+    ledger.add_h_products(family.size * (family.size - 1) // 2 if pairs is None else pairs)
     return hv, _rounding_slack(hv.shape[0], float(hv.sum()))
 
 
@@ -520,16 +521,15 @@ def loss_weight(family: Family, h, i: int, ledger: Ledger | None = None) -> Loss
 
     Compares ``i`` against each of the other m-1 candidates, charging m-1
     data products: the outcomes of ``i``'s m-1 rows of the family's pair
-    table, read from the kept table or computed from the raw rows, decided
-    as the tournament and :func:`min_loss_weight` decide them.  Returns
-    -inf with no witness when ``i`` beats everyone; otherwise the witness
-    is the lowest-index rival attaining the maximum.
+    table, computed from the raw rows and decided as the tournament and
+    :func:`min_loss_weight` decide them.  Returns -inf with no witness when
+    ``i`` beats everyone; otherwise the witness is the lowest-index rival
+    attaining the maximum.
     """
     _check_candidate_index(family, i)
-    hv = _checked_mass(h, "empirical distribution", family.support.size)
-    _ensure_ledger(ledger).add_h_products(family.size - 1)
+    hv, slack = _pair_pass(family, h, _ensure_ledger(ledger), family.size - 1)
     pairs = _candidate_rows(family, i)
-    first, second = _outcomes(pairs, hv, _rounding_slack(hv.shape[0], float(hv.sum())))
+    first, second = _outcomes(pairs, hv, slack)
     # i is the second endpoint of its pairs with rivals 0..i-1, the first of the rest.
     beats = np.concatenate((second[:i], first[i:]))
     if beats.all():

@@ -7,6 +7,7 @@ independent of the generator module) and from the four-candidate instance.
 
 from __future__ import annotations
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -591,10 +592,10 @@ class TestSignBlocks:
 
     @pytest.mark.parametrize("m", [1, 2, 5, 24, 101, 150])
     def test_candidate_rows_are_the_kept_rows(self, m):
-        """A candidate's m-1 rows, computed from the raw rows of a family
-        that keeps no table or gathered from a kept one by lexicographic
-        index, are bit for bit the rows of the kept table that pair it with
-        a rival, in table order; nothing is kept by reading them."""
+        """A candidate's m-1 rows, computed from the raw rows whether or not
+        the family keeps a table, are bit for bit the rows of the kept table
+        that pair it with a rival, in table order; nothing is kept by
+        computing them."""
         rows = random_mass_vectors(130, m, m)
         if m > 3:
             rows[3] = rows[1]
@@ -606,6 +607,39 @@ class TestSignBlocks:
                 for got, want in zip(core._candidate_rows(target, c), table):
                     assert_array_equal(got, want[mine])
         assert cold._lex_pairs is None
+
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 5, 100, 101, 150, 300])
+    def test_endpoint_blocks_are_the_triu_indices(self, m):
+        """The endpoints of each block, sliced from the cached triu indices
+        or worked out from the block's lexicographic indices past the cache,
+        joined are the triu indices, in blocks of ``_PAIR_BLOCK`` pairs."""
+        blocks = list(core._endpoint_blocks(m))
+        pairs = m * (m - 1) // 2
+        assert [pair_i.shape[0] for pair_i, _ in blocks] == [
+            min(core._PAIR_BLOCK, pairs - s) for s in range(0, pairs, core._PAIR_BLOCK)
+        ]
+        want = np.triu_indices(m, k=1)
+        for got, idx in zip(zip(*blocks), want):
+            assert_array_equal(np.concatenate(got) if got else np.empty(0, dtype=np.intp), idx)
+
+    def test_streamed_blocks_hold_no_triu_indices(self):
+        """At m=20000 the triu indices alone would take 3.2 GB, three times
+        the guard.  The first blocks of the table rows and of the signs,
+        computed from the raw rows, come out in a traced peak under 1 MB,
+        with the endpoints of the lexicographic order."""
+        family = make_family(np.full((20000, 6), 1 / 6))
+        tracemalloc.start()
+        try:
+            rows = [block.pair_j.copy() for block in itertools.islice(core._table_blocks(family), 3)]
+            signs = [block.shape for block in itertools.islice(core._raw_sign_blocks(family.matrix), 3)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert_array_equal(np.concatenate(rows), np.arange(1, 3 * core._PAIR_BLOCK + 1))
+        assert signs == [(core._PAIR_BLOCK, 6)] * 3
+        assert peak < 1_000_000
+        assert family._lex_pairs is None
 
 
 def reference_pair_table(rows: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -526,9 +526,9 @@ def all_pair_outcomes(family, h):
 def candidate_outcomes(family, h, candidate: int):
     """(rows, first, second): the candidate's m-1 rows of the family's pair
     table, as ``loss_weight`` reads them, and their screened outcome masks."""
-    hv = _checked_mass(h, "h", family.support.size)
+    hv, slack = _pair_pass(family, h, Ledger(), family.size - 1)
     pairs = core._candidate_rows(family, candidate)
-    return (pairs, *_outcomes(pairs, hv, _rounding_slack(hv.shape[0], float(hv.sum()))))
+    return (pairs, *_outcomes(pairs, hv, slack))
 
 
 def assert_screen_matches_row_wise(family, h) -> None:
@@ -1205,8 +1205,8 @@ class TestStreamedScansPastTheGuard:
         complete in block-sized temporaries, answer what they answer on a
         copy preprocessed before the guard was lowered, the distance
         selectors pick what the row-wise references do, and the family
-        keeps no table.  At m=150, past the triu cache, each call also
-        holds the 179 kB of triu indices it slices the blocks from."""
+        keeps no table.  At m=150, past the triu cache, each call works out
+        its blocks' endpoints from their lexicographic indices."""
         inst = random_instance(m, 64, m, noise=0.1)
         rows = inst.family.matrix.copy()
         rows[5] = rows[2]
@@ -1246,8 +1246,8 @@ class TestStreamedScansPastTheGuard:
     def test_tournament_and_min_loss_weight_past_the_guard(self):
         """At m=2000, k=64 the pair table needs 1.09 GB, past the guard, so
         preprocess refuses the family.  The tournament and min-loss-weight
-        selectors stream its rows in far less, 32 MB of it the triu
-        indices, and charge their closed-form products."""
+        selectors stream its rows in block-sized memory, holding no triu
+        indices (32 MB here), and charge their closed-form products."""
         family = random_instance(2000, 64, 2000, noise=0.1).family
         h = np.full(64, 1 / 64)
         with pytest.raises(CapacityError, match="^pair table of"):
@@ -1259,7 +1259,7 @@ class TestStreamedScansPastTheGuard:
         finally:
             tracemalloc.stop()
         assert [(r.h_products, r.term_evaluations) for r in reports] == [(2000 * 1999 // 2, 0)] * 2
-        assert peak < 64_000_000
+        assert peak < 4_000_000
         assert family._lex_pairs is None
 
 
