@@ -508,7 +508,8 @@ def _outcome_at(layer: "_PairTable", lex: int, hvec: np.ndarray, ledger: Ledger)
     """Outcome of the pair at lexicographic index ``lex`` of a pair table
     ``layer``, its lower index first, for an ``hvec`` already checked to
     match the support."""
-    h_dot_t = float((hvec * layer.signs[lex]).sum())
+    # The pairwise reduction ndarray.sum runs, without its Python wrapper.
+    h_dot_t = float(np.add.reduce(hvec * layer.signs[lex]))
     ledger.add_h_products(1)
     thr = layer.thresholds[lex]
     if h_dot_t > thr:

@@ -39,7 +39,9 @@ the screen cannot rule out: ``min_distance`` by branch and bound over
 blocks of pairs, ``modified_min_distance`` from the pair table's
 identities.  Their ledgers charge the paper's cost model, not the work
 done.  The elimination selector, whose cost the paper counts one product at
-a time, compares pair by pair.
+a time, compares pair by pair, each pair as ``compare`` decides it; it
+walks the distance order a block of pairs at a time and visits in Python
+only the pairs whose endpoints are both alive at the block's start.
 
 Every mass vector is checked once per call as :mod:`l1select.core`
 describes.  The paper's guarantees assume a normalized ``h``, which the
@@ -312,30 +314,40 @@ def _term_maxima(diffs: np.ndarray, signs: np.ndarray) -> np.ndarray:
     return np.abs(products, out=products).max(axis=1)
 
 
-def _min_distance_shortlist(diffs: np.ndarray, slack: np.ndarray, blocks, bound: float) -> np.ndarray:
+def _min_distance_shortlist(diffs: np.ndarray, slack: np.ndarray, blocks, bound: float,
+                            approx: np.ndarray) -> np.ndarray:
     """Candidates whose exact min-distance score may be the smallest, given
-    a ``bound`` at or above some candidate's exact score.
+    a ``bound`` at or above some candidate's exact score and ``approx``,
+    for each candidate a value within ``slack`` of some term
+    |diffs[c] . T| of a pair's test function T (0 if none).
 
     The candidates are screened with a matrix product per block of
-    ``blocks`` (see :func:`~l1select.core._sign_blocks`): approx[c] is the
-    running max over the pairs so far of |diffs[c] . T|, each within
-    ``slack[c]``, :func:`_rounding_slack` of ||diffs[c]||_1, of the
-    row-wise sum it stands for.  A candidate whose approx - slack passes
+    ``blocks`` (see :func:`~l1select.core._sign_blocks`): ``approx`` is
+    raised to the running max over the pairs so far of |diffs[c] . T|,
+    each within ``slack[c]``, :func:`_rounding_slack` of ||diffs[c]||_1, of
+    the row-wise sum it stands for.  A candidate whose approx - slack passes
     ``bound`` scores strictly above that candidate exactly.  It is dropped
-    before the next block, so the products shrink as candidates drop.
-    After the last block, a survivor with approx - slack above the smallest
-    approx + slack scores strictly above some other survivor exactly, and
-    is dropped too.  Every candidate with the smallest exact score is kept.
+    before the next block, so the products shrink as candidates drop.  Once
+    one candidate is left, no further block is read: every dropped
+    candidate scores exactly above ``bound``, which is at least the
+    smallest exact score, so the one left is the only candidate with the
+    smallest score.  After the last block, a survivor with approx - slack
+    above the smallest approx + slack scores strictly above some other
+    survivor exactly, and is dropped too.  Every candidate with the
+    smallest exact score is kept.
     """
     alive = np.arange(diffs.shape[0])
-    approx = np.zeros(alive.size)
-    for n, signs in enumerate(blocks):
-        if n:
-            keep = approx - slack <= bound
-            if not keep.all():
-                alive, diffs, slack, approx = alive[keep], diffs[keep], slack[keep], approx[keep]
+    blocks = iter(blocks)
+    while True:
+        keep = approx - slack <= bound
+        if not keep.all():
+            alive, diffs, slack, approx = alive[keep], diffs[keep], slack[keep], approx[keep]
+            if alive.size == 1:
+                return alive
+        signs = next(blocks, None)
+        if signs is None:
+            return alive[approx - slack <= (approx + slack).min()]
         np.maximum(approx, _term_maxima(diffs, signs), out=approx)
-    return alive[approx - slack <= (approx + slack).min()]
 
 
 def _exact_scores(diffs: np.ndarray, blocks) -> np.ndarray:
@@ -363,22 +375,29 @@ def min_distance(family: Family, h, ledger: Ledger | None = None) -> SelectionRe
     candidate nearest ``h`` in L1, the seed, is screened first, with one
     matrix product per block; its screened score plus the rounding slack
     of :func:`_rounding_slack` bounds its exact score, and so the minimum,
-    from above.  Matrix products then screen every candidate block by block,
-    and :func:`_min_distance_shortlist` drops a candidate, and leaves it out
-    of the later products, once its screened score less the slack passes
-    that bound; after the last block it drops the survivors that provably
-    score above another survivor.  A family whose pairs fit in one block is
-    screened with no bound, since nothing could be dropped between blocks.
-    A lone survivor is the selection.  Otherwise the survivors are scored
-    exactly, by row-wise sums over every pair, and the lowest-index minimum
-    wins.  Every dropped candidate scores strictly above some other
-    candidate exactly, so the selection is the one exact scoring of every
-    candidate gives, whatever order the matrix products sum in, and
-    whatever order the pairs are listed in.
+    from above.  Every
+    candidate's term on its own pair with the seed, one row-wise sum each,
+    is a first screened score: a candidate far from the seed, and so from
+    ``h``, is dropped by it before any block is read.  Matrix products
+    then screen the rest block by block, and
+    :func:`_min_distance_shortlist` drops a candidate, and leaves it out of
+    the later products, once its screened score less the slack passes that
+    bound.  It reads no further block once one candidate is left, which on
+    inputs with one clearly nearest member happens before or after the
+    first block, and after the last block it drops the survivors that
+    provably score above another survivor.  A family whose pairs fit in
+    one block is screened with no bound, since nothing could be dropped
+    between blocks.  A lone survivor is the selection.  Otherwise the
+    survivors are scored exactly, by row-wise sums over every pair, and the
+    lowest-index minimum wins.  Every dropped candidate scores strictly
+    above some other candidate exactly, so the selection is the one exact
+    scoring of every candidate gives, whatever order the matrix products
+    sum in, and whatever order the pairs are listed in.
 
     Only the test functions are read, block by block: from the pair table
     the family keeps, or from the raw rows, once for the seed, once for
-    the screen and once more for a rescoring.  Nothing is kept.
+    the screen, as far as it goes, and once more for a rescoring.  Nothing
+    is kept.
     """
     _check_nonempty(family)
     ledger = _ensure_ledger(ledger)
@@ -388,12 +407,14 @@ def min_distance(family: Family, h, ledger: Ledger | None = None) -> SelectionRe
     diffs = family.matrix - hv
     norms = np.abs(diffs).sum(axis=1)
     slack = _rounding_slack(family.support.size, norms)
-    bound = math.inf
+    bound, approx = math.inf, np.zeros(family.size)
     if family.size * (family.size - 1) // 2 > _PAIR_BLOCK:  # candidates drop between blocks only
         seed = int(np.argmin(norms))
         screened = (_term_maxima(diffs[seed:seed + 1], signs)[0] for signs in _sign_blocks(family))
         bound = max(screened) + slack[seed]
-    shortlist = _min_distance_shortlist(diffs, slack, _sign_blocks(family), bound)
+        # Each candidate's term on its pair with the seed: a row-wise sum, so within its slack.
+        approx = np.abs((np.sign(family.matrix - family.matrix[seed]) * diffs).sum(axis=1))
+    shortlist = _min_distance_shortlist(diffs, slack, _sign_blocks(family), bound, approx)
     selected = int(shortlist[0])
     if shortlist.size > 1:
         selected = int(shortlist[np.argmin(_exact_scores(diffs[shortlist], _sign_blocks(family)))])
@@ -575,7 +596,20 @@ def efficient_min_loss_weight(
     preprocessed (see :func:`~l1select.core.preprocess`) after ``h`` is
     checked, which does nothing when it carries its order.  Each compared
     pair's signs and threshold are read from the pair table that preprocess
-    keeps.  The survivor satisfies the same 3-vs-2 guarantee as
+    keeps, and the pair is decided by the rule :func:`~l1select.core.compare`
+    uses, charging one data product.
+
+    The order is walked a block of pairs at a time (see
+    :func:`~l1select.core._pair_blocks`).  One vectorised step keeps the
+    block's pairs whose endpoints are both alive at its start; those, and
+    only those, are rechecked in order in Python, since a comparison
+    earlier in the block may have removed an endpoint, and compared pair by
+    pair.  A pair the step drops has a removed endpoint, so the walk would
+    have skipped it anyway: the trace and the ledger are those of a walk
+    over every pair, which stops after m-1 comparisons.  No block-sized
+    product with ``h`` is taken; only the compared pairs are multiplied.
+
+    The survivor satisfies the same 3-vs-2 guarantee as
     :func:`min_loss_weight`: whenever it fails to beat a rival f', its
     distance to f' is at most the rival's loss-weight.
 
@@ -588,26 +622,32 @@ def efficient_min_loss_weight(
     preprocess(family)
     ledger = _ensure_ledger(ledger)
     h0, t0 = ledger.h_products, ledger.term_evaluations
-    alive = [True] * family.size
+    alive = np.ones(family.size, dtype=bool)
+    alive_now = [True] * family.size  # the same flags, which the per-pair recheck reads faster from a list
     remaining = family.size
     trace: list[TraceEvent] = []
     layer = family._lex_pairs
-    for lex, i, j in zip(family.order.tolist(), family.pair_i.tolist(), family.pair_j.tolist()):
+    for chunk in _pair_blocks(family.order.shape[0]):
         if remaining == 1:
             break
-        if not (alive[i] and alive[j]):
-            continue
-        outcome = _outcome_at(layer, lex, hv, ledger)
-        if outcome is Outcome.SECOND_WINS:
-            removed = i
-        elif outcome is Outcome.DRAW and draw_removes_first:
-            removed = i
-        else:
-            removed = j
-        alive[removed] = False
-        remaining -= 1
-        trace.append(TraceEvent(i, j, outcome, removed))
-    selected = alive.index(True)
+        pair_i, pair_j = family.pair_i[chunk], family.pair_j[chunk]
+        live = (alive[pair_i] & alive[pair_j]).nonzero()[0]
+        for lex, i, j in zip(family.order[chunk][live].tolist(), pair_i[live].tolist(), pair_j[live].tolist()):
+            if not (alive_now[i] and alive_now[j]):
+                continue
+            outcome = _outcome_at(layer, lex, hv, ledger)
+            if outcome is Outcome.SECOND_WINS:
+                removed = i
+            elif outcome is Outcome.DRAW and draw_removes_first:
+                removed = i
+            else:
+                removed = j
+            alive[removed] = alive_now[removed] = False
+            remaining -= 1
+            trace.append(TraceEvent(i, j, outcome, removed))
+            if remaining == 1:
+                break
+    selected = alive_now.index(True)
     return _report(family, "efficient", selected, ledger, h0, t0, trace=tuple(trace))
 
 

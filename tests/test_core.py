@@ -295,6 +295,43 @@ class TestCompare:
                 rev = compare(prep, j, i, h, Ledger())
                 assert fwd is rev.flipped(), f"pair ({i},{j}): {fwd} vs {rev}"
 
+    @pytest.mark.parametrize("k", [1, 127, 128, 129, 300])
+    def test_outcome_rule_matches_compare_bit_for_bit(self, k):
+        """``_outcome_at`` on the kept table gives, on every pair, what
+        ``compare`` gives in both orders and what the row-wise
+        ``ndarray.sum`` of h * T against the threshold gives, at k around
+        numpy's 128-term pairwise summation block.  h is walked an ulp at a
+        time onto the threshold of the pair (0, 1), which makes exact
+        draws on a nonzero test function; the copied rows 2 and 3 draw on
+        a zero one at every step."""
+        draws = 0
+        for seed in range(12):
+            rows = np.random.default_rng(seed).uniform(size=(4, k))
+            rows[:2] = rows[:2][np.argsort(-rows[:2, 0])]  # T of (0, 1) is +1 at atom 0
+            rows[3] = rows[2]
+            prep = preprocess(make_family(rows))
+            table = prep._lex_pairs
+            h = rows[:2].mean(axis=0)
+            for _ in range(300):
+                for lex, (i, j) in enumerate(itertools.combinations(range(4), 2)):
+                    got = core._outcome_at(table, lex, h, Ledger())
+                    h_dot_t = float((h * table.signs[lex]).sum())
+                    want = (
+                        Outcome.FIRST_WINS if h_dot_t > table.thresholds[lex]
+                        else Outcome.SECOND_WINS if h_dot_t < table.thresholds[lex]
+                        else Outcome.DRAW
+                    )
+                    assert got is want is compare(prep, i, j, h, Ledger()), (seed, i, j)
+                    assert compare(prep, j, i, h, Ledger()) is want.flipped()
+                    if (i, j) == (2, 3):
+                        assert got is Outcome.DRAW
+                first = core._outcome_at(table, 0, h, Ledger())
+                if first is Outcome.DRAW:
+                    draws += 1
+                    break
+                h[0] = np.nextafter(h[0], -np.inf if first is Outcome.FIRST_WINS else np.inf)
+        assert draws >= 5
+
 
 class TestScheffe:
     def test_pair_region(self):

@@ -251,6 +251,21 @@ class TestEfficientMinLossWeight:
         assert report.selected_index == 1
         assert report.trace[0].removed == 0
 
+    def test_walk_holds_no_order_sized_lists(self):
+        """On a preprocessed m=1000, k=8 family the walk holds block-sized
+        temporaries and its m-1 trace events, nothing as long as the
+        499,500 pairs of the distance order."""
+        family = preprocess(random_instance(0, 8, 1000, noise=0.1).family)
+        h = np.full(8, 1 / 8)
+        tracemalloc.start()
+        try:
+            report = efficient_min_loss_weight(family, h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (report.h_products, len(report.trace)) == (999, 999)
+        assert peak < 1_000_000
+
 
 class TestRandomizedTwo:
     def test_truth_on_fence_gives_even_mixture(self, pair_instance):
@@ -845,7 +860,7 @@ def screen(rows: np.ndarray, hv: np.ndarray) -> np.ndarray:
     with no bound."""
     diffs = rows - hv
     slack = _rounding_slack(rows.shape[1], np.abs(diffs).sum(axis=1))
-    return _min_distance_shortlist(diffs, slack, reference_sign_blocks(rows), math.inf)
+    return _min_distance_shortlist(diffs, slack, reference_sign_blocks(rows), math.inf, np.zeros(rows.shape[0]))
 
 
 def assert_min_distance_selectors_match_reference(rows: np.ndarray, h) -> None:
@@ -904,11 +919,12 @@ class TestMinDistanceScreen:
 
     def test_only_a_shortlist_of_several_is_rescored(self, monkeypatch):
         """The seed, the candidate nearest h in L1, is screened alone once
-        over every block before all candidates are, and is never scored
-        exactly on its own.  A lone survivor of the screen is the selection,
-        with no exact rescoring.  A copy of the winner ties with it exactly,
-        so both survive and are rescored in one pass, and the lower index
-        wins."""
+        over every block before the others are, and is never scored exactly
+        on its own.  Its own pairs drop some candidates before the first
+        block, so no block's product takes all m.  A lone survivor of the
+        screen is the selection, with no exact rescoring.  A copy of the
+        winner ties with it exactly, so both survive and are rescored in one
+        pass, and the lower index wins."""
         screened, rescored = [], []
         term_maxima, exact_scores = selectors._term_maxima, selectors._exact_scores
 
@@ -933,10 +949,71 @@ class TestMinDistanceScreen:
                 screened.clear()
                 rescored.clear()
                 assert min_distance(make_family(rows), h, Ledger()).selected_index == int(np.argmin(scores))
-                assert screened[:blocks + 1] == [1] * blocks + [m]
+                assert screened[:blocks] == [1] * blocks
+                assert max(screened[blocks:], default=0) < m
                 assert rescored == rescorings
                 winner = int(np.argmin(scores))
                 rows[(winner + 13) % m] = rows[winner]
+
+    @staticmethod
+    def shortlist_block_reads(monkeypatch) -> list[int]:
+        """A list that grows by one for every block of test functions that
+        :func:`_min_distance_shortlist` reads."""
+        reads = []
+        shortlist = selectors._min_distance_shortlist
+
+        def counted(diffs, slack, blocks, bound, approx):
+            def counting():
+                for signs in blocks:
+                    reads.append(signs.shape[0])
+                    yield signs
+
+            return shortlist(diffs, slack, counting(), bound, approx)
+
+        monkeypatch.setattr(selectors, "_min_distance_shortlist", counted)
+        return reads
+
+    def test_screen_stops_at_one_survivor(self, monkeypatch):
+        """On cold m=96, k=64 families, whose 4560 pairs make 18 blocks of
+        raw signs, with h sampled from a truth near one member, the
+        candidates' own pairs with the seed and at most the first block
+        leave that member alone, and the screen reads no further block: at
+        most 2 of the 18.  It is what exact scoring of every candidate
+        selects.  (With a truth far from every member many candidates score
+        alike, and the screen reads on until the scores part.)"""
+        reads = self.shortlist_block_reads(monkeypatch)
+        m = 96
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            rows = rng.dirichlet(np.ones(64), size=m)
+            w = rng.uniform(0.0, 0.3)
+            truth = (1.0 - w) * rows[seed] + w * rng.dirichlet(np.ones(64))
+            h = sample_empirical(truth, (1000, 10_000, 100_000)[seed % 3], seed)
+            family = make_family(rows)
+            reads.clear()
+            report = min_distance(family, h, Ledger())
+            assert report.selected_index == int(np.argmin(reference_min_distance_scores(rows, h)))
+            assert len(reads) <= 2, seed
+            assert family._lex_pairs is None
+
+    def test_screen_reads_every_block_when_the_best_score_ties(self, monkeypatch):
+        """With the best row copied, two candidates tie on the exact score,
+        so neither is ever dropped: the screen reads all 18 blocks and the
+        lower index of the two wins."""
+        reads = self.shortlist_block_reads(monkeypatch)
+        m = 96
+        for seed in range(4):
+            inst = random_instance(seed, 64, m, noise=0.1)
+            rows = inst.family.matrix.copy()
+            best = int(np.argmin(reference_min_distance_scores(rows, inst.empirical)))
+            copy = (best + 37) % m
+            rows[copy] = rows[best]
+            scores = reference_min_distance_scores(rows, inst.empirical)
+            assert np.flatnonzero(scores == scores.min()).tolist() == sorted((best, copy))
+            reads.clear()
+            report = min_distance(make_family(rows), inst.empirical, Ledger())
+            assert report.selected_index == min(best, copy)
+            assert len(reads) == -(-m * (m - 1) // 2 // core._PAIR_BLOCK) == 18
 
     @pytest.mark.parametrize("keep_table", [False, True])
     def test_branch_and_bound_drops_candidates_between_blocks(self, monkeypatch, keep_table):
@@ -1423,10 +1500,11 @@ class TestColdFamilyLayers:
             assert np.isfinite(layer.distances).all() and np.isfinite(layer.thresholds).all()
 
 
-def reference_elimination(family: Family, h) -> tuple[TraceEvent, ...]:
+def reference_elimination(family: Family, h, draw_removes_first: bool = False) -> tuple[TraceEvent, ...]:
     """The elimination walk, driven by :func:`compare` on ``family``, over
-    the pairs lexsorted by nonincreasing distance from the raw rows, ties
-    in (i, j) order; a draw removes the second candidate."""
+    every pair lexsorted by nonincreasing distance from the raw rows, ties
+    in (i, j) order; a draw removes the second candidate, or the first
+    with ``draw_removes_first``."""
     m = family.size
     idx_i, idx_j = np.triu_indices(m, k=1)
     distances = np.abs(family.matrix[idx_i] - family.matrix[idx_j]).sum(axis=1)
@@ -1438,7 +1516,8 @@ def reference_elimination(family: Family, h) -> tuple[TraceEvent, ...]:
             break
         if i in alive and j in alive:
             outcome = compare(family, i, j, h, Ledger())
-            removed = i if outcome is Outcome.SECOND_WINS else j
+            first_loses = outcome is Outcome.SECOND_WINS or (outcome is Outcome.DRAW and draw_removes_first)
+            removed = i if first_loses else j
             alive.discard(removed)
             trace.append(TraceEvent(i, j, outcome, removed))
     return tuple(trace)
@@ -1485,6 +1564,77 @@ class TestOneSelectorSignature:
         assert ledgers[0] == ledgers[1] == ledgers[2] == Ledger(max(m - 1, 0), 0)
         assert reports[0].trace == reference_elimination(cold, h)
         assert cold._lex_pairs is not None
+
+
+def elimination_inputs(m: int, k: int, data: str):
+    """Rows of ``m`` candidates on ``k`` atoms and an h.  From m=3 on, row 0
+    is copied to row m//2 and row 1 to row m-1.  ``member`` puts h on row
+    0, ``ulp`` one ulp above it at one atom: either way rows 0 and m//2
+    beat every other candidate and draw with each other, on a zero test
+    function, in the walk's last comparison."""
+    inst = random_instance(m * 1000 + k, k, m, noise=0.1)
+    rows = inst.family.matrix.copy()
+    if m >= 3:
+        rows[m // 2], rows[m - 1] = rows[0], rows[1]
+    h = inst.empirical.mass if data == "empirical" else rows[0].copy()
+    if data == "ulp":
+        h[k // 2] = np.nextafter(h[k // 2], np.inf)
+    return rows, h
+
+
+def assert_walks_like_reference(rows: np.ndarray, h) -> tuple[TraceEvent, ...]:
+    """Under both draw rules, the elimination selector on a cold family and
+    on a preprocessed one reports the trace of :func:`reference_elimination`
+    and its survivor, and charges exactly m-1 products and no term.
+    Returns the trace under the default rule."""
+    m = rows.shape[0]
+    warm = preprocess(make_family(rows))
+    traces = []
+    for draw_removes_first in (False, True):
+        want = reference_elimination(warm, h, draw_removes_first)
+        removed = {event.removed for event in want}
+        survivor = next(c for c in range(m) if c not in removed)
+        for family in (make_family(rows), warm):
+            ledger = Ledger()
+            report = efficient_min_loss_weight(family, h, ledger, draw_removes_first=draw_removes_first)
+            assert report.trace == want, draw_removes_first
+            assert report.selected_index == survivor
+            assert ledger == Ledger(m - 1, 0)
+        traces.append(want)
+    return traces[0]
+
+
+class TestEliminationWalk:
+    """The elimination selector walks the distance order a block of pairs
+    at a time and rechecks in Python only the pairs whose endpoints are
+    both alive at the block's start; its trace and ledger are those of the
+    walk over every pair that :func:`compare` drives."""
+
+    @pytest.mark.parametrize("data", ["empirical", "member", "ulp"])
+    @pytest.mark.parametrize("k", [5, 129, 300])
+    @pytest.mark.parametrize("m", [33, 64, 120])
+    def test_traces_across_blocks(self, m, k, data):
+        """m=33 spans 3 blocks of pairs, m=120 28; k passes numpy's
+        128-term summation block.  With h on a copied row, or one ulp off
+        it, the last comparison is a draw, so the draw rule decides the
+        survivor."""
+        rows, h = elimination_inputs(m, k, data)
+        trace = assert_walks_like_reference(rows, h)
+        if data != "empirical":
+            assert (trace[-1].first, trace[-1].second, trace[-1].outcome) == (0, m // 2, Outcome.DRAW)
+
+    @pytest.mark.parametrize("data", ["empirical", "member", "ulp"])
+    @pytest.mark.parametrize("k", [1, 129])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_one_and_two_candidates(self, m, k, data):
+        """A singleton makes no comparison.  Two candidates make one, on
+        distinct rows and on copied ones, which draw."""
+        rows, h = elimination_inputs(m, k, data)
+        assert len(assert_walks_like_reference(rows, h)) == m - 1
+        if m == 2:
+            rows[1] = rows[0]
+            (event,) = assert_walks_like_reference(rows, h)
+            assert event.outcome is Outcome.DRAW
 
 
 # A family of three distributions on four atoms, a uniform vector and two
