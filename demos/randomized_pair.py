@@ -25,7 +25,7 @@ from l1select import (
 # expected error lands at a factor 2, not 3.
 
 inst = lower_bound_pair(1e-3)
-report = randomized_two(inst.family.candidates[0], inst.family.candidates[1], inst.empirical, 0)
+report = randomized_two(inst.family, inst.empirical)
 errors = [l1_distance(row, inst.truth) for row in inst.family.matrix]
 expected = report.mixture[0] * errors[0] + report.mixture[1] * errors[1]
 _, d1 = best_in_family(inst.family, inst.truth)
@@ -44,7 +44,7 @@ print(f"{'n':>7} {'weight on far':>14} {'weight on near':>15} {'expected error':
 rng_seed = 11
 for n in (30, 300, 3000, 30000):
     h = sample_empirical(inst.truth, n, seed=rng_seed)
-    report = randomized_two(inst.family.candidates[0], inst.family.candidates[1], h, 0)
+    report = randomized_two(inst.family, h)
     expected = report.mixture[0] * errors[0] + report.mixture[1] * errors[1]
     print(f"{n:>7} {report.mixture[0]:>14.4f} {report.mixture[1]:>15.4f} {expected:>15.6f}")
 
@@ -52,7 +52,7 @@ for n in (30, 300, 3000, 30000):
 
 for n in (30, 300, 3000, 30000):
     h = sample_empirical(inst.truth, n, seed=rng_seed)
-    report = randomized_two(inst.family.candidates[0], inst.family.candidates[1], h, 0)
+    report = randomized_two(inst.family, h)
     expected = report.mixture[0] * errors[0] + report.mixture[1] * errors[1]
     bound = 2 * d1 + empirical_deviation(inst.truth, h, inst.family)
     assert expected <= bound + 1e-9
@@ -62,10 +62,7 @@ print("expected error <= 2 d1 + Delta held for every sample size")
 # Repeated runs with different selector seeds draw different candidates but
 # identical mixtures: the randomness is only in the final coin flip.
 
-picks = [
-    randomized_two(inst.family.candidates[0], inst.family.candidates[1], inst.empirical, s)
-    for s in range(10)
-]
+picks = [randomized_two(inst.family, inst.empirical, seed=s) for s in range(10)]
 assert len({p.mixture for p in picks}) == 1
 counts = np.bincount([p.selected_index for p in picks], minlength=2)
 print(f"10 seeds on the fence instance picked far/near {counts[0]}/{counts[1]} times")

@@ -74,28 +74,22 @@ _NOISE_CYCLE = (0.0, 0.02, 0.1, 0.3)
 
 
 def _run_selector(algorithm: str, family, empirical, seed: int, *, draw_flip: bool = False):
-    """Run one selector on ``family`` with a fresh ledger.  The family is
-    preprocessed here before the elimination selector runs, which would
-    otherwise preprocess it itself, so that ``preprocess`` is called, and
-    can be traced, through this module's attribute."""
-    ledger = Ledger()
-    if algorithm == "tournament":
-        return scheffe_tournament(family, empirical, ledger)
-    if algorithm == "mindist":
-        return min_distance(family, empirical, ledger)
-    if algorithm == "modified":
-        return modified_min_distance(family, empirical, ledger)
-    if algorithm == "minloss":
-        return min_loss_weight(family, empirical, ledger)
+    """Run the selector named ``algorithm`` on ``family`` with a fresh
+    ledger.  The table of selectors is built at each call, so that each is
+    resolved, and can be traced, through this module's attribute.  For the
+    same reason the family is preprocessed here before the elimination
+    selector runs, which would otherwise preprocess it itself."""
     if algorithm == "efficient":
-        return efficient_min_loss_weight(preprocess(family), empirical, ledger, draw_removes_first=draw_flip)
-    if algorithm == "randomized":
-        if family.size != 2:
-            raise _ParameterError(
-                f"randomized selection needs exactly 2 candidates, family has {family.size}"
-            )
-        return randomized_two(family.candidates[0], family.candidates[1], empirical, seed)
-    raise _ParameterError(f"unknown algorithm {algorithm!r}")
+        preprocess(family)
+    select, options = {
+        "tournament": (scheffe_tournament, {}),
+        "mindist": (min_distance, {}),
+        "modified": (modified_min_distance, {}),
+        "minloss": (min_loss_weight, {}),
+        "efficient": (efficient_min_loss_weight, {"draw_removes_first": draw_flip}),
+        "randomized": (randomized_two, {"seed": seed}),
+    }[algorithm]
+    return select(family, empirical, Ledger(), **options)
 
 
 class _ParameterError(ValueError):
@@ -168,7 +162,7 @@ def _evaluate_instance(inst: Instance, delta_mode: str, draw_flip: bool) -> dict
                 fail("elimination_invariant", {"selected": report.selected_index})
 
     if family.size == 2 and not np.array_equal(family.matrix[0], family.matrix[1]):
-        report = randomized_two(family.candidates[0], family.candidates[1], h, 0)
+        report = _run_selector("randomized", family, h, 0)
         errors = reference.errors
         expected = report.mixture[0] * errors[0] + report.mixture[1] * errors[1]
         margin = (2.0 * reference.d1 + reference.deviation) - expected

@@ -10,6 +10,7 @@ write-then-read cycle reproduces every vector bit for bit.
 
 from __future__ import annotations
 
+import itertools
 import json
 from collections import Counter
 from pathlib import Path
@@ -57,7 +58,8 @@ def _require(data: dict, key: str, path) -> object:
 
 
 def _as_float_list(values, what: str, path) -> list[float]:
-    if not isinstance(values, list) or not all(isinstance(v, (int, float)) for v in values):
+    # Exact types: JSON true and false decode to bool, a subclass of int.
+    if not isinstance(values, list) or not all(type(v) in (int, float) for v in values):
         raise FileFormatError(f"{path}: {what} must be a list of numbers")
     try:
         return [float(v) for v in values]
@@ -92,8 +94,9 @@ def _stacked_family(support: Support, entries: list) -> Family:
     """The family of ``entries`` with all mass rows stacked into one array
     and checked in one pass.  Raises ValueError, without saying which
     candidate is at fault, on any entry :func:`_read_candidate` or
-    :class:`Family` would reject, and on integers of 2**64 or more, which
-    numpy keeps as Python objects."""
+    :class:`Family` would reject, booleans included, which numpy would
+    read as 0 and 1, and on integers of 2**64 or more, which numpy keeps as
+    Python objects."""
     names, rows = [], []
     for entry in entries:
         if not (
@@ -105,7 +108,11 @@ def _stacked_family(support: Support, entries: list) -> Family:
         names.append(entry["name"])
         rows.append(entry["mass"])
     matrix = np.array(rows) if rows else np.empty((0, support.size))
-    if matrix.dtype.kind not in "biuf":
+    # numpy reads true and false as 1 and 0, so only a matrix holding a 0 or
+    # a 1 can hide one; the scan of every entry's type runs only then.
+    if matrix.dtype.kind not in "iuf" or (
+        ((matrix == 0) | (matrix == 1)).any() and bool in set(map(type, itertools.chain.from_iterable(rows)))
+    ):
         raise ValueError("mass entries are not all numbers")
     return Family._from_matrix(support, names, matrix.astype(np.float64, copy=False))
 

@@ -11,19 +11,23 @@ empirical mass vector:
 * ``min_loss_weight``        -- smallest loss-weight; m(m-1)/2 data products.
 * ``efficient_min_loss_weight`` -- same guarantee from exactly m-1 data
                                 products via distance-ordered elimination.
-* ``randomized_two``         -- randomized choice between two candidates with
-                                expected error at most twice the best.
+* ``randomized_two``         -- randomized choice within a family of exactly
+                                two candidates, with expected error at most
+                                twice the best; 2 term evaluations.
 
 Every data-dependent inner product is charged to a :class:`~l1select.core.Ledger`;
 the counts above are exact, not asymptotic.  Deterministic procedures break
 ties by lowest candidate index.
 
-Every deterministic selector, ``loss_weight`` and ``relaxed_selection_check``
-take a :class:`~l1select.core.Family`, preprocessed or not, and build and
-keep nothing: only :func:`~l1select.core.preprocess` builds a pair table
-(see :mod:`l1select.core`).  Each reads the table the family keeps, or
-computes the rows it needs from the raw rows, bit-identical, and drops
-them; ``loss_weight`` always computes its candidate's m-1 rows.
+Every selector takes ``(family, h, ledger=None)`` and keyword options of its
+own (``seed``, ``draw_removes_first``); ``randomized_two`` itself refuses
+any family but one of two distinct members.  The selectors, ``loss_weight``
+and ``relaxed_selection_check`` take a :class:`~l1select.core.Family`,
+preprocessed or not, and build and keep nothing: only
+:func:`~l1select.core.preprocess` builds a pair table (see
+:mod:`l1select.core`).  Each reads the table the family keeps, or computes
+the rows it needs from the raw rows, bit-identical, and drops them;
+``loss_weight`` always computes its candidate's m-1 rows.
 ``efficient_min_loss_weight`` also reads the distance order, so it
 preprocesses the family it is given, once.
 
@@ -71,9 +75,8 @@ from .core import (
     _pair_blocks,
     _sign_blocks,
     _table_blocks,
-    compare,  # re-exported: callers reach the pairwise compare as selectors.compare too
+    compare,  # not called here: kept because perfbench's tracer wraps selectors.compare
     preprocess,
-    test_function,
 )
 
 __all__ = [
@@ -651,42 +654,40 @@ def efficient_min_loss_weight(
     return _report(family, "efficient", selected, ledger, h0, t0, trace=tuple(trace))
 
 
-def randomized_two(f1, f2, h, rng_seed: int = 0) -> SelectionReport:
-    """Randomized choice between two candidates with expected error at most
-    2 . min(err1, err2) + deviation.
+def randomized_two(family: Family, h, ledger: Ledger | None = None, *, seed: int = 0) -> SelectionReport:
+    """Randomized choice between the two candidates of ``family``, with
+    expected error at most 2 . min(err1, err2) + deviation.
 
     With T the pair's test function and n_i = |(f_i - h) . T|, the first
     candidate is chosen with probability n2 / (n1 + n2) -- the exact value of
     1 / (r + 1) for the term ratio r = n1 / n2, with r = infinity (n2 = 0)
     selecting the second candidate outright.  When both terms are zero
     neither candidate is favoured and the mixture is even.  The two terms are
-    charged as term evaluations.  The draw comes from a seeded PCG64
-    generator, and the report carries the seed plus both mixture weights
-    exactly.
+    charged as term evaluations.  The draw comes from a PCG64 generator
+    seeded with ``seed``, and the report carries the seed plus both mixture
+    weights exactly.
+
+    An empty family is refused as every selector refuses it, a family of
+    any other size but 2 with ValueError, and two equal rows with
+    :class:`~l1select.core.DegeneratePairError`, all before ``h`` is
+    checked.
     """
-    names = (getattr(f1, "name", "f1"), getattr(f2, "name", "f2"))
-    v1 = _checked_mass(f1, f"candidate {names[0]!r}")
-    v2 = _checked_mass(f2, f"candidate {names[1]!r}", v1.shape[0])
+    _check_nonempty(family)
+    if family.size != 2:
+        raise ValueError(f"randomized selection needs exactly 2 candidates, family has {family.size}")
+    v1, v2 = family.matrix
     if np.array_equal(v1, v2):
         raise DegeneratePairError("randomized selection needs two candidates at positive L1 distance")
-    signs = test_function(v1, v2).signs
-    hv = _checked_mass(h, "empirical distribution", v1.shape[0])
-    ledger = Ledger()
+    hv = _checked_mass(h, "empirical distribution", family.support.size)
+    ledger = _ensure_ledger(ledger)
+    h0, t0 = ledger.h_products, ledger.term_evaluations
+    signs = np.sign(v1 - v2)
     n1 = abs(float(((v1 - hv) * signs).sum()))
     n2 = abs(float(((v2 - hv) * signs).sum()))
     ledger.add_term_evaluations(2)
     mixture = (0.5, 0.5) if n1 + n2 == 0.0 else (n2 / (n1 + n2), n1 / (n1 + n2))
-    draw = float(np.random.default_rng(rng_seed).random())
-    selected = 0 if draw < mixture[0] else 1
-    return SelectionReport(
-        algorithm="randomized",
-        selected_index=selected,
-        selected_name=names[selected],
-        h_products=ledger.h_products,
-        term_evaluations=ledger.term_evaluations,
-        seed=rng_seed,
-        mixture=mixture,
-    )
+    selected = 0 if float(np.random.default_rng(seed).random()) < mixture[0] else 1
+    return _report(family, "randomized", selected, ledger, h0, t0, seed=seed, mixture=mixture)
 
 
 def relaxed_selection_check(

@@ -125,7 +125,7 @@ def guarantee_sweep():
             if l1_distance(family.matrix[0], family.matrix[1]) == 0.0:
                 two_skipped_degenerate += 1
             else:
-                report = randomized_two(family.candidates[0], family.candidates[1], h, 0)
+                report = randomized_two(family, h)
                 errors = [l1_distance(row, g) for row in family.matrix]
                 expected = report.mixture[0] * errors[0] + report.mixture[1] * errors[1]
                 _, d1 = best_in_family(family, g)

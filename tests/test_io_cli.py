@@ -65,6 +65,14 @@ FAMILY_FAULTS = {
         {"support": ["a", "b"], "candidates": [GOOD_ENTRY, {"name": "g", "mass": [0.5, "x"]}]},
         "mass of 'g' must be a list of numbers",
     ),
+    "boolean_mass": (
+        {"support": ["a", "b"], "candidates": [GOOD_ENTRY, {"name": "g", "mass": [True, False]}]},
+        "mass of 'g' must be a list of numbers",
+    ),
+    "boolean_among_numbers": (
+        {"support": ["a", "b"], "candidates": [GOOD_ENTRY, {"name": "g", "mass": [True, 0.5]}]},
+        "mass of 'g' must be a list of numbers",
+    ),
     "nan_mass": (
         {"support": ["a", "b"], "candidates": [GOOD_ENTRY, {"name": "g", "mass": [float("nan"), 0.5]}]},
         "candidate 'g' has non-finite mass entries",
@@ -231,6 +239,22 @@ class TestEmpiricalFiles:
         path.write_text('{"mass": [%s, 0]}' % HUGE_INT, encoding="utf-8")
         with pytest.raises(FileFormatError, match="too large for a float"):
             read_mass_vector(path)
+
+    @pytest.mark.parametrize("mass", [[True, False, False, False], [0.5, 0.5, 0, False]])
+    def test_booleans_are_not_masses(self, tmp_path, pair_files, capsys, mass):
+        """JSON true and false are no numbers, though Python reads them as
+        1 and 0: an empirical file or a stored mass vector holding one is
+        refused, and select exits 2."""
+        path = tmp_path / "bad-empirical.json"
+        path.write_text(json.dumps({"mass": mass}), encoding="utf-8")
+        message = f"{path}: mass must be a list of numbers"
+        with pytest.raises(FileFormatError) as info:
+            read_mass_vector(path)
+        assert str(info.value) == message
+        fam, _ = pair_files
+        code = main(["select", "--family", fam, "--empirical", str(path), "--algorithm", "mindist"])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_mass_vector_round_trip(self, tmp_path):
         truth = lower_bound_pair(1e-3).truth

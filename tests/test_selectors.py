@@ -34,6 +34,7 @@ from l1select import (
     efficient_min_loss_weight,
     empirical_deviation,
     empirical_deviation_restricted,
+    inner_product,
     l1_distance,
     loss_weight,
     lower_bound_pair,
@@ -272,7 +273,7 @@ class TestRandomizedTwo:
         """With h = g both deviations are equal, so r = 1 and p = 1/2; the
         exact expected error lands at 1.00 against the bound 2*d1 = 1.04."""
         f1, f2 = pair_instance.family.candidates
-        report = randomized_two(f1, f2, pair_instance.empirical, rng_seed=0)
+        report = randomized_two(pair_instance.family, pair_instance.empirical)
         assert report.mixture == pytest.approx((0.5, 0.5), abs=1e-12)
         assert report.term_evaluations == 2
         assert report.h_products == 0
@@ -289,55 +290,75 @@ class TestRandomizedTwo:
         assert e == pytest.approx(1e-2, abs=1e-11)
 
     def test_empirical_equal_to_second_selects_it_surely(self):
-        f1 = Candidate("f1", [0.5, 0.5, 0.0])
-        f2 = Candidate("f2", [0.2, 0.3, 0.5])
+        family = make_family([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5]])
         h = EmpiricalDistribution([0.2, 0.3, 0.5])
         for seed in range(5):
-            report = randomized_two(f1, f2, h, rng_seed=seed)
+            report = randomized_two(family, h, seed=seed)
             assert report.mixture == (0.0, 1.0)
             assert report.selected_index == 1
 
     def test_empirical_equal_to_first_selects_it_surely(self):
-        f1 = Candidate("f1", [0.5, 0.5, 0.0])
-        f2 = Candidate("f2", [0.2, 0.3, 0.5])
+        family = make_family([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5]])
         h = EmpiricalDistribution([0.5, 0.5, 0.0])
         for seed in range(5):
-            report = randomized_two(f1, f2, h, rng_seed=seed)
+            report = randomized_two(family, h, seed=seed)
             assert report.mixture == (1.0, 0.0)
             assert report.selected_index == 0
 
     def test_identical_candidates_rejected(self):
-        f = Candidate("f1", [0.5, 0.5])
-        g = Candidate("f2", [0.5, 0.5])
+        ledger = Ledger()
         with pytest.raises(DegeneratePairError):
-            randomized_two(f, g, EmpiricalDistribution([0.4, 0.6]), rng_seed=0)
+            randomized_two(make_family([[0.5, 0.5], [0.5, 0.5]]), EmpiricalDistribution([0.4, 0.6]), ledger)
+        assert ledger == Ledger()
+
+    @pytest.mark.parametrize("m", [0, 1, 3])
+    def test_every_size_but_two_is_refused_before_h(self, m):
+        """An empty family is refused as every selector refuses it, and one
+        or three members with the message the command line prints.  Both
+        refusals come before ``h``, here of the wrong length, is checked,
+        and charge nothing."""
+        family = make_family([np.full(4, 0.25 + i) for i in range(m)]) if m else Family(Support.default(4), [])
+        error, message = (
+            (EmptyFamilyError, "cannot select from an empty family")
+            if m == 0
+            else (ValueError, f"randomized selection needs exactly 2 candidates, family has {m}")
+        )
+        ledger = Ledger()
+        with pytest.raises(error, match=f"^{message}$") as raised:
+            randomized_two(family, np.full(3, 1 / 3), ledger)
+        assert type(raised.value) is error
+        assert ledger == Ledger()
+
+    def test_charges_the_callers_ledger(self, pair_instance):
+        ledger = Ledger(5, 7)
+        report = randomized_two(pair_instance.family, pair_instance.empirical, ledger, seed=3)
+        assert ledger == Ledger(5, 9)
+        assert (report.h_products, report.term_evaluations, report.seed) == (0, 2, 3)
+        assert report.selected_name == pair_instance.family.names[report.selected_index]
 
     def test_seed_determinism(self, pair_instance):
-        f1, f2 = pair_instance.family.candidates
-        a = randomized_two(f1, f2, pair_instance.empirical, rng_seed=123)
-        b = randomized_two(f1, f2, pair_instance.empirical, rng_seed=123)
+        a = randomized_two(pair_instance.family, pair_instance.empirical, seed=123)
+        b = randomized_two(pair_instance.family, pair_instance.empirical, seed=123)
         assert a == b
 
     def test_term_sum_overflow_still_mixes_evenly(self):
         """The largest accepted masses on two atoms, MASS_BOUND / 2 each:
         n1 + n2 is about MASS_BOUND, far from overflow, and the weights are
         the exact ratio of the two terms.  At 1e308 each, where n1 + n2
-        would overflow, f1 is refused."""
-        f1 = Candidate("f1", [MASS_BOUND / 2, 0.0])
-        f2 = Candidate("f2", [0.0, MASS_BOUND / 2])
-        report = randomized_two(f1, f2, np.array([0.5, 0.5]), rng_seed=0)
+        would overflow, f1 is refused before a family of it exists."""
+        family = make_family([[MASS_BOUND / 2, 0.0], [0.0, MASS_BOUND / 2]])
+        report = randomized_two(family, np.array([0.5, 0.5]))
         assert report.mixture == (0.5, 0.5)
         with pytest.raises(ValueError, match="^candidate 'f1' has mass entries too large"):
-            randomized_two(np.array([1e308, 0.0]), f2, np.array([0.5, 0.5]), rng_seed=0)
+            make_family([[1e308, 0.0], [0.0, MASS_BOUND / 2]])
 
     def test_term_sum_overflow_warns_nothing(self):
         """Neither the largest accepted masses nor the refusal of masses
         near the float maximum raise a numpy warning."""
-        f1 = Candidate("f1", [MASS_BOUND / 2, 0.0])
-        f2 = Candidate("f2", [0.0, MASS_BOUND / 2])
+        family = make_family([[MASS_BOUND / 2, 0.0], [0.0, MASS_BOUND / 2]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            report = randomized_two(f1, f2, np.array([0.5, 0.5]), rng_seed=0)
+            report = randomized_two(family, np.array([0.5, 0.5]))
             with pytest.raises(ValueError, match="too large"):
                 Candidate("f1", [1e308, 0.0])
         assert report.mixture == (0.5, 0.5)
@@ -345,42 +366,34 @@ class TestRandomizedTwo:
     def test_both_terms_zero_give_even_mixture(self):
         """Subnormal masses make both terms round to exactly zero; neither
         candidate is favoured, so the mixture is even instead of 0 / 0."""
-        f1 = Candidate("f1", [5e-324, 0.0])
-        f2 = Candidate("f2", [0.0, 5e-324])
+        family = make_family([[5e-324, 0.0], [0.0, 5e-324]])
         for seed in range(4):
-            report = randomized_two(f1, f2, np.array([0.5, 0.5]), rng_seed=seed)
+            report = randomized_two(family, np.array([0.5, 0.5]), seed=seed)
             assert report.mixture == (0.5, 0.5)
             assert report.term_evaluations == 2
 
-    def test_overflowing_term_rejected(self):
-        """A term that could overflow needs masses past the bound, which
-        are refused, as a candidate or a raw vector, before any term is
-        evaluated: near the float maximum and one ulp past the bound alike.
-        Exactly at the bound both terms are finite."""
-        f2 = Candidate("f2", [0.0, 0.0, 0.5, 0.5])
-        h = np.full(4, 0.25)
-        for f1 in ([1.7e308, 1.7e308, 0.0, 0.0], [np.nextafter(MASS_BOUND / 4, np.inf), 0.0, 0.0, 0.0]):
-            with pytest.raises(ValueError, match="^candidate 'f1' has mass entries too large"):
-                randomized_two(Candidate("f1", f1), f2, h, rng_seed=0)
-            with pytest.raises(ValueError, match="^candidate 'f1' has mass entries too large"):
-                randomized_two(np.array(f1), f2, h, rng_seed=0)
-        f1 = Candidate("f1", [MASS_BOUND / 4, MASS_BOUND / 4, 0.0, 0.0])
-        report = randomized_two(f1, f2, h, rng_seed=0)
+    def test_terms_at_the_bound_are_finite(self):
+        """Exactly at the mass bound both terms are finite, and the weights
+        their exact ratio."""
+        family = make_family([[MASS_BOUND / 4, MASS_BOUND / 4, 0.0, 0.0], [0.0, 0.0, 0.5, 0.5]])
+        report = randomized_two(family, np.full(4, 0.25))
         assert report.mixture == (1.0 / (MASS_BOUND / 2 + 1.0), (MASS_BOUND / 2) / (MASS_BOUND / 2 + 1.0))
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 6))
     def test_mixture_weights_are_a_distribution(self, seed, k):
+        """The weights sum to 1, and are the exact ratio of the two terms
+        on the pair's test function."""
         rng = np.random.default_rng(seed)
         rows = rng.dirichlet(np.ones(k), size=3)
         if float(np.abs(rows[0] - rows[1]).sum()) == 0.0:
             return
-        report = randomized_two(
-            Candidate("f1", rows[0]), Candidate("f2", rows[1]),
-            EmpiricalDistribution(rows[2]), rng_seed=seed,
-        )
+        report = randomized_two(make_family(rows[:2]), EmpiricalDistribution(rows[2]), seed=seed)
         p, q = report.mixture
         assert 0.0 <= p <= 1.0 and 0.0 <= q <= 1.0
         assert p + q == pytest.approx(1.0, abs=1e-12)
+        t = make_test_function(rows[0], rows[1])
+        n1, n2 = (abs(inner_product(row - rows[2], t)) for row in rows[:2])
+        assert report.mixture == (n2 / (n1 + n2), n1 / (n1 + n2))
 
 
 class TestRelaxedSelectionCheck:
@@ -1637,9 +1650,11 @@ class TestEliminationWalk:
             assert event.outcome is Outcome.DRAW
 
 
-# A family of three distributions on four atoms, a uniform vector and two
-# of the family's rows: the fixed, valid inputs of the entry points below.
+# A family of three distributions on four atoms, its first two members as a
+# family, a uniform vector and two of the family's rows: the fixed, valid
+# inputs of the entry points below.
 MASS_FAMILY = make_family([[0.4, 0.3, 0.2, 0.1], [0.1, 0.2, 0.3, 0.4], [0.25] * 4])
+MASS_PAIR = Family(MASS_FAMILY.support, MASS_FAMILY.candidates[:2])
 UNIFORM = np.full(4, 0.25)
 ROW0, ROW1 = MASS_FAMILY.matrix[0], MASS_FAMILY.matrix[1]
 
@@ -1687,9 +1702,7 @@ MASS_ENTRY_POINTS = {
     "efficient": lambda v, ledger: efficient_min_loss_weight(preprocess(MASS_FAMILY), v, ledger),
     "loss_weight": lambda v, ledger: loss_weight(MASS_FAMILY, v, 0, ledger),
     "relaxed_selection_check": lambda v, ledger: relaxed_selection_check(MASS_FAMILY, v, 0),
-    "randomized_two(f1)": lambda v, ledger: randomized_two(v, ROW1, UNIFORM),
-    "randomized_two(f2)": lambda v, ledger: randomized_two(ROW0, v, UNIFORM),
-    "randomized_two(h)": lambda v, ledger: randomized_two(ROW0, ROW1, v),
+    "randomized_two(h)": lambda v, ledger: randomized_two(MASS_PAIR, v, ledger),
     "best_in_family": lambda v, ledger: best_in_family(MASS_FAMILY, v),
     "InstanceReference(g)": lambda v, ledger: InstanceReference(MASS_FAMILY, v, UNIFORM),
     "InstanceReference(h)": lambda v, ledger: InstanceReference(MASS_FAMILY, UNIFORM, v),
@@ -1746,8 +1759,6 @@ NAMED_ENTRY_POINTS = {
     "compare",
     "loss_weight",
     "relaxed_selection_check",
-    "randomized_two(f1)",
-    "randomized_two(f2)",
     "randomized_two(h)",
 }
 
@@ -1766,10 +1777,10 @@ class TestEmpiricalValidation:
 
     @pytest.mark.parametrize("bad", sorted(BAD_MASSES))
     def test_randomized_rejects(self, bad):
-        """Before f1 and f2 were checked, a negative f1 was selected
-        against, and a NaN f1 failed as a malformed test function."""
-        for arg in ("f1", "f2", "h"):
-            assert_refused(f"randomized_two({arg})", bad)
+        """Before the candidates were checked, a negative one was selected
+        against, and a NaN one failed as a malformed test function; the
+        family checks them now, and the selector ``h``."""
+        assert_refused("randomized_two(h)", bad)
 
     @pytest.mark.parametrize("bad", sorted(BAD_MASSES))
     def test_compare_rejects(self, bad):
@@ -1922,9 +1933,10 @@ class TestMassBound:
                 got = relaxed_selection_check(big, big_h, i, c, include_draws=include_draws)
                 assert (got.passed, got.margin) == (want.passed, math.ldexp(want.margin, s))
         if not np.array_equal(rows[0], rows[1]):
+            pair, big_pair = make_family(rows[:2]), make_family(big_rows[:2])
             for seed in range(4):
-                want = randomized_two(rows[0], rows[1], h, seed)
-                assert randomized_two(big_rows[0], big_rows[1], big_h, seed) == want
+                want = randomized_two(pair, h, seed=seed)
+                assert randomized_two(big_pair, big_h, seed=seed) == want
 
     @pytest.mark.parametrize("name", [name for name in sorted(BOUND_INSTANCES) if name.startswith("random")])
     def test_one_ulp_past_the_bound_is_refused(self, name):
@@ -1945,7 +1957,7 @@ class TestMassBound:
             lambda family, h: compare(family, 0, m - 1, h, Ledger()),
             lambda family, h: loss_weight(family, h, 0),
             lambda family, h: relaxed_selection_check(family, h, 0),
-            lambda family, h: randomized_two(family[0], family[m - 1], h),
+            lambda family, h: randomized_two(Family(family.support, (family[0], family[m - 1])), h),
         ]
         for query in queries:
             with pytest.raises(ValueError, match="^empirical distribution has mass entries too large"):

@@ -21,21 +21,28 @@ DETERMINISTIC = ("tournament", "mindist", "modified", "minloss", "efficient")
 
 
 def test_traced_select_and_verify_keep_every_span_and_count(tmp_path, monkeypatch, capsys):
+    """Each selector run by ``select``, the randomized one on a two-member
+    file, and by ``verify`` is counted, and every count meets its closed
+    form."""
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     monkeypatch.chdir(tmp_path)
     tracing = importlib.import_module("tracing")
-    inst = random_instance(11, 6, 7, noise=0.1)
-    family_path, empirical_path = tmp_path / "family.json", tmp_path / "empirical.json"
-    write_family(family_path, inst.family)
-    write_empirical(empirical_path, inst.empirical)
+    paths = {}
+    for m in (7, 2):
+        inst = random_instance(11, 6, m, noise=0.1)
+        paths[m] = (tmp_path / f"family{m}.json", tmp_path / f"empirical{m}.json")
+        write_family(paths[m][0], inst.family)
+        write_empirical(paths[m][1], inst.empirical)
 
     tracer = tracing.Tracer()
     tracer.install()
     try:
         tracer.op_id = 0
-        for algorithm in DETERMINISTIC:
+        for algorithm in (*DETERMINISTIC, "randomized"):
+            family_path, empirical_path = paths[2 if algorithm == "randomized" else 7]
             argv = ["select", "--family", str(family_path), "--empirical", str(empirical_path)]
             assert cli.main([*argv, "--algorithm", algorithm]) == 0
+        assert tracer.counts["selectors.randomized.term_evaluations"] == 2
         assert cli.main(["verify", "--trials", "5"]) == 0
     finally:
         tracer.uninstall()
@@ -44,6 +51,7 @@ def test_traced_select_and_verify_keep_every_span_and_count(tmp_path, monkeypatc
     assert tracer.missing == []
     for algorithm in DETERMINISTIC:
         assert f"selectors.{algorithm}.h_products" in tracer.counts, algorithm
+    assert tracer.counts["selectors.randomized.term_evaluations"] > 2  # verify's two-member checks
     assert tracer.counts["selectors.ledger_mismatches"] == 0
     assert tracer.counts["selectors.efficient.scanned"] > 0
 
